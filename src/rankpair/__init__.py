@@ -6,23 +6,22 @@ from .core import (
     LevelFunction,
     OccurrenceSet,
     RankOneSpec,
-    RhoDistance,
     StageSpec,
     ValidationReport,
     occurrence_set,
     point_map,
-    rho_distance,
     validate_spec,
 )
 from .correlation import (
     CorrelationSequence,
     CoverageError,
+    SummabilityReport,
     ToleranceNotReached,
     autocorrelation,
     corr_functional,
     correlation_sequence,
-    cross_correlation,
     product_correlation,
+    summability_report,
 )
 from .schedule import (
     IntervalSchedule,
@@ -46,10 +45,8 @@ from .pairplan import (
 from .spectral import (
     ChaosCoefficients,
     DensityEstimate,
-    SummabilityReport,
     chaos_exp_coefficients,
     fejer_density,
-    summability_report,
     trig_polynomial_density,
 )
 from .suspension import (

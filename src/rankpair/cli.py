@@ -1,10 +1,11 @@
 """Command-line pipeline: schedule, plan, verify, correlate, spectrum,
 simulate, lemma3, report.
 
-Exit codes: 0 on pass, 1 on usage or input errors, 2 on a certificate
-violation.  Every run writes a manifest next to its outputs with enough
-information (arguments, seed, version) to reproduce it byte-for-byte.
-All file writes are atomic.
+Exit codes: 0 on pass, 1 on usage or input errors and on runs that cannot
+finish (tolerance not reached, planning failure, escape cap, out of
+memory), 2 on a certificate violation.  Every run writes a manifest next
+to its outputs with enough information (arguments, seed, version) to
+reproduce it byte-for-byte.  All file writes are atomic.
 """
 
 from __future__ import annotations
@@ -18,16 +19,12 @@ from importlib import metadata
 from pathlib import Path
 
 from .core import LevelFunction, validate_spec
-from .correlation import correlation_sequence
-from .pairplan import GenericPolicy, PolynomialSpec, check_certificate, plan_pair
+from .correlation import ToleranceNotReached, correlation_sequence, summability_report
+from .pairplan import GenericPolicy, PlanError, PolynomialSpec, check_certificate, plan_pair
 from .schedule import generate_schedule, validate_schedule
-from .spectral import (
-    chaos_exp_coefficients,
-    fejer_density,
-    summability_report,
-    trig_polynomial_density,
-)
+from .spectral import fejer_density, trig_polynomial_density
 from .suspension import (
+    EscapeCapError,
     SimulationConfig,
     gaussian_sample,
     linear_statistic_covariance,
@@ -249,10 +246,11 @@ def cmd_simulate(args) -> int:
     config = SimulationConfig(
         sample_count=args.samples,
         seed=args.seed,
-        lag_max=args.lag_max,
         intensity=args.intensity,
     )
     if args.kind == "gaussian":
+        if args.table is None:
+            raise UsageError("--kind gaussian needs --table")
         seq = ser.correlation_table_from_tsv(Path(args.table).read_text())
         length = args.lag_max * 2 + 1
         sample = gaussian_sample(seq, length, config)
@@ -267,6 +265,8 @@ def cmd_simulate(args) -> int:
             "errors": {str(k): v for k, v in errors.items()},
         }
     else:
+        if args.spec is None or args.function is None:
+            raise UsageError("--kind poisson needs --spec and --function")
         spec = _load_spec(args.spec)
         f = ser.level_function_from_dict(ser.read_json(args.function))
         pairs = poisson_sample_and_push(
@@ -283,7 +283,7 @@ def cmd_simulate(args) -> int:
             "escape_fraction": est.escape_fraction,
             "exact_bracket": [ser.fraction_to_str(exact[0]),
                               ser.fraction_to_str(exact[1])],
-            "ci_contains_exact": bool(est.contains(exact[0]) or est.contains(exact[1])),
+            "ci_contains_exact": est.overlaps(*exact),
         }
     _emit(out_dir, manifest, args.out, payload)
     _finish(out_dir, manifest)
@@ -433,6 +433,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (ToleranceNotReached, PlanError, EscapeCapError, MemoryError) as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -15,7 +15,6 @@ constructed region; an orbit that runs off the deepest tower "escapes"
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -228,59 +227,3 @@ def point_map(
             return None
         d += 1
     return (d, q)
-
-
-def _project_to_stage(spec, image, stage):
-    """Label the image of a point at the resolution of the depth-``stage`` tower.
-
-    Returns ``("cell", level)`` when the point lies in a copy of that tower,
-    ``("spacer", depth, position)`` when it sits on a later spacer level.
-    """
-    d, q = image
-    if d == stage:
-        return ("cell", q)
-    occ = occurrence_set(spec, stage, d)
-    h = spec.heights()[stage - 1]
-    i = bisect.bisect_right(occ.positions, q) - 1
-    if i >= 0 and q - occ.positions[i] < h:
-        return ("cell", q - occ.positions[i])
-    return ("spacer", d, q)
-
-
-@dataclass(frozen=True)
-class RhoDistance:
-    """Finite-stage bracket for the support metric between two specs."""
-
-    lower: Fraction
-    escaped_mass: Fraction
-
-    @property
-    def upper(self) -> Fraction:
-        return self.lower + self.escaped_mass
-
-
-def rho_distance(spec_a: RankOneSpec, spec_b: RankOneSpec, depth: int) -> RhoDistance:
-    """Measure of the depth-``depth`` cells on which the two one-step maps
-    visibly disagree, plus the mass of cells whose image escapes either spec.
-
-    Requires identical stage parameters up to ``depth`` so that cells
-    correspond; the lower value underestimates the true support measure
-    (cells resolving to distinct deep labels are counted, escapes are not).
-    """
-    if spec_a.base_height != spec_b.base_height or spec_a.stages[: depth - 1] != spec_b.stages[: depth - 1]:
-        raise ValueError("specs do not share cell structure up to the requested depth")
-    if depth > spec_a.max_depth or depth > spec_b.max_depth:
-        raise IndexError("depth exceeds a spec's constructed stages")
-    h = spec_a.heights()[depth - 1]
-    w = spec_a.widths()[depth - 1]
-    differing = 0
-    escaped = 0
-    for c in range(h):
-        img_a = point_map(spec_a, depth, c, 1)
-        img_b = point_map(spec_b, depth, c, 1)
-        if img_a is None or img_b is None:
-            escaped += 1
-            continue
-        if _project_to_stage(spec_a, img_a, depth) != _project_to_stage(spec_b, img_b, depth):
-            differing += 1
-    return RhoDistance(lower=differing * w, escaped_mass=escaped * w)

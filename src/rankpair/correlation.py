@@ -200,58 +200,16 @@ def _function_bracket(prof: PairProfile, f, g, n) -> Interval:
     return (lo, hi)
 
 
-def _function_gap(prof: PairProfile, f, g, n) -> Fraction:
-    return sum(
-        (abs(coeff) * prof.top_zone(m) * prof.width
-         for coeff, m in _needed_differences(f, g, n)),
-        Fraction(0),
-    )
-
-
 def _window_for(f: LevelFunction, g: LevelFunction, n_max: int) -> int:
     span_f = max(f.levels) if f.levels else 0
     span_g = max(g.levels) if g.levels else 0
     return n_max + span_f + span_g
 
 
-def cross_correlation(
-    spec: RankOneSpec,
-    f: LevelFunction,
-    g: LevelFunction,
-    n: int,
-    tolerance: Optional[Fraction] = None,
-) -> Interval:
-    """Certified bracket for ``(f, T^n g)``.
-
-    Deepens through the spec's stages until the bracket width is at most
-    ``tolerance`` (``None`` = use the full spec), then stops.  Raises
-    :class:`ToleranceNotReached` when the spec is exhausted first.
-    """
-    window = _window_for(f, g, abs(n))
-    last = None
-    for prof in _pair_profiles(spec, f.stage, g.stage, window):
-        last = prof
-        if tolerance is not None and _function_gap(prof, f, g, n) <= tolerance:
-            return _function_bracket(prof, f, g, n)
-    bracket = _function_bracket(last, f, g, n)
-    if tolerance is not None and bracket[1] - bracket[0] > tolerance:
-        raise ToleranceNotReached(bracket[1] - bracket[0])
-    return bracket
-
-
-def autocorrelation(
-    spec: RankOneSpec,
-    f: LevelFunction,
-    n: int,
-    tolerance: Optional[Fraction] = None,
-) -> Interval:
-    """Certified bracket for ``(f, T^n f)``; even in ``n`` for real ``f``."""
-    return cross_correlation(spec, f, f, n, tolerance)
-
-
 @dataclass
 class CorrelationSequence:
-    """Table ``n -> (lower, upper)`` of certified correlation brackets."""
+    """Table ``n -> (lower, upper)`` of certified correlation brackets;
+    ``norm_sq`` is ``||f||^2`` of the first function."""
 
     entries: dict[int, Interval]
     norm_sq: Fraction
@@ -286,30 +244,41 @@ def correlation_sequence(
     tolerance: Optional[Fraction] = None,
     subject: str = "",
 ) -> CorrelationSequence:
-    """Bracket a whole range of lags off a single engine pass.
+    """Certified brackets for ``(f, T^n g)`` over a set of lags, off a single
+    engine pass.
 
-    The profile is deepened until every lag meets ``tolerance`` (or the
-    spec ends); all brackets are then read from the deepest profile, so the
-    table is internally consistent.
+    Without a ``tolerance`` every bracket is read from the deepest profile.
+    With one, the table is read from the shallowest profile at which every
+    bracket is at most ``tolerance`` wide; :class:`ToleranceNotReached`
+    (carrying the widest final bracket) is raised when the spec ends first.
     """
     g = g or f
     ns = sorted(set(n_values))
     window = _window_for(f, g, max((abs(n) for n in ns), default=0))
-    last = None
     for prof in _pair_profiles(spec, f.stage, g.stage, window):
-        last = prof
-        if tolerance is not None and all(
-            _function_gap(prof, f, g, n) <= tolerance for n in ns
-        ):
-            break
-    else:
-        if tolerance is not None:
-            worst = max(_function_gap(last, f, g, n) for n in ns)
-            if worst > tolerance:
-                raise ToleranceNotReached(worst)
-    entries = {n: _function_bracket(last, f, g, n) for n in ns}
-    norm_sq = f.norm_sq(spec) if g is f else f.norm_sq(spec)
-    return CorrelationSequence(entries=entries, norm_sq=norm_sq, subject=subject)
+        if tolerance is None:
+            continue
+        entries = {}
+        for n in ns:
+            lo, hi = entries[n] = _function_bracket(prof, f, g, n)
+            if hi - lo > tolerance:
+                break
+        else:
+            return CorrelationSequence(entries, f.norm_sq(spec), subject)
+    entries = {n: _function_bracket(prof, f, g, n) for n in ns}
+    if tolerance is not None:
+        raise ToleranceNotReached(max(hi - lo for lo, hi in entries.values()))
+    return CorrelationSequence(entries, f.norm_sq(spec), subject)
+
+
+def autocorrelation(
+    spec: RankOneSpec,
+    f: LevelFunction,
+    n: int,
+    tolerance: Optional[Fraction] = None,
+) -> Interval:
+    """Certified bracket for ``(f, T^n f)``; even in ``n`` for real ``f``."""
+    return correlation_sequence(spec, f, [n], tolerance=tolerance).entries[n]
 
 
 def _abs_interval(iv: Interval) -> Interval:
@@ -319,18 +288,37 @@ def _abs_interval(iv: Interval) -> Interval:
     return (min(abs(a), abs(b)), max(abs(a), abs(b)))
 
 
-def corr_functional(seq: CorrelationSequence, interval: tuple[int, int]) -> Interval:
-    """Bracket for the absolute correlation budget over an index interval."""
+@dataclass
+class SummabilityReport:
+    l1: Interval
+    l2: Interval
+    support: list[int]
+
+
+def summability_report(
+    seq: CorrelationSequence, interval: tuple[int, int]
+) -> SummabilityReport:
+    """Exact interval bounds for the absolute and squared sums over a lag range."""
     lo, hi = interval
     if not seq.covers(lo, hi):
         raise CoverageError(f"interval [{lo}, {hi}] not covered")
-    total_lo = Fraction(0)
-    total_hi = Fraction(0)
+    l1 = [Fraction(0), Fraction(0)]
+    l2 = [Fraction(0), Fraction(0)]
+    support = []
     for n in range(lo, hi + 1):
         a, b = _abs_interval(seq.entry(n))
-        total_lo += a
-        total_hi += b
-    return (total_lo, total_hi)
+        l1[0] += a
+        l1[1] += b
+        l2[0] += a * a
+        l2[1] += b * b
+        if b != 0:
+            support.append(n)
+    return SummabilityReport(l1=(l1[0], l1[1]), l2=(l2[0], l2[1]), support=support)
+
+
+def corr_functional(seq: CorrelationSequence, interval: tuple[int, int]) -> Interval:
+    """Bracket for the absolute correlation budget over an index interval."""
+    return summability_report(seq, interval).l1
 
 
 def product_correlation(

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .core import LevelFunction, RankOneSpec, StageSpec
+from .core import LevelFunction, RankOneSpec, StageSpec, validate_spec
 from .correlation import CorrelationSequence, correlation_sequence
 from .schedule import IntervalSchedule
 
@@ -48,13 +48,11 @@ class PolynomialSpec:
     def mass(self) -> Fraction:
         return sum((a for _, a in self.coefficients), Fraction(0))
 
-    def check(self, probability_space: bool = False) -> None:
+    def check(self) -> None:
         if any(a < 0 for _, a in self.coefficients):
             raise ValueError("polynomial coefficients must be non-negative")
         if self.mass > 1:
             raise ValueError(f"polynomial mass {self.mass} exceeds 1")
-        if probability_space and self.mass != 1:
-            raise ValueError("probability-space polynomial must have mass exactly 1")
 
     def is_rigidity(self) -> bool:
         return self.coefficients == ((0, Fraction(1)),)
@@ -154,7 +152,14 @@ class GenericPolicy:
     generic_cuts: int = 4
     generic_poly: PolynomialSpec = PolynomialSpec.delta(0)
     max_generic_per_block: int = 1
-    track_stage: int = 1
+
+    def __post_init__(self):
+        if min(self.blocking_cuts, self.generic_cuts) < 2 or self.max_generic_per_block < 0:
+            raise ValueError(
+                "policy needs blocking and generic cuts >= 2 and "
+                f"max_generic_per_block >= 0, got {self.blocking_cuts}, "
+                f"{self.generic_cuts} and {self.max_generic_per_block}"
+            )
 
 
 @dataclass
@@ -304,7 +309,7 @@ def _plan_side(blocks, horizon: int, policy: GenericPolicy, subject: str):
     spec = RankOneSpec(stages=tuple(stages))
     cert = ConstructionCertificate(
         subject=subject,
-        tracked=LevelFunction.indicator(policy.track_stage),
+        tracked=LevelFunction.indicator(1),
         zero_intervals=claims,
         rigidity_times=rigidity,
         polynomial_claims=polyclaims,
@@ -366,12 +371,14 @@ def plan_pair(
     for k, b in enumerate(schedule.blocks):
         budget = schedule.blocks[k - 1].i_tilde if k > 0 else None
         s_blocks.append((budget, b.i))
-    if schedule.blocks and schedule.blocks[-1].i_tilde is not None:
-        pass  # trailing I~ budget is beyond the last blocking stage; unused
     t_blocks = [(b.j_tilde, b.j) for b in schedule.blocks]
 
     spec_s, cert_s = _plan_side(s_blocks, horizon, policy, "S")
     spec_t, cert_t = _plan_side(t_blocks, horizon, policy, "T")
+    for spec in (spec_s, spec_t):
+        issues = validate_spec(spec).issues
+        if issues:
+            raise PlanError(f"planned spec is invalid: {issues[0]}")
     check_certificate(spec_s, cert_s)
     check_certificate(spec_t, cert_t)
 

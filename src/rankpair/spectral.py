@@ -2,9 +2,8 @@
 
 Everything here is post-certificate: exact rationals cross the boundary
 once, are rounded to doubles, and feed standard positive-kernel density
-estimates, summability reports, and the chaos-coefficient transform for
-the Gaussian / Poisson suspension layer.  Certificates never depend on
-this module.
+estimates and the chaos-coefficient transform for the Gaussian / Poisson
+suspension layer.  Certificates never depend on this module.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .correlation import CorrelationSequence, CoverageError, Interval, _abs_interval
+from .correlation import CorrelationSequence, CoverageError
 
 
 @dataclass
@@ -24,9 +23,7 @@ class DensityEstimate:
 
     grid_size: int
     values: np.ndarray
-    order: int
     exact: bool
-    rho0: float
 
     @property
     def thetas(self) -> np.ndarray:
@@ -39,8 +36,14 @@ class DensityEstimate:
         return float(np.min(self.values))
 
 
-def _midpoints(seq: CorrelationSequence, ns) -> dict[int, float]:
-    return {n: float(seq.midpoint(n)) for n in ns}
+def _cosine_density(seq: CorrelationSequence, weights, grid: int, exact: bool) -> DensityEstimate:
+    """``rho(0) + 2 sum_n w_n rho(n) cos(n theta)`` over ``(n, w_n)`` in
+    ascending ``n``, with ``rho`` the bracket midpoints."""
+    thetas = 2.0 * np.pi * np.arange(grid) / grid
+    values = np.full(grid, float(seq.midpoint(0)) if 0 in seq.entries else 0.0)
+    for n, w in weights:
+        values += 2.0 * (w * float(seq.midpoint(n))) * np.cos(n * thetas)
+    return DensityEstimate(grid_size=grid, values=values, exact=exact)
 
 
 def fejer_density(seq: CorrelationSequence, order: int, grid: int) -> DensityEstimate:
@@ -49,14 +52,7 @@ def fejer_density(seq: CorrelationSequence, order: int, grid: int) -> DensityEst
         raise ValueError("order and grid must be positive")
     if not seq.covers(0, order - 1):
         raise CoverageError(f"sequence must cover [0, {order - 1}]")
-    rho = _midpoints(seq, range(order))
-    thetas = 2.0 * np.pi * np.arange(grid) / grid
-    values = np.full(grid, rho[0])
-    for n in range(1, order):
-        values += 2.0 * (1.0 - n / order) * rho[n] * np.cos(n * thetas)
-    return DensityEstimate(
-        grid_size=grid, values=values, order=order, exact=False, rho0=rho[0]
-    )
+    return _cosine_density(seq, ((n, 1.0 - n / order) for n in range(1, order)), grid, False)
 
 
 def trig_polynomial_density(seq: CorrelationSequence, grid: int) -> DensityEstimate:
@@ -66,46 +62,7 @@ def trig_polynomial_density(seq: CorrelationSequence, grid: int) -> DensityEstim
     support window genuinely exhausts the correlations (the planned pairs'
     product sequences on their horizon, for instance).
     """
-    support = seq.support()
-    rho0 = float(seq.midpoint(0)) if 0 in seq.entries else 0.0
-    thetas = 2.0 * np.pi * np.arange(grid) / grid
-    values = np.full(grid, rho0)
-    for n in support:
-        if n > 0:
-            values += 2.0 * float(seq.midpoint(n)) * np.cos(n * thetas)
-    return DensityEstimate(
-        grid_size=grid, values=values,
-        order=(max(support) + 1) if support else 1,
-        exact=True, rho0=rho0,
-    )
-
-
-@dataclass
-class SummabilityReport:
-    l1: Interval
-    l2: Interval
-    support: list[int]
-
-
-def summability_report(
-    seq: CorrelationSequence, interval: tuple[int, int]
-) -> SummabilityReport:
-    """Exact interval bounds for the absolute and squared sums over a lag range."""
-    lo, hi = interval
-    if not seq.covers(lo, hi):
-        raise CoverageError(f"interval [{lo}, {hi}] not covered")
-    l1 = [Fraction(0), Fraction(0)]
-    l2 = [Fraction(0), Fraction(0)]
-    support = []
-    for n in range(lo, hi + 1):
-        a, b = _abs_interval(seq.entry(n))
-        l1[0] += a
-        l1[1] += b
-        l2[0] += a * a
-        l2[1] += b * b
-        if b != 0:
-            support.append(n)
-    return SummabilityReport(l1=(l1[0], l1[1]), l2=(l2[0], l2[1]), support=support)
+    return _cosine_density(seq, ((n, 1.0) for n in seq.support() if n > 0), grid, True)
 
 
 @dataclass

@@ -38,7 +38,6 @@ class EscapeCapError(RuntimeError):
 class SimulationConfig:
     sample_count: int = 100_000
     seed: int = 0
-    lag_max: int = 20
     intensity: float = 1.0
     confidence: float = 0.95
     escape_cap: float = 0.5
@@ -48,6 +47,8 @@ class SimulationConfig:
             raise ValueError("sample_count must be at least 1")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError("confidence must lie in (0, 1)")
+        if self.intensity <= 0:
+            raise ValueError("intensity must be positive")
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:
@@ -176,6 +177,10 @@ class CovarianceEstimate:
 
     def contains(self, value: float | Fraction) -> bool:
         return self.ci[0] <= float(value) <= self.ci[1]
+
+    def overlaps(self, lo: float | Fraction, hi: float | Fraction) -> bool:
+        """Whether the CI meets the interval ``[lo, hi]``."""
+        return bool(self.ci[0] <= float(hi) and float(lo) <= self.ci[1])
 
 
 def level_values(spec: RankOneSpec, f: LevelFunction, depth: int) -> np.ndarray:

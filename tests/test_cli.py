@@ -46,6 +46,28 @@ class TestExitCodes:
         assert "violated at n=" in capsys.readouterr().err
 
 
+GOLDEN_SPEC = str(Path(__file__).parent / "golden" / "default" / "spec_s.json")
+POISSON = ["simulate", "--kind", "poisson", "--spec", GOLDEN_SPEC, "--function", "f.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["correlate", "--spec", GOLDEN_SPEC, "--function", "f.json", "--n-max", "100000"],
+    ["simulate", "--kind", "gaussian"],
+    ["simulate", "--kind", "poisson"],
+    POISSON + ["--intensity", "0"],
+    POISSON + ["--steps", "100000"],
+    ["plan", "--generic-cuts", "1"],
+    ["plan", "--max-generic-per-block", "-1"],
+], ids=["tolerance", "gaussian-no-table", "poisson-no-spec", "intensity-0",
+        "escape-cap", "generic-cuts-1", "negative-generic-per-block"])
+def test_failure_is_one_line_and_exit_one(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    write_indicator(tmp_path)
+    assert main(["--out-dir", str(tmp_path), *argv]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 class TestCorrelate:
     def test_lag_zero_row_is_norm_sq(self, plan_dir):
         f = write_indicator(plan_dir)

@@ -9,7 +9,6 @@ from rankpair import (
     StageSpec,
     occurrence_set,
     point_map,
-    rho_distance,
     validate_spec,
 )
 
@@ -150,22 +149,3 @@ class TestLevelFunction:
     def test_issues(self, small_spec):
         assert LevelFunction.from_dict(2, {5: Fraction(1)}).issues(small_spec)
         assert not LevelFunction.indicator(2).issues(small_spec)
-
-
-class TestRhoDistance:
-    def test_identical_specs(self, small_spec):
-        d = rho_distance(small_spec, small_spec, small_spec.max_depth)
-        assert d.lower == 0
-
-    def test_detects_disagreement(self):
-        a = RankOneSpec(stages=(StageSpec(2, (0, 0)),))
-        b = RankOneSpec(stages=(StageSpec(2, (1, 0)),))
-        d = rho_distance(a, b, 1)
-        assert d.lower == 1  # the single base cell maps visibly differently
-        assert d.lower <= d.upper
-
-    def test_requires_shared_structure(self):
-        a = RankOneSpec(stages=(StageSpec(2, (0, 0)), StageSpec(2, (0, 0))))
-        b = RankOneSpec(stages=(StageSpec(3, (0, 0, 0)), StageSpec(2, (0, 0))))
-        with pytest.raises(ValueError):
-            rho_distance(a, b, 2)

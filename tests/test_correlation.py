@@ -13,7 +13,6 @@ from rankpair import (
     autocorrelation,
     corr_functional,
     correlation_sequence,
-    cross_correlation,
     occurrence_set,
     product_correlation,
 )
@@ -116,7 +115,7 @@ class TestCrossCorrelation:
     def test_different_stages(self, small_spec):
         f = LevelFunction.indicator(1)
         g = LevelFunction.indicator(2)
-        lo, hi = cross_correlation(small_spec, f, g, 0)
+        lo, hi = correlation_sequence(small_spec, f, [0], g=g).entries[0]
         # the depth-2 bottom level lies entirely inside the base level
         assert lo == Fraction(1, 2)
         assert lo <= hi
@@ -125,7 +124,7 @@ class TestCrossCorrelation:
         spec = RankOneSpec(stages=(StageSpec(2, (0, 0)),) * 3)
         a = LevelFunction.from_dict(2, {0: Fraction(1)})
         b = LevelFunction.from_dict(2, {1: Fraction(1)})
-        assert cross_correlation(spec, a, b, 0) == (Fraction(0), Fraction(0))
+        assert correlation_sequence(spec, a, [0], g=b).entries[0] == (Fraction(0), Fraction(0))
 
     def test_window_guard(self, small_spec):
         f = LevelFunction.indicator(1)

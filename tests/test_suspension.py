@@ -5,6 +5,7 @@ import pytest
 
 from rankpair import (
     CorrelationSequence,
+    CovarianceEstimate,
     EscapeCapError,
     LevelFunction,
     PSDError,
@@ -110,6 +111,12 @@ class TestPoisson:
         est = linear_statistic_covariance(pairs, f)
         assert est.estimate == pytest.approx(float(f.norm_sq(spec)), abs=0.05)
 
+    def test_overlap_when_bracket_contains_ci(self):
+        est = CovarianceEstimate(0.5, (0.4, 0.6), 0.05, 100, 0.0)
+        assert not est.contains(0) and not est.contains(1)
+        assert est.overlaps(Fraction(0), Fraction(1))
+        assert not est.overlaps(Fraction(7, 10), Fraction(1))
+
 
 class TestConfig:
     def test_validation(self):
@@ -117,3 +124,5 @@ class TestConfig:
             SimulationConfig(sample_count=0, seed=0)
         with pytest.raises(ValueError):
             SimulationConfig(sample_count=10, seed=0, confidence=1.5)
+        with pytest.raises(ValueError):
+            SimulationConfig(sample_count=10, seed=0, intensity=0.0)
