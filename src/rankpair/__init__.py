@@ -13,11 +13,13 @@ from .core import (
     validate_spec,
 )
 from .correlation import (
+    BracketTable,
     CorrelationSequence,
     CoverageError,
     SummabilityReport,
     ToleranceNotReached,
     autocorrelation,
+    bracket_table,
     corr_functional,
     correlation_sequence,
     product_correlation,
@@ -41,6 +43,7 @@ from .pairplan import (
     design_generic_stage,
     plan_pair,
     verify_polynomial_limit,
+    zero_threshold,
 )
 from .spectral import (
     ChaosCoefficients,

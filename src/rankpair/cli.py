@@ -20,7 +20,14 @@ from pathlib import Path
 
 from .core import LevelFunction, validate_spec
 from .correlation import ToleranceNotReached, correlation_sequence, summability_report
-from .pairplan import GenericPolicy, PlanError, PolynomialSpec, check_certificate, plan_pair
+from .pairplan import (
+    GenericPolicy,
+    PlanError,
+    PolynomialSpec,
+    check_certificate,
+    plan_pair,
+    zero_threshold,
+)
 from .schedule import generate_schedule, validate_schedule
 from .spectral import fejer_density, trig_polynomial_density
 from .suspension import (
@@ -205,7 +212,7 @@ def cmd_correlate(args) -> int:
     )
     _emit(out_dir, manifest, args.out, ser.correlation_table_to_tsv(seq))
     _finish(out_dir, manifest)
-    exact = sum(1 for n in seq.entries if seq.is_exact(n))
+    exact = sum(lo == hi for lo, hi in seq.entries.values())
     print(f"correlate ok: {len(seq.entries)} lags, {exact} exact")
     return EXIT_PASS
 
@@ -316,32 +323,59 @@ def cmd_lemma3(args) -> int:
     return EXIT_PASS
 
 
+def _first_difference(subject: str, claimed: dict, recomputed: dict):
+    """Name the first claim whose recomputed fields differ, or ``None``."""
+    for kind, key, field in (("zero claim on", "interval", "zero_intervals"),
+                             ("rigidity claim at", "time", "rigidity_times"),
+                             ("polynomial claim at", "time", "polynomial_claims")):
+        for old, new in zip(claimed[field], recomputed[field]):
+            changed = [f"{k} {old[k]} -> {new[k]}" for k in old if old[k] != new[k]]
+            if changed:
+                return f"{subject} {kind} {old[key]} does not recompute: {', '.join(changed)}"
+    return None
+
+
 def cmd_report(args) -> int:
     out_dir = _out_dir(args)
     manifest = _manifest(args, "report")
     plan_dir = Path(args.plan_dir)
     plan = ser.read_json(plan_dir / "plan.json")
-    lines = [
-        f"horizon: {plan['horizon']}",
-        f"product correlations vanish for n >= {plan['n_zero_threshold']}",
-        f"sound: {plan['sound']}",
-    ]
-    ok = bool(plan["sound"])
-    for name in ("cert_s.json", "cert_t.json"):
-        cert = ser.certificate_from_dict(ser.read_json(plan_dir / name))
-        ok = ok and cert.ok
-        lines.append(
+    certs, cert_lines, mismatch = [], [], None
+    for side in "st":
+        spec = _load_spec(str(plan_dir / f"spec_{side}.json"))
+        cert = ser.certificate_from_dict(ser.read_json(plan_dir / f"cert_{side}.json"))
+        claimed = ser.certificate_to_dict(cert)
+        check_certificate(spec, cert)
+        mismatch = mismatch or _first_difference(
+            cert.subject, claimed, ser.certificate_to_dict(cert))
+        certs.append(cert)
+        cert_lines.append(
             f"{cert.subject}: {len(cert.zero_intervals)} zero intervals, "
             f"{len(cert.rigidity_times)} rigidity times, "
             f"{len(cert.polynomial_claims)} polynomial claims, "
             f"ok={cert.ok}"
         )
-        for note in cert.unverified_notes:
-            lines.append(f"{cert.subject} unverified: {note}")
-    text = "\n".join(lines) + "\n"
+        cert_lines += [f"{cert.subject} unverified: {note}" for note in cert.unverified_notes]
+    horizon = plan["horizon"]
+    n0 = zero_threshold(horizon, certs)
+    sound = all(cert.ok for cert in certs) and n0 <= horizon
+    if mismatch is None and (plan["n_zero_threshold"], plan["sound"]) != (n0, sound):
+        mismatch = (f"plan.json claims n0 {plan['n_zero_threshold']}, sound "
+                    f"{plan['sound']}; recomputed n0 {n0}, sound {sound}")
+    lines = [
+        f"horizon: {horizon}",
+        f"product correlations vanish for n >= {n0}",
+        f"sound: {sound}",
+        *cert_lines,
+    ]
+    if mismatch:
+        lines.append(f"mismatch: {mismatch}")
+    ok = sound and mismatch is None
     _emit(out_dir, manifest, args.out, {"ok": ok, "summary": lines})
     _finish(out_dir, manifest)
-    print(text, end="")
+    print("\n".join(lines))
+    if mismatch:
+        print(f"report FAILED: {mismatch}", file=sys.stderr)
     return EXIT_PASS if ok else EXIT_VIOLATION
 
 
@@ -415,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="truncation.json")
     p.set_defaults(func=cmd_lemma3)
 
-    p = sub.add_parser("report", help="summarize a plan directory")
+    p = sub.add_parser("report", help="recheck and summarize a plan directory")
     p.add_argument("--plan-dir", required=True)
     p.add_argument("--out", default="report.json")
     p.set_defaults(func=cmd_report)

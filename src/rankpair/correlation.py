@@ -18,6 +18,8 @@ only shrink.
 from __future__ import annotations
 
 import bisect
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -25,6 +27,7 @@ from typing import Iterator, Optional
 from .core import LevelFunction, RankOneSpec, StageSpec
 
 Interval = tuple[Fraction, Fraction]
+ZERO: Interval = (Fraction(0), Fraction(0))  # shared by every exactly-zero lag
 
 
 class CoverageError(ValueError):
@@ -97,10 +100,6 @@ class PairProfile:
             return 0
         win = self.f if m > 0 else self.g
         return len(win.top) - bisect.bisect_left(win.top, self.height - abs(m))
-
-    def base_bracket(self, m: int) -> Interval:
-        lower = self.pair_count(m) * self.width
-        return (lower, lower + self.top_zone(m) * self.width)
 
 
 def _pair_profiles(
@@ -178,32 +177,135 @@ def _pair_profiles(
         yield prof
 
 
-def _needed_differences(f: LevelFunction, g: LevelFunction, n: int):
-    return [
-        (cf * cg, n + lf - lg)
-        for lf, cf in f.coefficients
-        for lg, cg in g.coefficients
-    ]
-
-
-def _function_bracket(prof: PairProfile, f, g, n) -> Interval:
-    lo = Fraction(0)
-    hi = Fraction(0)
-    for coeff, m in _needed_differences(f, g, n):
-        a, b = prof.base_bracket(m)
-        if coeff >= 0:
-            lo += coeff * a
-            hi += coeff * b
-        else:
-            lo += coeff * b
-            hi += coeff * a
-    return (lo, hi)
-
-
 def _window_for(f: LevelFunction, g: LevelFunction, n_max: int) -> int:
     span_f = max(f.levels) if f.levels else 0
     span_g = max(g.levels) if g.levels else 0
     return n_max + span_f + span_g
+
+
+class BracketTable:
+    """Brackets for ``(f, T^n g)`` off one profile, in integer arithmetic.
+
+    With ``D`` the common denominator of the coefficient products
+    ``c = cf * cg``, every bracket is ``width / D`` times a pair of
+    integers: each term ``(lf, lg)`` adds ``c * D`` times the pair count at
+    ``m = n + lf - lg`` to both ends, and ``c * D`` times the top-zone count
+    at ``m`` to the upper end when ``c > 0``, to the lower end when
+    ``c < 0``.  The top zone of ``m`` is nonzero only once ``|m|`` reaches
+    ``height - max(top)``; the lags where some term gets there form the
+    envelope.  A lag outside the envelope whose terms all miss the count
+    keys is exactly zero.
+    """
+
+    def __init__(self, prof: PairProfile, f: LevelFunction, g: LevelFunction):
+        products = [
+            (cf * cg, lf - lg) for lf, cf in f.coefficients for lg, cg in g.coefficients
+        ]
+        denom = math.lcm(*(c.denominator for c, _ in products))
+        self.terms = [(c.numerator * (denom // c.denominator), s) for c, s in products]
+        self.scale = prof.width / denom
+        self.prof = prof
+        shifts = [s for _, s in self.terms]
+        # lags from ``envelope_from`` up reach f's top zone with some term,
+        # lags up to ``envelope_to`` reach g's
+        self.envelope_from = (
+            prof.height - prof.f.top[-1] - max(shifts, default=0) if prof.f.top else math.inf
+        )
+        self.envelope_to = (
+            prof.g.top[-1] - prof.height - min(shifts, default=0) if prof.g.top else -math.inf
+        )
+
+    def integers(self, n: int) -> tuple[int, int]:
+        """The bracket of lag ``n`` in units of ``width / D``."""
+        prof = self.prof
+        envelope = n >= self.envelope_from or n <= self.envelope_to
+        lo = hi = 0
+        for c, s in self.terms:
+            k = c * prof.pair_count(n + s)
+            lo += k
+            hi += k
+            if envelope:
+                t = c * prof.top_zone(n + s)
+                if c > 0:
+                    hi += t
+                else:
+                    lo += t
+        return lo, hi
+
+    def bracket(self, n: int) -> Interval:
+        lo, hi = self.integers(n)
+        if lo == hi == 0:
+            return ZERO
+        return (lo * self.scale, hi * self.scale)
+
+    def spread(self, n: int) -> int:
+        """Width of the bracket of lag ``n`` in units of ``width / D``."""
+        if self.envelope_to < n < self.envelope_from:
+            return 0
+        return sum(abs(c) * self.prof.top_zone(n + s) for c, s in self.terms)
+
+    def envelope(self, ns: list[int]) -> list[int]:
+        """The lags of the sorted list ``ns`` inside the envelope, farthest
+        from 0 first (top zones grow with ``|m|``)."""
+        i = bisect.bisect_right(ns, self.envelope_to)
+        j = max(i, bisect.bisect_left(ns, self.envelope_from))
+        return ns[j:][::-1] + ns[:i]
+
+    def within(self, ns: list[int], tolerance: Fraction) -> bool:
+        """Whether every bracket over the sorted lags ``ns`` is at most
+        ``tolerance`` wide."""
+        if tolerance < 0:  # no bracket is narrower than that
+            return not ns
+        limit = tolerance / self.scale
+        return all(self.spread(n) <= limit for n in self.envelope(ns))
+
+    def widest(self, ns: list[int]) -> Fraction:
+        """Width of the widest bracket over the sorted lags ``ns``."""
+        return max((self.spread(n) for n in self.envelope(ns)), default=0) * self.scale
+
+    @functools.cached_property
+    def keys(self) -> list[int]:
+        return sorted(self.prof.counts)
+
+    def first_nonzero(self, lo: int, hi: int) -> Optional[int]:
+        """Smallest lag in ``[lo, hi]`` whose bracket is not exactly zero.
+
+        Only lags in the envelope or meeting a count key can be nonzero.
+        They are visited in ascending order, each found by one bisect per
+        term on the sorted count keys, so the cost follows the keys and the
+        envelope, not ``hi - lo``.
+        """
+        if lo > hi:
+            return None
+        window = self.prof.window
+        if any(max(abs(lo + s), abs(hi + s)) > window for _, s in self.terms):
+            raise CoverageError(f"lags [{lo}, {hi}] reach past engine window {window}")
+        n = lo
+        while True:
+            n = self._next_candidate(n)
+            if n > hi:
+                return None
+            if self.integers(n) != (0, 0):
+                return n
+            n += 1
+
+    def _next_candidate(self, n: int):
+        best = n if n <= self.envelope_to else max(n, self.envelope_from)
+        for _, s in self.terms:
+            i = bisect.bisect_left(self.keys, n + s)
+            if i < len(self.keys):
+                best = min(best, self.keys[i] - s)
+        return best
+
+
+def bracket_table(
+    spec: RankOneSpec, f: LevelFunction, reach: int, g: Optional[LevelFunction] = None
+) -> BracketTable:
+    """Brackets off the deepest profile, for lags in ``[-reach, reach]``."""
+    g = g or f
+    for prof in _pair_profiles(spec, f.stage, g.stage, _window_for(f, g, reach)):
+        pass
+    return BracketTable(prof, f, g)
 
 
 @dataclass
@@ -254,20 +356,17 @@ def correlation_sequence(
     """
     g = g or f
     ns = sorted(set(n_values))
-    window = _window_for(f, g, max((abs(n) for n in ns), default=0))
-    for prof in _pair_profiles(spec, f.stage, g.stage, window):
-        if tolerance is None:
-            continue
-        entries = {}
-        for n in ns:
-            lo, hi = entries[n] = _function_bracket(prof, f, g, n)
-            if hi - lo > tolerance:
+    reach = max((abs(n) for n in ns), default=0)
+    if tolerance is None:
+        table = bracket_table(spec, f, reach, g)
+    else:
+        for prof in _pair_profiles(spec, f.stage, g.stage, _window_for(f, g, reach)):
+            table = BracketTable(prof, f, g)
+            if table.within(ns, tolerance):
                 break
         else:
-            return CorrelationSequence(entries, f.norm_sq(spec), subject)
-    entries = {n: _function_bracket(prof, f, g, n) for n in ns}
-    if tolerance is not None:
-        raise ToleranceNotReached(max(hi - lo for lo, hi in entries.values()))
+            raise ToleranceNotReached(table.widest(ns))
+    entries = {n: table.bracket(n) for n in ns}
     return CorrelationSequence(entries, f.norm_sq(spec), subject)
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import LevelFunction, RankOneSpec, StageSpec, validate_spec
-from .correlation import CorrelationSequence, correlation_sequence
+from .correlation import bracket_table, correlation_sequence
 from .schedule import IntervalSchedule
 
 
@@ -29,7 +29,7 @@ class PlanError(RuntimeError):
 
 @dataclass(frozen=True)
 class PolynomialSpec:
-    """Finite non-negative coefficient table ``z -> a_z`` with mass <= 1."""
+    """Finite table ``z -> a_z`` of non-negative powers and coefficients, mass <= 1."""
 
     coefficients: tuple[tuple[int, Fraction], ...]
 
@@ -49,6 +49,9 @@ class PolynomialSpec:
         return sum((a for _, a in self.coefficients), Fraction(0))
 
     def check(self) -> None:
+        # a power is a spacer count, which cannot be negative
+        if any(z < 0 for z, _ in self.coefficients):
+            raise ValueError("polynomial powers must be non-negative")
         if any(a < 0 for _, a in self.coefficients):
             raise ValueError("polynomial coefficients must be non-negative")
         if self.mass > 1:
@@ -319,39 +322,43 @@ def _plan_side(blocks, horizon: int, policy: GenericPolicy, subject: str):
     return spec, cert
 
 
-def check_certificate(
-    spec: RankOneSpec, cert: ConstructionCertificate
-) -> CorrelationSequence:
-    """Recompute every claim in place; returns the exact correlation table used."""
+def check_certificate(spec: RankOneSpec, cert: ConstructionCertificate) -> None:
+    """Recompute every claim in place from one engine pass.
+
+    A zero claim is a range query on the deepest profile's count keys and
+    envelope (:meth:`BracketTable.first_nonzero`), so its cost does not
+    grow with the interval's length; rigidity claims read single-lag
+    brackets off the same profile.
+    """
     f = cert.tracked
-    lags = set()
-    for z in cert.zero_intervals:
-        lags.update(range(z.checked[0], z.checked[1] + 1))
-    for r in cert.rigidity_times:
-        lags.add(r.time)
-    for p in cert.polynomial_claims:
-        lags.add(p.time)
-    lags.add(0)
-    seq = correlation_sequence(spec, f, lags, subject=cert.subject)
+    lags = [n for z in cert.zero_intervals if z.checked[0] <= z.checked[1] for n in z.checked]
+    lags += [r.time for r in cert.rigidity_times]
+    reach = max((abs(n) for n in lags), default=0)
+    table = bracket_table(spec, f, reach)
     nsq = f.norm_sq(spec)
     for z in cert.zero_intervals:
-        z.verdict = "exact-zero"
-        z.first_violation = None
-        for n in range(z.checked[0], z.checked[1] + 1):
-            if seq.entries[n] != (0, 0):
-                z.verdict = "violated"
-                z.first_violation = n
-                break
+        z.first_violation = table.first_nonzero(*z.checked)
+        z.verdict = "exact-zero" if z.first_violation is None else "violated"
     for r in cert.rigidity_times:
         r.target = (1 - Fraction(1, r.cuts)) * nsq
-        r.lower_bound = seq.entries[r.time][0]
+        r.lower_bound = table.bracket(r.time)[0]
         r.satisfied = r.lower_bound >= r.target
     for p in cert.polynomial_claims:
         res = verify_polynomial_limit(spec, p.time, p.poly, f, f)
         p.deviation = res.deviation
         p.bound = res.bound
         p.satisfied = res.satisfied
-    return seq
+
+
+def zero_threshold(horizon: int, certs) -> int:
+    """One past the largest lag in ``[1, horizon]`` that no verified zero
+    interval of ``certs`` covers (1 when they cover all of it)."""
+    n = horizon
+    # by descending start: once ``n`` drops below a start it stays below
+    for lo, hi in sorted((iv for cert in certs for iv in cert.zero_set()), reverse=True):
+        if lo <= n <= hi:
+            n = lo - 1
+    return max(n, 0) + 1
 
 
 def plan_pair(
@@ -382,13 +389,7 @@ def plan_pair(
     check_certificate(spec_s, cert_s)
     check_certificate(spec_t, cert_t)
 
-    covered = [False] * (horizon + 1)
-    for cert in (cert_s, cert_t):
-        for lo, hi in cert.zero_set():
-            for n in range(lo, min(hi, horizon) + 1):
-                covered[n] = True
-    uncovered = [n for n in range(1, horizon + 1) if not covered[n]]
-    n0 = (max(uncovered) + 1) if uncovered else 1
+    n0 = zero_threshold(horizon, (cert_s, cert_t))
     return PlanResult(
         spec_s=spec_s,
         spec_t=spec_t,

@@ -30,8 +30,7 @@ from .schedule import IntervalSchedule, ScheduleBlock
 from .walsh import WalshPolynomial
 
 
-def fraction_to_str(x: Fraction) -> str:
-    x = Fraction(x)
+def fraction_to_str(x: Fraction | int) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 

@@ -14,7 +14,7 @@ streams can run concurrently and aggregate by pure reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from statistics import NormalDist
 
@@ -55,19 +55,41 @@ def _stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, index]))
 
 
+_FFT_ROWS = 256  # paths per transform, which bounds the complex buffer
+
+
+def _lagged_sums(x: np.ndarray) -> np.ndarray:
+    """``out[k] = sum over paths and t of x[t] * x[t + k]`` for every lag,
+    from one zero-padded real FFT per path: the padding to at least
+    ``2 * length - 1`` makes the circular autocorrelation a linear one."""
+    length = x.shape[1]
+    nfft = 1 << (2 * length - 1).bit_length()
+    power = np.zeros(nfft // 2 + 1)
+    for start in range(0, x.shape[0], _FFT_ROWS):
+        spec = np.fft.rfft(x[start : start + _FFT_ROWS], n=nfft, axis=1)
+        power += (spec.real ** 2 + spec.imag ** 2).sum(axis=0)
+    return np.fft.irfft(power, n=nfft)[:length]
+
+
 @dataclass
 class GaussianSample:
     paths: np.ndarray          # (sample_count, length)
     covariance: np.ndarray     # the (possibly repaired) Toeplitz matrix used
     repaired: bool
+    _lagged: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def sample_covariance(self, lag: int) -> float:
-        """Average of lagged products over both samples and time."""
-        x = self.paths
-        if lag >= x.shape[1]:
-            raise ValueError("lag exceeds path length")
-        prods = x[:, : x.shape[1] - lag] * x[:, lag:]
-        return float(prods.mean())
+        """Average of lagged products over both samples and time.
+
+        The first call computes the lagged sums of every lag at once and
+        keeps them on the sample.
+        """
+        samples, length = self.paths.shape
+        if not 0 <= lag < length:
+            raise ValueError(f"lag {lag} outside [0, {length})")
+        if self._lagged is None:
+            self._lagged = _lagged_sums(self.paths)
+        return float(self._lagged[lag]) / (samples * (length - lag))
 
 
 def gaussian_sample(

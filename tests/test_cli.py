@@ -58,8 +58,9 @@ POISSON = ["simulate", "--kind", "poisson", "--spec", GOLDEN_SPEC, "--function",
     POISSON + ["--steps", "100000"],
     ["plan", "--generic-cuts", "1"],
     ["plan", "--max-generic-per-block", "-1"],
+    ["plan", "--horizon", "1000", "--poly", '{"coefficients": {"-1": "1/2"}}'],
 ], ids=["tolerance", "gaussian-no-table", "poisson-no-spec", "intensity-0",
-        "escape-cap", "generic-cuts-1", "negative-generic-per-block"])
+        "escape-cap", "generic-cuts-1", "negative-generic-per-block", "negative-power"])
 def test_failure_is_one_line_and_exit_one(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     write_indicator(tmp_path)
@@ -90,6 +91,22 @@ class TestPipeline:
         assert main(["--out-dir", out, "report", "--plan-dir", out]) == 0
         report = ser.read_json(tmp_path / "report.json")
         assert report["ok"]
+
+    def test_report_recomputes_from_specs(self, tmp_path, capsys):
+        out = str(tmp_path)
+        assert main(["--out-dir", out, "plan", "--horizon", "1000"]) == 0
+        spec = ser.read_json(tmp_path / "spec_s.json")
+        first = spec["stages"][0]
+        first["spacers"] = [0] * first["cuts"]  # the claim on [1, 16] now fails at n=1
+        ser.write_json(tmp_path / "spec_s.json", spec)
+        capsys.readouterr()
+        assert main(["--out-dir", out, "report", "--plan-dir", out]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "report FAILED: S zero claim on [1, 16] does not recompute: "
+            "verdict exact-zero -> violated, first_violation None -> 1"
+        ]
+        assert not ser.read_json(tmp_path / "report.json")["ok"]
 
     def test_spectrum_and_simulate(self, plan_dir):
         f = write_indicator(plan_dir)

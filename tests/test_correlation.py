@@ -11,6 +11,7 @@ from rankpair import (
     LevelFunction,
     ToleranceNotReached,
     autocorrelation,
+    bracket_table,
     corr_functional,
     correlation_sequence,
     occurrence_set,
@@ -18,7 +19,7 @@ from rankpair import (
 )
 
 from conftest import oracle_autocorrelation
-from test_core import spec_strategy
+from test_core import spec_strategy, stage_strategy
 
 
 def level_function_strategy(spec: RankOneSpec):
@@ -187,3 +188,87 @@ class TestFunctionals:
             entries={5: (Fraction(-7), Fraction(9))}, norm_sq=Fraction(1)
         )
         assert product_correlation(a, b).entries[5] == (0, 0)
+
+
+def brute_bracket(spec, f, g, n):
+    """Bracket of ``(f, T^n g)`` at the deepest tower, from the full
+    occurrence lists: pair counts at each needed difference ``m``, widened
+    by the occurrences within ``|m|`` of the top (of f for ``m > 0``, of g
+    for ``m < 0``), whose pairs deeper stages may still complete."""
+    depth = spec.max_depth
+    occ_f = occurrence_set(spec, f.stage, depth)
+    occ_g = occurrence_set(spec, g.stage, depth).positions
+    h, w = occ_f.height, occ_f.width
+    lo = hi = Fraction(0)
+    for lf, cf in f.coefficients:
+        for lg, cg in g.coefficients:
+            m = n + lf - lg
+            pairs = sum(1 for a in occ_f.positions for b in occ_g if b - a == m)
+            top = occ_f.positions if m > 0 else occ_g if m < 0 else ()
+            zone = sum(1 for a in top if a >= h - abs(m))
+            c = cf * cg
+            lo += c * (pairs + (zone if c < 0 else 0)) * w
+            hi += c * (pairs + (zone if c > 0 else 0)) * w
+    return (lo, hi)
+
+
+@st.composite
+def cross_case(draw):
+    """A spec with base height 1-3 and two signed multi-level functions,
+    each on its own (possibly different) stage."""
+    stages = draw(st.lists(stage_strategy(), min_size=1, max_size=3))
+    spec = RankOneSpec(stages=tuple(stages), base_height=draw(st.integers(1, 3)))
+    heights = spec.heights()
+
+    def function():
+        stage = draw(st.integers(1, spec.max_depth))
+        coeffs = draw(st.dictionaries(
+            st.integers(0, heights[stage - 1] - 1),
+            st.fractions(min_value=-2, max_value=2, max_denominator=4),
+            min_size=1, max_size=3,
+        ))
+        return LevelFunction.from_dict(stage, coeffs)
+
+    return spec, function(), function()
+
+
+class TestAgainstBruteForce:
+    """Integer brackets, the tolerance loop and the range-query zero check
+    against brackets counted from the full occurrence lists."""
+
+    @given(cross_case(), st.lists(st.integers(-15, 15), min_size=1, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_brackets(self, case, lags):
+        spec, f, g = case
+        seq = correlation_sequence(spec, f, lags, g=g)
+        for n in lags:
+            assert seq.entries[n] == brute_bracket(spec, f, g, n)
+
+    @given(cross_case(), st.integers(-15, 15), st.integers(0, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_first_nonzero(self, case, lo, length):
+        spec, f, g = case
+        hi = lo + length
+        table = bracket_table(spec, f, max(abs(lo), abs(hi)), g)
+        nonzero = [n for n in range(lo, hi + 1) if brute_bracket(spec, f, g, n) != (0, 0)]
+        assert table.first_nonzero(lo, hi) == (nonzero[0] if nonzero else None)
+
+    @given(cross_case(), st.lists(st.integers(-12, 12), min_size=1, max_size=5),
+           st.fractions(min_value=0, max_value=1, max_denominator=8))
+    @settings(max_examples=100, deadline=None)
+    def test_tolerance_depth(self, case, lags, tolerance):
+        spec, f, g = case
+        # the profile at depth d is the deepest one of the first d - 1 stages
+        truncations = [
+            RankOneSpec(stages=spec.stages[: d - 1], base_height=spec.base_height)
+            for d in range(max(f.stage, g.stage), spec.max_depth + 1)
+        ]
+        for pre in truncations:
+            expected = {n: brute_bracket(pre, f, g, n) for n in lags}
+            if all(hi - lo <= tolerance for lo, hi in expected.values()):
+                seq = correlation_sequence(spec, f, lags, g=g, tolerance=tolerance)
+                assert seq.entries == expected
+                return
+        with pytest.raises(ToleranceNotReached) as exc:
+            correlation_sequence(spec, f, lags, g=g, tolerance=tolerance)
+        assert exc.value.achieved_gap == max(hi - lo for lo, hi in expected.values())

@@ -1,11 +1,11 @@
 """Byte-identity gate: fixed CLI runs must reproduce the checked-in files.
 
-The golden files under ``tests/golden/`` hold exact outputs only (specs,
-certificates, plan summaries, the correlation table and the lemma3
-truncation); manifests carry timestamps and float outputs depend on the
-BLAS build, so neither is compared.  After an intended change of output,
-regenerate with ``run_cases`` into a scratch directory and copy the
-``GOLDEN_FILES`` over.
+The golden files under ``tests/golden/`` hold exact outputs only: specs,
+certificates and plan summaries at H = 10^4 and, in ``h1e6/``, at
+H = 10^6, the correlation table and the lemma3 truncation.  Manifests
+carry timestamps and float outputs depend on the BLAS build, so neither
+is compared.  After an intended change of output, regenerate with
+``run_cases`` into a scratch directory and copy the ``GOLDEN_FILES`` over.
 """
 
 from fractions import Fraction
@@ -30,6 +30,7 @@ def run_cases(out: Path) -> None:
     """Write every golden output (and the inputs and manifests) under ``out``."""
     default, poly, lemma3 = out / "default", out / "poly", out / "lemma3"
     assert main(["--out-dir", str(default), "plan", "--horizon", "10000"]) == 0
+    assert main(["--out-dir", str(out / "h1e6"), "plan", "--horizon", "1000000"]) == 0
     assert main(["--out-dir", str(poly), "plan", "--horizon", "10000",
                  "--poly", POLY, "--generic-cuts", "4"]) == 0
     f = default / "f.json"
@@ -47,6 +48,7 @@ def run_cases(out: Path) -> None:
 GOLDEN_FILES = (
     [f"default/{name}" for name in PLAN_FILES]
     + [f"poly/{name}" for name in PLAN_FILES]
+    + [f"h1e6/{name}" for name in PLAN_FILES]
     + ["default/correlations.tsv", "lemma3/truncation.json"]
 )
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from rankpair import (
+    ConstructionCertificate,
     GenericPolicy,
     LevelFunction,
     PlanError,
@@ -18,8 +19,10 @@ from rankpair import (
     occurrence_set,
     plan_pair,
     verify_polynomial_limit,
+    zero_threshold,
 )
-from rankpair.pairplan import apportion, rounding_mass
+from rankpair import serialize as ser
+from rankpair.pairplan import ZeroIntervalClaim, apportion, rounding_mass
 
 
 class TestPolynomialSpec:
@@ -135,6 +138,41 @@ class TestCheckCertificate:
         assert cert.zero_intervals[0].verdict == "violated"
         assert cert.zero_intervals[0].first_violation is not None
         assert not cert.ok
+
+
+    def test_billion_horizon(self):
+        # zero claims are range queries on the count keys, so a horizon of
+        # 10^9 costs what 10^4 does
+        result = plan_pair(generate_schedule(8, 10 ** 9))
+        assert result.pair_sound() and result.n_zero_threshold == 1
+        for spec, cert in ((result.spec_s, result.cert_s), (result.spec_t, result.cert_t)):
+            claimed = ser.certificate_to_dict(cert)
+            fresh = ser.certificate_from_dict(claimed)
+            check_certificate(spec, fresh)
+            assert fresh.ok and ser.certificate_to_dict(fresh) == claimed
+
+
+class TestZeroThreshold:
+    @staticmethod
+    def cert(*intervals, violated=()):
+        return ConstructionCertificate("S", LevelFunction.indicator(1), [
+            ZeroIntervalClaim(iv, iv, "violated" if iv in violated else "exact-zero")
+            for iv in intervals
+        ])
+
+    def test_interval_union(self):
+        # overlapping, nested and adjacent intervals, out of order
+        a = self.cert((40, 60), (5, 10), (61, 70))
+        b = self.cert((8, 45), (50, 55), (71, 200))
+        assert zero_threshold(100, [a, b]) == 5
+        assert zero_threshold(100, [a]) == 101
+        assert zero_threshold(30, [b]) == 8
+        assert zero_threshold(3, [a, b]) == 4
+
+    def test_only_verified_intervals_count(self):
+        a = self.cert((1, 50), (51, 100), violated=[(1, 50)])
+        assert zero_threshold(100, [a]) == 51
+        assert zero_threshold(100, [self.cert((1, 100))]) == 1
 
 
 class TestPolynomialLimit:

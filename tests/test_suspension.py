@@ -64,6 +64,17 @@ class TestGaussian:
         assert sample.sample_covariance(1) == pytest.approx(0.5, abs=0.05)
         assert sample.sample_covariance(2) == pytest.approx(0.0, abs=0.05)
 
+    def test_lagged_sums_match_direct_products(self):
+        s = exact_seq({0: 1, 1: Fraction(1, 2), 2: 0, 3: 0, 4: 0})
+        sample = gaussian_sample(s, 5, SimulationConfig(sample_count=300, seed=3))
+        x = sample.paths
+        for lag in range(5):
+            direct = float((x[:, : 5 - lag] * x[:, lag:]).mean())
+            # FFT sums round differently; 1e-12 is far above float64 rounding here
+            assert sample.sample_covariance(lag) == pytest.approx(direct, abs=1e-12)
+        with pytest.raises(ValueError):
+            sample.sample_covariance(5)
+
     def test_non_psd_rejected(self):
         s = exact_seq({0: 1, 1: 2})
         with pytest.raises(PSDError) as exc:
