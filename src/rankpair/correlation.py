@@ -20,6 +20,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -84,14 +85,14 @@ class PairProfile:
     height: int
     width: Fraction
     window: int
-    counts: dict[int, int]  # signed difference -> exact pair count
+    counts: Counter  # signed difference -> exact pair count
     f: _SetWindow
     g: _SetWindow
 
     def pair_count(self, m: int) -> int:
         if abs(m) > self.window:
             raise CoverageError(f"difference {m} outside engine window {self.window}")
-        return self.counts.get(m, 0)
+        return self.counts[m]
 
     def top_zone(self, m: int) -> int:
         """Occurrences that a difference-``m`` pair could still pick up at
@@ -102,6 +103,26 @@ class PairProfile:
         return len(win.top) - bisect.bisect_left(win.top, self.height - abs(m))
 
 
+def _count_cross(counts: Counter, offs, top, bot, window: int, sign: int) -> None:
+    """Add to ``counts`` the pairs that join an occurrence ``t`` of ``top`` in
+    a lower copy to an occurrence ``u`` of ``bot`` in a higher copy (f to g
+    with ``sign`` 1, g to f with ``sign`` -1), at ``sign * (gap - t + u)``.
+
+    Pairs within one copy recur in every copy and are counted by the caller.
+    Both lists are sorted, so the ``u`` within ``window`` of each ``t`` are a
+    prefix of ``bot``: one bisect finds it, one ``Counter.update`` counts it.
+    """
+    for i, lower in enumerate(offs):
+        for higher in offs[i + 1 :]:
+            for t in reversed(top):
+                base = higher - lower - t
+                k = bisect.bisect_right(bot, window - base)
+                if not k:
+                    break
+                shift = sign * base
+                counts.update(map(shift.__add__ if sign > 0 else shift.__sub__, bot[:k]))
+
+
 def _pair_profiles(
     spec: RankOneSpec, stage_f: int, stage_g: int, window: int
 ) -> Iterator[PairProfile]:
@@ -109,23 +130,13 @@ def _pair_profiles(
     heights = spec.heights()
     widths = spec.widths()
     d0 = max(stage_f, stage_g)
-    wf = _SetWindow.initial()
-    wg = _SetWindow.initial()
-    for d in range(min(stage_f, stage_g), d0):
-        st = spec.stages[d - 1]
-        if stage_f < stage_g:
-            wf = wf.step(st, heights[d - 1], heights[d], window)
-        else:
-            wg = wg.step(st, heights[d - 1], heights[d], window)
-    counts: dict[int, int] = {}
-    if stage_f == stage_g:
-        counts[0] = 1
-    elif stage_f < stage_g:
-        for a in wf.bot:
-            counts[-a] = counts.get(-a, 0) + 1
-    else:
-        for b in wg.bot:
-            counts[b] = counts.get(b, 0) + 1
+    wf = wg = _SetWindow.initial()
+    for d in range(stage_f, d0):
+        wf = wf.step(spec.stages[d - 1], heights[d - 1], heights[d], window)
+    for d in range(stage_g, d0):
+        wg = wg.step(spec.stages[d - 1], heights[d - 1], heights[d], window)
+    # one of the two windows is still the base position 0
+    counts = Counter(b - a for a in wf.bot for b in wg.bot)
     prof = PairProfile(
         depth=d0, height=heights[d0 - 1], width=widths[d0 - 1],
         window=window, counts=counts, f=wf, g=wg,
@@ -135,42 +146,14 @@ def _pair_profiles(
         st = spec.stages[d - 1]
         h, h_new = heights[d - 1], heights[d]
         offs = st.offsets(h)
-        new_counts = {m: c * st.cuts for m, c in prof.counts.items()}
-
-        def add(m):
-            new_counts[m] = new_counts.get(m, 0) + 1
-
-        for i, oi in enumerate(offs):
-            for j, oj in enumerate(offs):
-                if i == j:
-                    continue
-                delta = oj - oi
-                if delta > 0:
-                    # f-occurrence near the top of copy i, g near the bottom of copy j
-                    if delta - prof.f.maxpos > window:
-                        continue
-                    for a in prof.f.top:
-                        base = delta - a
-                        for b in prof.g.bot:
-                            m = b + base
-                            if m > window:
-                                break
-                            if m >= -window:
-                                add(m)
-                else:
-                    if -delta - prof.g.maxpos > window:
-                        continue
-                    for b in prof.g.top:
-                        base = b + delta
-                        for a in prof.f.bot:
-                            m = base - a
-                            if m < -window:
-                                break
-                            if m <= window:
-                                add(m)
+        # scaled in place: a copied dict comprehension would be a third live table
+        counts = Counter()
+        dict.update(counts, zip(prof.counts, map(st.cuts.__mul__, prof.counts.values())))
+        _count_cross(counts, offs, prof.f.top, prof.g.bot, window, 1)
+        _count_cross(counts, offs, prof.g.top, prof.f.bot, window, -1)
         prof = PairProfile(
             depth=d + 1, height=h_new, width=widths[d],
-            window=window, counts=new_counts,
+            window=window, counts=counts,
             f=prof.f.step(st, h, h_new, window),
             g=prof.g.step(st, h, h_new, window),
         )

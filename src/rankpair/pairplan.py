@@ -27,6 +27,10 @@ class PlanError(RuntimeError):
     pass
 
 
+class UnsupportedClaim(ValueError):
+    """The spec has no stage that realises a polynomial claim."""
+
+
 @dataclass(frozen=True)
 class PolynomialSpec:
     """Finite table ``z -> a_z`` of non-negative powers and coefficients, mass <= 1."""
@@ -328,7 +332,8 @@ def check_certificate(spec: RankOneSpec, cert: ConstructionCertificate) -> None:
     A zero claim is a range query on the deepest profile's count keys and
     envelope (:meth:`BracketTable.first_nonzero`), so its cost does not
     grow with the interval's length; rigidity claims read single-lag
-    brackets off the same profile.
+    brackets off the same profile.  A polynomial claim that no stage of the
+    spec realises is recorded as unsatisfied.
     """
     f = cert.tracked
     lags = [n for z in cert.zero_intervals if z.checked[0] <= z.checked[1] for n in z.checked]
@@ -344,7 +349,11 @@ def check_certificate(spec: RankOneSpec, cert: ConstructionCertificate) -> None:
         r.lower_bound = table.bracket(r.time)[0]
         r.satisfied = r.lower_bound >= r.target
     for p in cert.polynomial_claims:
-        res = verify_polynomial_limit(spec, p.time, p.poly, f, f)
+        try:
+            res = verify_polynomial_limit(spec, p.time, p.poly, f, f)
+        except UnsupportedClaim:
+            p.satisfied = False
+            continue
         p.deviation = res.deviation
         p.bound = res.bound
         p.satisfied = res.satisfied
@@ -431,7 +440,7 @@ def verify_polynomial_limit(
             stage_idx = i
             break
     if stage_idx is None:
-        raise ValueError(f"time {time} is not a stage height of the spec")
+        raise UnsupportedClaim(f"time {time} is not a stage height of the spec")
     stage = spec.stages[stage_idx]
     counts = apportion(poly, stage.cuts)
     realized = {}
@@ -439,7 +448,7 @@ def verify_polynomial_limit(
         realized[s] = realized.get(s, 0) + 1
     for z, m in counts.items():
         if realized.get(z, 0) < m:
-            raise ValueError(
+            raise UnsupportedClaim(
                 f"stage at height {time} does not realise the polynomial histogram"
             )
 

@@ -38,17 +38,11 @@ class EscapeCapError(RuntimeError):
 class SimulationConfig:
     sample_count: int = 100_000
     seed: int = 0
-    intensity: float = 1.0
-    confidence: float = 0.95
     escape_cap: float = 0.5
 
     def __post_init__(self):
         if self.sample_count < 1:
             raise ValueError("sample_count must be at least 1")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError("confidence must lie in (0, 1)")
-        if self.intensity <= 0:
-            raise ValueError("intensity must be positive")
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:
@@ -105,10 +99,8 @@ def gaussian_sample(
     if not cov.covers(0, length - 1):
         raise CoverageError(f"covariance must cover lags [0, {length - 1}]")
     r = np.array([float(cov.midpoint(n)) for n in range(length)])
-    toep = np.empty((length, length))
-    for i in range(length):
-        for j in range(length):
-            toep[i, j] = r[abs(i - j)]
+    idx = np.arange(length)
+    toep = r[np.abs(np.subtract.outer(idx, idx))]
     eigvals, eigvecs = np.linalg.eigh(toep)
     scale = max(r[0], 1.0)
     if eigvals[0] < -_PSD_SLACK * scale:
@@ -140,8 +132,6 @@ class PoissonPush:
     escaped: np.ndarray       # bool mask
     n_configs: int
     intensity: float
-    height: int
-    width: float
 
     @property
     def escape_fraction(self) -> float:
@@ -162,6 +152,8 @@ def poisson_sample_and_push(
     points that leave the constructed region, exactly like the orbit
     oracle does.
     """
+    if not intensity > 0:  # also rejects NaN
+        raise ValueError("intensity must be positive")
     heights = spec.heights()
     if not 1 <= depth <= spec.max_depth:
         raise IndexError(f"depth {depth} outside [1, {spec.max_depth}]")
@@ -185,7 +177,6 @@ def poisson_sample_and_push(
         levels=levels, config_index=config_index,
         pushed=pushed, escaped=escaped,
         n_configs=config.sample_count, intensity=intensity,
-        height=h, width=w,
     )
 
 
@@ -225,6 +216,8 @@ def linear_statistic_covariance(
     ``(f, T^steps f)``.  Escaped points are outside the constructed region
     and contribute zero; the certified correlations say when that is exact.
     """
+    if not 0.0 < confidence < 1.0:
+        raise ValueError("confidence must lie in (0, 1)")
     val = level_values(pairs.spec, f, pairs.depth)
     n1 = np.bincount(
         pairs.config_index, weights=val[pairs.levels], minlength=pairs.n_configs

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from rankpair import LevelFunction, WalshPolynomial
+from rankpair import LevelFunction, WalshPolynomial, correlation_sequence
 from rankpair import serialize as ser
 from rankpair.cli import main
 
@@ -43,7 +43,35 @@ class TestExitCodes:
                      "--spec", str(plan_dir / "spec_s.json"),
                      "--cert", str(plan_dir / "tampered.json")])
         assert code == 2
-        assert "violated at n=" in capsys.readouterr().err
+        spec = ser.spec_from_dict(ser.read_json(plan_dir / "spec_s.json"))
+        first = correlation_sequence(
+            spec, LevelFunction.indicator(1), range(1, rigid + 1)).support()[0]
+        assert capsys.readouterr().err.splitlines() == [
+            f"verify FAILED: S zero claim on [1, {rigid}] does not recompute: "
+            f"verdict exact-zero -> violated, first_violation None -> {first}"
+        ]
+
+    def test_unsupported_polynomial_claim_is_two(self, tmp_path, capsys):
+        # a lowered blocking spacer breaks the zero claim on [1, 16] at n=16
+        # and moves every later stage height off the polynomial claim's time
+        out = str(tmp_path)
+        assert main(["--out-dir", out, "plan", "--horizon", "2000", "--poly",
+                     '{"coefficients": {"0": "1/2", "1": "1/4"}}',
+                     "--generic-cuts", "4"]) == 0
+        spec = ser.read_json(tmp_path / "spec_s.json")
+        spec["stages"][0]["spacers"][0] -= 1
+        ser.write_json(tmp_path / "spec_s.json", spec)
+        capsys.readouterr()
+        for argv, command in ((["verify", "--spec", str(tmp_path / "spec_s.json"),
+                                "--cert", str(tmp_path / "cert_s.json")], "verify"),
+                              (["report", "--plan-dir", out], "report")):
+            assert main(["--out-dir", out, *argv]) == 2
+            assert capsys.readouterr().err.splitlines() == [
+                f"{command} FAILED: S zero claim on [1, 16] does not recompute: "
+                "verdict exact-zero -> violated, first_violation None -> 16"
+            ]
+        recomputed = ser.read_json(tmp_path / "verify_report.json")["recomputed"]
+        assert not recomputed["polynomial_claims"][0]["satisfied"]
 
 
 GOLDEN_SPEC = str(Path(__file__).parent / "golden" / "default" / "spec_s.json")

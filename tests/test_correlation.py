@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,8 @@ from rankpair import (
     occurrence_set,
     product_correlation,
 )
+
+from rankpair.correlation import _pair_profiles
 
 from conftest import oracle_autocorrelation
 from test_core import spec_strategy, stage_strategy
@@ -233,8 +236,8 @@ def cross_case(draw):
 
 
 class TestAgainstBruteForce:
-    """Integer brackets, the tolerance loop and the range-query zero check
-    against brackets counted from the full occurrence lists."""
+    """The engine's count tables, integer brackets, the tolerance loop and
+    the range-query zero check against the full occurrence lists."""
 
     @given(cross_case(), st.lists(st.integers(-15, 15), min_size=1, max_size=6))
     @settings(max_examples=150, deadline=None)
@@ -272,3 +275,22 @@ class TestAgainstBruteForce:
         with pytest.raises(ToleranceNotReached) as exc:
             correlation_sequence(spec, f, lags, g=g, tolerance=tolerance)
         assert exc.value.achieved_gap == max(hi - lo for lo, hi in expected.values())
+
+    @given(st.lists(stage_strategy(max_cuts=4), min_size=1, max_size=3),
+           st.integers(1, 3), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_count_tables(self, stages, base, data):
+        """Every depth's count table holds the pair differences of the full
+        occurrence lists within the window; windows run from 0 to the tower
+        height, so the cross-copy cut-off is exercised."""
+        spec = RankOneSpec(stages=tuple(stages), base_height=base)
+        stage_f = data.draw(st.integers(1, spec.max_depth))
+        stage_g = data.draw(st.integers(1, spec.max_depth))
+        window = data.draw(st.integers(0, spec.heights()[-1]))
+        depths = []
+        for prof in _pair_profiles(spec, stage_f, stage_g, window):
+            f = occurrence_set(spec, stage_f, prof.depth).positions
+            g = occurrence_set(spec, stage_g, prof.depth).positions
+            assert prof.counts == Counter(b - a for a in f for b in g if abs(b - a) <= window)
+            depths.append(prof.depth)
+        assert depths == list(range(max(stage_f, stage_g), spec.max_depth + 1))

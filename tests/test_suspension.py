@@ -75,6 +75,13 @@ class TestGaussian:
         with pytest.raises(ValueError):
             sample.sample_covariance(5)
 
+    def test_toeplitz_matches_loop(self):
+        s = exact_seq({0: 1, 1: Fraction(1, 2), 2: Fraction(1, 4), 3: 0})
+        r = [float(s.midpoint(n)) for n in range(4)]
+        loop = np.array([[r[abs(i - j)] for j in range(4)] for i in range(4)])
+        sample = gaussian_sample(s, 4, SimulationConfig(sample_count=10, seed=0))
+        assert np.array_equal(sample.covariance, loop)
+
     def test_non_psd_rejected(self):
         s = exact_seq({0: 1, 1: 2})
         with pytest.raises(PSDError) as exc:
@@ -130,10 +137,12 @@ class TestPoisson:
 
 
 class TestConfig:
-    def test_validation(self):
+    def test_validation(self, spec):
         with pytest.raises(ValueError):
             SimulationConfig(sample_count=0, seed=0)
+        cfg = SimulationConfig(sample_count=10, seed=0)
         with pytest.raises(ValueError):
-            SimulationConfig(sample_count=10, seed=0, confidence=1.5)
+            poisson_sample_and_push(spec, 3, 0.0, 0, cfg)
+        pairs = poisson_sample_and_push(spec, 3, 1.0, 0, cfg)
         with pytest.raises(ValueError):
-            SimulationConfig(sample_count=10, seed=0, intensity=0.0)
+            linear_statistic_covariance(pairs, LevelFunction.indicator(1), confidence=1.5)
