@@ -4,8 +4,8 @@ simulate, lemma3, report.
 Exit codes: 0 on pass, 1 on usage or input errors and on runs that cannot
 finish (tolerance not reached, planning failure, escape cap, out of
 memory), 2 on a certificate violation.  Every run writes a manifest next
-to its outputs with enough information (arguments, seed, version) to
-reproduce it byte-for-byte.  All file writes are atomic.
+to its outputs with enough information (arguments, seed, source revision)
+to reproduce it byte-for-byte.  All file writes are atomic.
 """
 
 from __future__ import annotations
@@ -15,11 +15,10 @@ import json
 import os
 import sys
 from fractions import Fraction
-from importlib import metadata
 from pathlib import Path
 from typing import Optional
 
-from .core import LevelFunction, validate_spec
+from .core import validate_spec
 from .correlation import ToleranceNotReached, correlation_sequence, summability_report
 from .pairplan import (
     GenericPolicy,
@@ -55,10 +54,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _version() -> str:
+def _revision() -> str:
+    """Commit checked out in the source tree, read from its ``.git`` files:
+    ``HEAD``, then the loose ref or ``packed-refs``; ``"unknown"`` outside
+    a checkout."""
+    git = Path(__file__).resolve().parents[2] / ".git"
     try:
-        return metadata.version("rankpair")
-    except metadata.PackageNotFoundError:
+        head = (git / "HEAD").read_text().strip()
+        ref = head.removeprefix("ref: ")
+        if ref == head:  # a detached HEAD holds the commit itself
+            return head
+        if (git / ref).is_file():
+            return (git / ref).read_text().strip()
+        packed = (git / "packed-refs").read_text().splitlines()
+        return next(line.split()[0] for line in packed if line.endswith(f" {ref}"))
+    except (OSError, StopIteration):
         return "unknown"
 
 
@@ -69,31 +79,33 @@ def _out_dir(args) -> Path:
 
 
 def _manifest(args, command: str) -> ser.RunManifest:
-    arguments = {
-        k: (str(v) if isinstance(v, (Path, Fraction)) else v)
-        for k, v in vars(args).items()
-        if k != "func"
-    }
-    arguments["version"] = _version()
-    return ser.RunManifest.start(command, arguments)
+    arguments = {k: v for k, v in vars(args).items() if k != "func"}
+    return ser.RunManifest(command, {**arguments, "version": _revision()})
 
 
-def _emit(out_dir: Path, manifest: ser.RunManifest, name: str, payload) -> Path:
+def _emit(out_dir: Path, manifest: ser.RunManifest, name: str, payload) -> None:
     path = out_dir / name
     if name.endswith(".tsv"):
         ser.atomic_write_text(path, payload)
     else:
         ser.write_json(path, payload)
     manifest.outputs.append(str(path))
-    return path
 
 
 def _finish(out_dir: Path, manifest: ser.RunManifest) -> None:
     manifest.finish(out_dir / f"{manifest.command}_manifest.json")
 
 
+def _read(path, decoder):
+    """Decode one JSON file; a malformed file is an input error naming it."""
+    try:
+        return decoder(ser.read_json(path))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _load_spec(path: str):
-    spec = ser.spec_from_dict(ser.read_json(path))
+    spec = _read(path, ser.spec_from_dict)
     report = validate_spec(spec)
     if not report.ok:
         raise UsageError(f"{path}: {report.issues[0]}")
@@ -122,7 +134,7 @@ def _policy_from_args(args) -> GenericPolicy:
     if args.poly == "rigidity":
         poly = PolynomialSpec.delta(0)
     else:
-        poly = ser.polynomial_from_dict(json.loads(args.poly))
+        poly = ser.decode(PolynomialSpec, json.loads(args.poly), "--poly")
     return GenericPolicy(
         blocking_cuts=args.blocking_cuts,
         generic_cuts=args.generic_cuts,
@@ -135,7 +147,7 @@ def cmd_plan(args) -> int:
     out_dir = _out_dir(args)
     manifest = _manifest(args, "plan")
     if args.schedule:
-        sched = ser.schedule_from_dict(ser.read_json(args.schedule))
+        sched = _read(args.schedule, ser.schedule_from_dict)
     else:
         sched = generate_schedule(growth=Fraction(args.growth), horizon=args.horizon)
     report = validate_schedule(sched)
@@ -166,7 +178,7 @@ def cmd_verify(args) -> int:
     out_dir = _out_dir(args)
     manifest = _manifest(args, "verify")
     spec = _load_spec(args.spec)
-    cert = ser.certificate_from_dict(ser.read_json(args.cert))
+    cert = _read(args.cert, ser.certificate_from_dict)
     problem = _recheck(spec, cert)
     _emit(out_dir, manifest, "verify_report.json", {
         "ok": problem is None,
@@ -184,7 +196,7 @@ def cmd_correlate(args) -> int:
     out_dir = _out_dir(args)
     manifest = _manifest(args, "correlate")
     spec = _load_spec(args.spec)
-    f = ser.level_function_from_dict(ser.read_json(args.function))
+    f = _read(args.function, ser.level_function_from_dict)
     seq = correlation_sequence(
         spec,
         f,
@@ -207,8 +219,7 @@ def cmd_spectrum(args) -> int:
         est = trig_polynomial_density(seq, args.grid)
     else:
         est = fejer_density(seq, args.order, args.grid)
-    lags = sorted(seq.entries)
-    summ = summability_report(seq, (lags[0], lags[-1]))
+    summ = summability_report(seq, (min(seq.entries), max(seq.entries)))
     lines = ["theta\tdensity"]
     for theta, v in zip(est.thetas, est.values):
         lines.append(f"{theta:.12g}\t{v:.12g}")
@@ -217,8 +228,8 @@ def cmd_spectrum(args) -> int:
         "grid_mean": est.grid_mean(),
         "min_value": est.min_value(),
         "exact": est.exact,
-        "l1": [ser.fraction_to_str(x) for x in summ.l1],
-        "l2": [ser.fraction_to_str(x) for x in summ.l2],
+        "l1": summ.l1,
+        "l2": summ.l2,
         "support": summ.support,
     })
     _finish(out_dir, manifest)
@@ -253,7 +264,7 @@ def cmd_simulate(args) -> int:
         if args.spec is None or args.function is None:
             raise UsageError("--kind poisson needs --spec and --function")
         spec = _load_spec(args.spec)
-        f = ser.level_function_from_dict(ser.read_json(args.function))
+        f = _read(args.function, ser.level_function_from_dict)
         pairs = poisson_sample_and_push(
             spec, args.depth, args.intensity, args.steps, config
         )
@@ -263,11 +274,10 @@ def cmd_simulate(args) -> int:
             "kind": "poisson",
             "steps": args.steps,
             "estimate": est.estimate,
-            "ci": list(est.ci),
+            "ci": est.ci,
             "stderr": est.stderr,
             "escape_fraction": est.escape_fraction,
-            "exact_bracket": [ser.fraction_to_str(exact[0]),
-                              ser.fraction_to_str(exact[1])],
+            "exact_bracket": exact,
             "ci_contains_exact": est.overlaps(*exact),
         }
     _emit(out_dir, manifest, args.out, payload)
@@ -279,16 +289,16 @@ def cmd_simulate(args) -> int:
 def cmd_lemma3(args) -> int:
     out_dir = _out_dir(args)
     manifest = _manifest(args, "lemma3")
-    f = ser.walsh_from_dict(ser.read_json(args.function))
+    f = _read(args.function, ser.walsh_from_dict)
     trunc = lemma3_truncate(f, Fraction(args.delta))
     residual = corr_tail_certificate(trunc.f_prime, trunc.cutoff, args.horizon)
     _emit(out_dir, manifest, args.out, {
         "f_prime": ser.walsh_to_dict(trunc.f_prime),
         "cutoff": trunc.cutoff,
-        "kept_norm_sq": ser.fraction_to_str(trunc.kept_norm_sq),
-        "tail_frac": ser.fraction_to_str(trunc.tail_frac),
+        "kept_norm_sq": trunc.kept_norm_sq,
+        "tail_frac": trunc.tail_frac,
         "distance_below_delta": trunc.distance_below(Fraction(args.delta)),
-        "residual_correlation": ser.fraction_to_str(residual),
+        "residual_correlation": residual,
     })
     _finish(out_dir, manifest)
     if residual != 0 or not trunc.distance_below(Fraction(args.delta)):
@@ -328,7 +338,7 @@ def cmd_report(args) -> int:
     certs, cert_lines, mismatch = [], [], None
     for side in "st":
         spec = _load_spec(str(plan_dir / f"spec_{side}.json"))
-        cert = ser.certificate_from_dict(ser.read_json(plan_dir / f"cert_{side}.json"))
+        cert = _read(plan_dir / f"cert_{side}.json", ser.certificate_from_dict)
         problem = _recheck(spec, cert)  # every side is rechecked, even after a mismatch
         mismatch = mismatch or problem
         certs.append(cert)

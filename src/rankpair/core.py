@@ -49,8 +49,8 @@ class StageSpec:
 class RankOneSpec:
     """A finite cutting-and-stacking recipe."""
 
-    stages: tuple[StageSpec, ...]
     base_height: int = 1
+    stages: tuple[StageSpec, ...] = field(kw_only=True)
 
     @property
     def max_depth(self) -> int:
@@ -68,19 +68,6 @@ class RankOneSpec:
             w.append(w[-1] / st.cuts)
         return w
 
-    def measures(self) -> list[Fraction]:
-        """Total measure of each tower (height times level width)."""
-        return [h * w for h, w in zip(self.heights(), self.widths())]
-
-    def spacer_measure_terms(self) -> list[Fraction]:
-        """Measure added by each stage's spacers; the construction has
-        infinite invariant measure iff these terms form a divergent series."""
-        w = self.widths()
-        return [sum(st.spacers) * w[i + 1] for i, st in enumerate(self.stages)]
-
-    def spacer_measure_partial_sum(self) -> Fraction:
-        return sum(self.spacer_measure_terms(), Fraction(0))
-
 
 @dataclass(frozen=True)
 class OccurrenceSet:
@@ -91,10 +78,6 @@ class OccurrenceSet:
     positions: tuple[int, ...]
     height: int
     width: Fraction
-
-    @property
-    def measure(self) -> Fraction:
-        return len(self.positions) * self.width
 
 
 @dataclass(frozen=True)
@@ -125,13 +108,6 @@ class LevelFunction:
         w = spec.widths()[self.stage - 1]
         return sum((c * c * w for _, c in self.coefficients), Fraction(0))
 
-    def mean(self, spec: RankOneSpec) -> Fraction:
-        w = spec.widths()[self.stage - 1]
-        return sum((c * w for _, c in self.coefficients), Fraction(0))
-
-    def is_zero_mean(self, spec: RankOneSpec) -> bool:
-        return self.mean(spec) == 0
-
     def issues(self, spec: RankOneSpec) -> list[str]:
         out = []
         if not self.coefficients:
@@ -147,33 +123,16 @@ class LevelFunction:
 class ValidationReport:
     ok: bool
     issues: list[str]
-    heights: list[int] = field(default_factory=list)
-    widths: list[Fraction] = field(default_factory=list)
-    measures: list[Fraction] = field(default_factory=list)
-    spacer_measure_partial_sum: Fraction = Fraction(0)
 
 
 def validate_spec(spec: RankOneSpec) -> ValidationReport:
-    """Structural check plus the derived height/width/measure tables.
-
-    Violations are reported, never raised; derived tables are only filled in
-    when the structure is sound enough to compute them.
-    """
+    """Structural check; violations are reported, never raised."""
     issues = []
     if spec.base_height < 1:
         issues.append(f"base_height < 1 (got {spec.base_height})")
     for i, st in enumerate(spec.stages, start=1):
         issues.extend(f"stage {i}: {msg}" for msg in st.issues())
-    if any("cuts" in msg or "entries" in msg for msg in issues):
-        return ValidationReport(ok=False, issues=issues)
-    return ValidationReport(
-        ok=not issues,
-        issues=issues,
-        heights=spec.heights(),
-        widths=spec.widths(),
-        measures=spec.measures(),
-        spacer_measure_partial_sum=spec.spacer_measure_partial_sum(),
-    )
+    return ValidationReport(ok=not issues, issues=issues)
 
 
 def occurrence_set(spec: RankOneSpec, level_stage: int, depth: int) -> OccurrenceSet:

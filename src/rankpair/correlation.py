@@ -312,10 +312,6 @@ class CorrelationSequence:
         a, b = self.entry(n)
         return (a + b) / 2
 
-    def is_exact(self, n: int) -> bool:
-        a, b = self.entry(n)
-        return a == b
-
     def support(self) -> list[int]:
         """Indices whose value is not certified to be zero."""
         return sorted(n for n, (a, b) in self.entries.items() if a != 0 or b != 0)

@@ -39,8 +39,8 @@ class ScheduleBlock:
 
 @dataclass(frozen=True)
 class IntervalSchedule:
-    blocks: tuple[ScheduleBlock, ...]
     horizon: int
+    blocks: tuple[ScheduleBlock, ...]
 
 
 @dataclass

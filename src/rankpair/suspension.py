@@ -24,6 +24,8 @@ from .core import LevelFunction, RankOneSpec, occurrence_set
 from .correlation import CorrelationSequence, CoverageError
 
 _PSD_SLACK = 1e-9
+_ESCAPE_CAP = 0.5   # largest expected escaping fraction a Poisson push accepts
+_CONFIDENCE = 0.95  # level of the normal interval around a covariance estimate
 
 
 class PSDError(ValueError):
@@ -38,7 +40,6 @@ class EscapeCapError(RuntimeError):
 class SimulationConfig:
     sample_count: int = 100_000
     seed: int = 0
-    escape_cap: float = 0.5
 
     def __post_init__(self):
         if self.sample_count < 1:
@@ -160,10 +161,9 @@ def poisson_sample_and_push(
     h = heights[depth - 1]
     w = float(spec.widths()[depth - 1])
     expected_escape = min(abs(steps) / h, 1.0)
-    if expected_escape > config.escape_cap:
+    if expected_escape > _ESCAPE_CAP:
         raise EscapeCapError(
-            f"expected escaping fraction {expected_escape:.3f} exceeds cap "
-            f"{config.escape_cap}"
+            f"expected escaping fraction {expected_escape:.3f} exceeds cap {_ESCAPE_CAP}"
         )
     mean_points = intensity * h * w
     counts = _stream(config.seed, 1).poisson(mean_points, config.sample_count)
@@ -206,18 +206,14 @@ def level_values(spec: RankOneSpec, f: LevelFunction, depth: int) -> np.ndarray:
     return val
 
 
-def linear_statistic_covariance(
-    pairs: PoissonPush, f: LevelFunction, confidence: float = 0.95
-) -> CovarianceEstimate:
-    """Estimate ``Cov(N(f), N(f) o push) / intensity`` with a normal CI.
+def linear_statistic_covariance(pairs: PoissonPush, f: LevelFunction) -> CovarianceEstimate:
+    """Estimate ``Cov(N(f), N(f) o push) / intensity`` with a 95 % normal CI.
 
     ``N(f)`` sums ``f`` over the configuration's points; by Campbell's
     formula the normalized covariance equals the region-restricted value of
     ``(f, T^steps f)``.  Escaped points are outside the constructed region
     and contribute zero; the certified correlations say when that is exact.
     """
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must lie in (0, 1)")
     val = level_values(pairs.spec, f, pairs.depth)
     n1 = np.bincount(
         pairs.config_index, weights=val[pairs.levels], minlength=pairs.n_configs
@@ -235,7 +231,7 @@ def linear_statistic_covariance(
     scale = 1.0 / pairs.intensity
     est = float(prods.mean()) * pairs.n_configs / (pairs.n_configs - 1) * scale
     stderr = float(prods.std(ddof=1)) / np.sqrt(pairs.n_configs) * scale
-    z = NormalDist().inv_cdf(0.5 + 0.5 * confidence)
+    z = NormalDist().inv_cdf(0.5 + 0.5 * _CONFIDENCE)
     return CovarianceEstimate(
         estimate=est,
         ci=(est - z * stderr, est + z * stderr),

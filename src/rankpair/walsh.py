@@ -43,10 +43,6 @@ class WalshPolynomial:
         )
         return cls(items)
 
-    @classmethod
-    def coordinate(cls, i: int) -> "WalshPolynomial":
-        return cls.from_terms([((i,), 1)])
-
     def coefficient(self, idx: Iterable[int]) -> Fraction:
         key = frozenset(idx)
         for k, v in self.terms:
@@ -109,15 +105,12 @@ class Lemma3Truncation:
         return (1 - self.tail_frac) > target * target
 
 
-def lemma3_truncate(
-    f: WalshPolynomial, delta: Fraction, max_terms: int | None = None
-) -> Lemma3Truncation:
+def lemma3_truncate(f: WalshPolynomial, delta: Fraction) -> Lemma3Truncation:
     """Truncate to a finite window with certified shift-orthogonality cutoff.
 
     Terms are kept in order of increasing coordinate magnitude until the
     dropped mass is provably small enough that the renormalized truncation
-    sits within ``delta`` of the input (``max_terms`` caps the kept count
-    and fails loudly when the cap defeats the guarantee).
+    sits within ``delta`` of the input.
     """
     delta = Fraction(delta)
     if delta <= 0:
@@ -130,8 +123,7 @@ def lemma3_truncate(
     ordered = sorted(f.terms, key=lambda t: (max(abs(i) for i in t[0]), sorted(t[0])))
     kept: list[tuple[IndexSet, Fraction]] = []
     kept_sq = Fraction(0)
-    result = None
-    for k, c in ordered:
+    for k, c in ordered:  # the full prefix always reaches distance 0
         kept.append((k, c))
         kept_sq += c * c
         trunc = Lemma3Truncation(
@@ -141,15 +133,9 @@ def lemma3_truncate(
             tail_frac=(total - kept_sq) / total,
         )
         if trunc.distance_below(delta):
-            result = trunc
             break
-        if max_terms is not None and len(kept) >= max_terms:
-            raise ValueError(
-                f"cannot reach distance {delta} within {max_terms} terms"
-            )
-    assert result is not None  # full prefix always reaches distance 0
-    result.cutoff = shift_cutoff(result.f_prime)
-    return result
+    trunc.cutoff = shift_cutoff(trunc.f_prime)
+    return trunc
 
 
 def corr_tail_certificate(

@@ -1,4 +1,6 @@
 import json
+import shutil
+import subprocess
 from fractions import Fraction
 from pathlib import Path
 
@@ -76,6 +78,18 @@ class TestExitCodes:
 
 GOLDEN_SPEC = str(Path(__file__).parent / "golden" / "default" / "spec_s.json")
 POISSON = ["simulate", "--kind", "poisson", "--spec", GOLDEN_SPEC, "--function", "f.json"]
+MALFORMED = {  # files whose fields have the wrong JSON type
+    "spacers-str.json": {"base_height": 1, "stages": [{"cuts": 2, "spacers": ["1", "0"]}]},
+    "base-height-str.json": {"base_height": "1", "stages": [{"cuts": 2, "spacers": [1, 0]}]},
+    "cuts-float.json": {"base_height": 1, "stages": [{"cuts": 2.0, "spacers": [1, 0]}]},
+    "top-level-array.json": [1, 2],
+    "indices-int.json": {"terms": [{"indices": 3, "coefficient": "1/2"}]},
+    "float-coefficient.json": {"stage": 1, "coefficients": {"0": 0.1}},
+}
+
+
+def correlate(spec, function="f.json"):
+    return ["correlate", "--spec", spec, "--function", function, "--n-max", "5"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -87,11 +101,21 @@ POISSON = ["simulate", "--kind", "poisson", "--spec", GOLDEN_SPEC, "--function",
     ["plan", "--generic-cuts", "1"],
     ["plan", "--max-generic-per-block", "-1"],
     ["plan", "--horizon", "1000", "--poly", '{"coefficients": {"-1": "1/2"}}'],
+    correlate("spacers-str.json"),
+    correlate("base-height-str.json"),
+    correlate("cuts-float.json"),
+    correlate("top-level-array.json"),
+    ["lemma3", "--function", "indices-int.json", "--delta", "1/10"],
+    correlate(GOLDEN_SPEC, "float-coefficient.json"),
 ], ids=["tolerance", "gaussian-no-table", "poisson-no-spec", "intensity-0",
-        "escape-cap", "generic-cuts-1", "negative-generic-per-block", "negative-power"])
+        "escape-cap", "generic-cuts-1", "negative-generic-per-block", "negative-power",
+        "spacers-str", "base-height-str", "cuts-float", "top-level-array", "indices-int",
+        "float-coefficient"])
 def test_failure_is_one_line_and_exit_one(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     write_indicator(tmp_path)
+    for name, content in MALFORMED.items():
+        (tmp_path / name).write_text(json.dumps(content))
     assert main(["--out-dir", str(tmp_path), *argv]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
@@ -167,6 +191,15 @@ class TestPipeline:
         manifest = ser.read_json(plan_dir / "plan_manifest.json")
         assert manifest["command"] == "plan"
         assert any(p.endswith("spec_s.json") for p in manifest["outputs"])
+
+    def test_manifest_records_the_source_revision(self, plan_dir):
+        root = Path(__file__).resolve().parents[1]
+        if not (root / ".git").exists() or shutil.which("git") is None:
+            pytest.skip("not a git checkout")
+        head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True,
+                              text=True, check=True).stdout.strip()
+        manifest = ser.read_json(plan_dir / "plan_manifest.json")
+        assert manifest["arguments"]["version"] == head
 
 
 class TestDeterminism:

@@ -150,7 +150,7 @@ class TestCorrelationSequence:
         )
         f = LevelFunction.indicator(1)
         seq = correlation_sequence(spec, f, range(0, 10), tolerance=Fraction(0))
-        assert all(seq.is_exact(n) for n in range(10))
+        assert all(lo == hi for lo, hi in seq.entries.values())
         assert seq.support() == [0, 2]
 
     def test_norm_sq(self, small_spec):

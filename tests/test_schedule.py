@@ -47,7 +47,7 @@ class TestValidate:
         blocks[-1] = ScheduleBlock(
             i=(b.i[0], b.i[0]), j=b.j, i_tilde=b.i_tilde, j_tilde=b.j_tilde
         )
-        report = validate_schedule(IntervalSchedule(tuple(blocks), sched.horizon))
+        report = validate_schedule(IntervalSchedule(horizon=sched.horizon, blocks=tuple(blocks)))
         assert not report.ok
         # everything between the previous block's J and this block's J is now bare
         assert report.first_uncovered == sched.blocks[0].j[1] + 1
@@ -55,7 +55,7 @@ class TestValidate:
     def test_ordering_violation_detected(self):
         sched = self.base()
         blocks = list(reversed(sched.blocks))
-        report = validate_schedule(IntervalSchedule(tuple(blocks), sched.horizon))
+        report = validate_schedule(IntervalSchedule(horizon=sched.horizon, blocks=tuple(blocks)))
         assert not report.ok
 
     def test_interleaving_blocks_cover_jointly(self):

@@ -5,7 +5,9 @@ import os
 import pytest
 
 from rankpair import (
+    ConstructionCertificate,
     CorrelationSequence,
+    IntervalSchedule,
     LevelFunction,
     PolynomialSpec,
     RankOneSpec,
@@ -20,7 +22,7 @@ from rankpair import serialize as ser
 class TestFractions:
     def test_round_trip(self):
         for x in (Fraction(0), Fraction(-3, 7), Fraction(10 ** 12, 13)):
-            assert ser.fraction_from_str(ser.fraction_to_str(x)) == x
+            assert ser.decode(Fraction, ser.encode(x)) == x
 
 
 class TestRoundTrips:
@@ -37,7 +39,7 @@ class TestRoundTrips:
 
     def test_polynomial(self):
         p = PolynomialSpec.from_dict({0: Fraction(1, 2), 2: Fraction(1, 4)})
-        assert ser.polynomial_from_dict(ser.polynomial_to_dict(p)) == p
+        assert ser.decode(PolynomialSpec, ser.encode(p)) == p
 
     def test_walsh(self):
         w = WalshPolynomial.from_terms(
@@ -67,6 +69,55 @@ class TestRoundTrips:
         assert back.subject == "demo"
 
 
+CERT = {"subject": "S", "tracked": {"stage": 1, "coefficients": {"0": "1/1"}},
+        "zero_intervals": [{"interval": [1], "checked": [1, 2]}]}
+
+
+class TestDecode:
+    @pytest.mark.parametrize("tp, value, message", [
+        (RankOneSpec, {"stages": [{"cuts": 2, "spacers": ["1", "0"]}]},
+         'stages[0].spacers[0]: expected an integer, got "1"'),
+        (RankOneSpec, {"base_height": "1", "stages": []},
+         'base_height: expected an integer, got "1"'),
+        (RankOneSpec, {"stages": [{"cuts": 2.0, "spacers": [1, 0]}]},
+         "stages[0].cuts: expected an integer, got 2.0"),
+        (RankOneSpec, {"stages": [{"cuts": True, "spacers": [1, 0]}]},
+         "stages[0].cuts: expected an integer, got true"),
+        (RankOneSpec, [1, 2], "top level: expected an object, got an array of 2"),
+        (RankOneSpec, {}, "stages: missing"),
+        (RankOneSpec, {"stages": [], "depth": 3}, "depth: unknown key"),
+        (WalshPolynomial, {"terms": [{"indices": 3, "coefficient": "1/2"}]},
+         "terms[0].indices: expected an array, got 3"),
+        (LevelFunction, {"stage": 1, "coefficients": {"0": 0.1}},
+         "coefficients.0: expected a rational"),
+        (LevelFunction, {"stage": 1, "coefficients": {"0": "1/0"}},
+         "coefficients.0: expected a rational"),
+        (LevelFunction, {"stage": 1, "coefficients": {"x": "1"}},
+         "coefficients.x: key is not int"),
+        (PolynomialSpec, {"coefficients": {"-1": "1/2"}},
+         "top level: polynomial powers must be non-negative"),
+        (IntervalSchedule, {"horizon": 5, "blocks": [{"i": [1, 5], "j": None}]},
+         "blocks[0].j: expected an array, got null"),
+        (ConstructionCertificate, CERT,
+         "zero_intervals[0].interval: expected an array of 2, got an array of 1"),
+    ])
+    def test_mismatch_names_the_field(self, tp, value, message):
+        with pytest.raises(ValueError) as exc:
+            ser.decode(tp, value)
+        assert str(exc.value).startswith(message)
+
+    def test_defaults_integers_and_decimal_strings(self):
+        assert ser.decode(RankOneSpec, {"stages": []}) == RankOneSpec(stages=())
+        f = ser.decode(LevelFunction, {"stage": 2, "coefficients": {"0": 2, "1": "0.5", "3": "0"}})
+        assert f == LevelFunction.from_dict(2, {0: Fraction(2), 1: Fraction(1, 2)})
+        cert = ser.decode(ConstructionCertificate, {"subject": "S", "tracked": CERT["tracked"]})
+        assert cert.zero_intervals == [] and cert.unverified_notes
+
+    def test_objects_keep_the_file_key_order(self, small_spec):
+        assert list(ser.encode(small_spec)) == ["base_height", "stages"]
+        assert list(ser.encode(generate_schedule(5, 300))) == ["horizon", "blocks"]
+
+
 class TestAtomicWrites:
     def test_write_and_replace(self, tmp_path):
         target = tmp_path / "out.json"
@@ -84,7 +135,7 @@ class TestAtomicWrites:
 
 class TestManifest:
     def test_manifest_written(self, tmp_path):
-        m = ser.RunManifest.start("demo", {"x": 1})
+        m = ser.RunManifest("demo", {"x": 1})
         m.outputs.append("a.json")
         m.finish(tmp_path / "manifest.json")
         d = ser.read_json(tmp_path / "manifest.json")

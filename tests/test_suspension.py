@@ -143,6 +143,3 @@ class TestConfig:
         cfg = SimulationConfig(sample_count=10, seed=0)
         with pytest.raises(ValueError):
             poisson_sample_and_push(spec, 3, 0.0, 0, cfg)
-        pairs = poisson_sample_and_push(spec, 3, 1.0, 0, cfg)
-        with pytest.raises(ValueError):
-            linear_statistic_covariance(pairs, LevelFunction.indicator(1), confidence=1.5)

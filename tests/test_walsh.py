@@ -28,8 +28,8 @@ def walsh_strategy(max_index=30, max_terms=5):
 
 class TestAlgebra:
     def test_orthonormality(self):
-        r0 = WalshPolynomial.coordinate(0)
-        r1 = WalshPolynomial.coordinate(1)
+        r0 = WalshPolynomial.from_terms([((0,), 1)])
+        r1 = WalshPolynomial.from_terms([((1,), 1)])
         assert inner_product(r0, r0) == 1
         assert inner_product(r0, r1) == 0
         prod01 = WalshPolynomial.from_terms([((0, 1), 1)])
@@ -90,11 +90,6 @@ class TestTruncation:
             lemma3_truncate(
                 WalshPolynomial.from_terms([((), 1), ((0,), 1)]), Fraction(1, 2)
             )
-
-    def test_max_terms_cap(self):
-        f = WalshPolynomial.from_terms([((i,), 1) for i in range(6)])
-        with pytest.raises(ValueError):
-            lemma3_truncate(f, Fraction(1, 100), max_terms=1)
 
     @given(walsh_strategy(), st.fractions(min_value="1/50", max_value="1/2",
                                           max_denominator=50))
