@@ -3,6 +3,7 @@ transformations, their spectral summaries, and their Gaussian / Poisson
 lifts."""
 
 from .core import (
+    EscapeCapError,
     LevelFunction,
     OccurrenceSet,
     RankOneSpec,
@@ -45,25 +46,6 @@ from .pairplan import (
     verify_polynomial_limit,
     zero_threshold,
 )
-from .spectral import (
-    ChaosCoefficients,
-    DensityEstimate,
-    chaos_exp_coefficients,
-    fejer_density,
-    trig_polynomial_density,
-)
-from .suspension import (
-    CovarianceEstimate,
-    EscapeCapError,
-    GaussianSample,
-    PoissonPush,
-    PSDError,
-    SimulationConfig,
-    gaussian_sample,
-    level_values,
-    linear_statistic_covariance,
-    poisson_sample_and_push,
-)
 from .walsh import (
     Lemma3Truncation,
     WalshPolynomial,
@@ -74,4 +56,38 @@ from .walsh import (
     shift_power,
 )
 
+# numpy-backed modules and their names, imported on first access (PEP 562),
+# so that importing the certification layers does not load numpy
+_LAZY = {
+    "spectral": (
+        "ChaosCoefficients",
+        "DensityEstimate",
+        "chaos_exp_coefficients",
+        "fejer_density",
+        "trig_polynomial_density",
+    ),
+    "suspension": (
+        "CovarianceEstimate",
+        "GaussianSample",
+        "PoissonPush",
+        "PSDError",
+        "SimulationConfig",
+        "gaussian_sample",
+        "level_values",
+        "linear_statistic_covariance",
+        "poisson_sample_and_push",
+    ),
+}
+
 __all__ = [name for name in dir() if not name.startswith("_")]
+__all__ += [name for names in _LAZY.values() for name in names]
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY.items():
+        if name == module or name in names:
+            from importlib import import_module
+
+            found = import_module(f"{__name__}.{module}")
+            return found if name == module else getattr(found, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

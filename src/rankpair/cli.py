@@ -11,6 +11,8 @@ to reproduce it byte-for-byte.  All file writes are atomic.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import importlib
 import json
 import os
 import sys
@@ -18,25 +20,18 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .core import validate_spec
+from .core import EscapeCapError, validate_spec
 from .correlation import ToleranceNotReached, correlation_sequence, summability_report
 from .pairplan import (
     GenericPolicy,
     PlanError,
+    PlanSummary,
     PolynomialSpec,
     check_certificate,
     plan_pair,
     zero_threshold,
 )
 from .schedule import generate_schedule, validate_schedule
-from .spectral import fejer_density, trig_polynomial_density
-from .suspension import (
-    EscapeCapError,
-    SimulationConfig,
-    gaussian_sample,
-    linear_statistic_covariance,
-    poisson_sample_and_push,
-)
 from .walsh import corr_tail_certificate, lemma3_truncate
 from . import serialize as ser
 
@@ -47,6 +42,37 @@ EXIT_VIOLATION = 2
 
 class UsageError(Exception):
     pass
+
+
+# numpy-backed names, imported by the commands that use them, so that the
+# certification commands start without numpy
+_NUMERIC = {
+    "fejer_density": "spectral",
+    "trig_polynomial_density": "spectral",
+    "SimulationConfig": "suspension",
+    "gaussian_sample": "suspension",
+    "linear_statistic_covariance": "suspension",
+    "poisson_sample_and_push": "suspension",
+}
+
+
+def _numeric(*names: str) -> list:
+    """This module's bindings of the numpy-backed ``names``, each imported
+    and bound on first use.  A binding already in place, such as a tracing
+    wrapper set as an attribute, is kept and returned."""
+    bound = globals()
+    for name in names:
+        if name not in bound:
+            module = importlib.import_module(f".{_NUMERIC[name]}", __package__)
+            bound[name] = getattr(module, name)
+    return [bound[name] for name in names]
+
+
+def __getattr__(name: str):
+    # PEP 562: the numpy-backed names also resolve as attributes
+    if name in _NUMERIC:
+        return _numeric(name)[0]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,12 +122,26 @@ def _finish(out_dir: Path, manifest: ser.RunManifest) -> None:
     manifest.finish(out_dir / f"{manifest.command}_manifest.json")
 
 
-def _read(path, decoder):
-    """Decode one JSON file; a malformed file is an input error naming it."""
+@contextlib.contextmanager
+def _located(path):
+    """Name ``path`` in a ``ValueError`` raised while reading it."""
     try:
-        return decoder(ser.read_json(path))
+        yield
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def _read(path, decoder):
+    """Decode one JSON file; a malformed file is an input error naming it."""
+    with _located(path):
+        return decoder(ser.read_json(path))
+
+
+def _read_table(path):
+    """Read one correlation table; a malformed row is an input error naming
+    the file and the line."""
+    with _located(path):
+        return ser.correlation_table_from_tsv(Path(path).read_text())
 
 
 def _load_spec(path: str):
@@ -158,11 +198,7 @@ def cmd_plan(args) -> int:
     _emit(out_dir, manifest, "spec_t.json", ser.spec_to_dict(result.spec_t))
     _emit(out_dir, manifest, "cert_s.json", ser.certificate_to_dict(result.cert_s))
     _emit(out_dir, manifest, "cert_t.json", ser.certificate_to_dict(result.cert_t))
-    _emit(out_dir, manifest, "plan.json", {
-        "horizon": result.horizon,
-        "n_zero_threshold": result.n_zero_threshold,
-        "sound": result.pair_sound(),
-    })
+    _emit(out_dir, manifest, "plan.json", result.summary())
     _finish(out_dir, manifest)
     if not result.pair_sound():
         print("plan FAILED: certificate violation", file=sys.stderr)
@@ -214,7 +250,8 @@ def cmd_correlate(args) -> int:
 def cmd_spectrum(args) -> int:
     out_dir = _out_dir(args)
     manifest = _manifest(args, "spectrum")
-    seq = ser.correlation_table_from_tsv(Path(args.table).read_text())
+    fejer_density, trig_polynomial_density = _numeric("fejer_density", "trig_polynomial_density")
+    seq = _read_table(args.table)
     if args.exact:
         est = trig_polynomial_density(seq, args.grid)
     else:
@@ -243,11 +280,15 @@ def cmd_spectrum(args) -> int:
 def cmd_simulate(args) -> int:
     out_dir = _out_dir(args)
     manifest = _manifest(args, "simulate")
+    (SimulationConfig, gaussian_sample, linear_statistic_covariance,
+     poisson_sample_and_push) = _numeric("SimulationConfig", "gaussian_sample",
+                                         "linear_statistic_covariance",
+                                         "poisson_sample_and_push")
     config = SimulationConfig(sample_count=args.samples, seed=args.seed)
     if args.kind == "gaussian":
         if args.table is None:
             raise UsageError("--kind gaussian needs --table")
-        seq = ser.correlation_table_from_tsv(Path(args.table).read_text())
+        seq = _read_table(args.table)
         length = args.lag_max * 2 + 1
         sample = gaussian_sample(seq, length, config)
         errors = {
@@ -334,7 +375,7 @@ def cmd_report(args) -> int:
     out_dir = _out_dir(args)
     manifest = _manifest(args, "report")
     plan_dir = Path(args.plan_dir)
-    plan = ser.read_json(plan_dir / "plan.json")
+    plan = _read(plan_dir / "plan.json", ser.plan_summary_from_dict)
     certs, cert_lines, mismatch = [], [], None
     for side in "st":
         spec = _load_spec(str(plan_dir / f"spec_{side}.json"))
@@ -349,12 +390,12 @@ def cmd_report(args) -> int:
             f"ok={cert.ok}"
         )
         cert_lines += [f"{cert.subject} unverified: {note}" for note in cert.unverified_notes]
-    horizon = plan["horizon"]
+    horizon = plan.horizon
     n0 = zero_threshold(horizon, certs)
     sound = all(cert.ok for cert in certs) and n0 <= horizon
-    if mismatch is None and (plan["n_zero_threshold"], plan["sound"]) != (n0, sound):
-        mismatch = (f"plan.json claims n0 {plan['n_zero_threshold']}, sound "
-                    f"{plan['sound']}; recomputed n0 {n0}, sound {sound}")
+    if mismatch is None and plan != PlanSummary(horizon, n0, sound):
+        mismatch = (f"plan.json claims n0 {plan.n_zero_threshold}, sound "
+                    f"{plan.sound}; recomputed n0 {n0}, sound {sound}")
     lines = [
         f"horizon: {horizon}",
         f"product correlations vanish for n >= {n0}",

@@ -163,6 +163,10 @@ def occurrence_set(spec: RankOneSpec, level_stage: int, depth: int) -> Occurrenc
     )
 
 
+class EscapeCapError(RuntimeError):
+    """Too large a share of a push would escape the constructed region."""
+
+
 def point_map(
     spec: RankOneSpec, depth: int, position: int, steps: int
 ) -> Optional[tuple[int, int]]:

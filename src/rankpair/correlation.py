@@ -3,10 +3,16 @@
 Every value ``(f, T^n g)`` reduces to counting position pairs at fixed
 differences between the occurrence sets of two tracked base levels.  The
 engine below carries those pair counts through the stages without ever
-materialising the (potentially astronomically long) occurrence lists: it
-keeps the exact count table for differences inside a window ``[-W, W]``
-together with the occurrence positions near the bottom and the top of the
-tower, which is all that cross-copy pairs can ever touch.
+materialising the (potentially astronomically long) occurrence lists.  It
+keeps exact pair counts only on the *lag bands* a query reaches: lags in
+``[lo, hi]`` read the differences ``[lo + min shift, hi + max shift]``,
+where a shift is ``lf - lg`` for a level of each function.  The count at a
+difference ``m`` one stage deeper is ``cuts`` times its count now plus the
+cross-copy pairs at ``m``, so the bands are exact on their own.  Beside the
+counts it keeps the occurrence positions within ``W`` of the bottom and of
+the top of the tower, ``W`` being the farthest band end; that is all that
+cross-copy pairs in the bands can touch.  A difference outside the bands
+was never counted: reading it raises :class:`CoverageError`, never a zero.
 
 Each depth yields a bracket ``[lower, upper]``: ``lower`` counts the pairs
 already inside the tower, and the defect is bounded by the mass of
@@ -20,6 +26,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -77,21 +84,71 @@ class _SetWindow:
         )
 
 
+Band = tuple[int, int]
+_START, _END = operator.itemgetter(0), operator.itemgetter(1)
+
+
+def _merge(intervals) -> list[Band]:
+    """The union of integer intervals as sorted, disjoint bands, with
+    adjacent ones joined; empty intervals drop out."""
+    bands: list[Band] = []
+    for lo, hi in sorted(intervals):
+        if lo > hi:
+            continue
+        if bands and lo <= bands[-1][1] + 1:
+            bands[-1] = (bands[-1][0], max(hi, bands[-1][1]))
+        else:
+            bands.append((lo, hi))
+    return bands
+
+
+def _runs(ns: list[int]) -> list[Band]:
+    """The sorted distinct lags ``ns`` as maximal runs of consecutive lags."""
+    if not ns:
+        return []
+    if ns[-1] - ns[0] == len(ns) - 1:  # a whole lag range, as ``correlate`` asks
+        return [(ns[0], ns[-1])]
+    breaks = [i for i in range(1, len(ns)) if ns[i] != ns[i - 1] + 1]
+    return [(ns[i], ns[j - 1]) for i, j in zip([0] + breaks, breaks + [len(ns)])]
+
+
+def _lag_bands(intervals, f: LevelFunction, g: LevelFunction) -> list[Band]:
+    """The differences that brackets over the lag ``intervals`` read: each
+    ``[lo, hi]`` reaches ``[lo + min shift, hi + max shift]``, where a
+    shift is ``lf - lg`` for a level ``lf`` of ``f`` and ``lg`` of ``g``."""
+    shifts = [lf - lg for lf in f.levels for lg in g.levels]
+    if not shifts:
+        return []
+    low, high = min(shifts), max(shifts)
+    return _merge((lo + low, hi + high) for lo, hi in intervals)
+
+
 @dataclass
 class PairProfile:
-    """Exact difference-count state for a pair of tracked base levels."""
+    """Exact difference-count state for a pair of tracked base levels.
+
+    ``counts`` holds every pair count at a difference inside ``bands`` and
+    nothing else; a difference outside them was never counted, so reading
+    it raises :class:`CoverageError` rather than answer zero.
+    """
 
     depth: int
     height: int
     width: Fraction
-    window: int
+    bands: list[Band]
     counts: Counter  # signed difference -> exact pair count
     f: _SetWindow
     g: _SetWindow
 
+    def covers(self, lo: int, hi: int) -> bool:
+        """Whether every difference in ``[lo, hi]`` was counted."""
+        i = bisect.bisect_right(self.bands, lo, key=_START) - 1
+        return i >= 0 and hi <= self.bands[i][1]
+
     def pair_count(self, m: int) -> int:
-        if abs(m) > self.window:
-            raise CoverageError(f"difference {m} outside engine window {self.window}")
+        i = bisect.bisect_right(self.bands, m, key=_START) - 1  # covers(m, m), inlined
+        if i < 0 or m > self.bands[i][1]:
+            raise CoverageError(f"difference {m} outside the counted bands")
         return self.counts[m]
 
     def top_zone(self, m: int) -> int:
@@ -103,30 +160,55 @@ class PairProfile:
         return len(win.top) - bisect.bisect_left(win.top, self.height - abs(m))
 
 
-def _count_cross(counts: Counter, offs, top, bot, window: int, sign: int) -> None:
+def _count_shifted(counts: Counter, base: int, values, sign: int, reach) -> bool:
+    """Add to ``counts`` the differences ``sign * (base + v)`` over the sorted
+    ``values`` for which ``base + v`` lies in a band of ``reach`` (the bands
+    of ``sign * m``).  Each band takes two bisects and one
+    ``Counter.update``.  False when ``base + min(values)`` is past every band,
+    so that no larger ``base`` can count anything either."""
+    first = bisect.bisect_left(reach, base + values[0], key=_END)
+    if first == len(reach):
+        return False
+    shift = sign * base
+    add = shift.__add__ if sign > 0 else shift.__sub__
+    last = base + values[-1]
+    for lo, hi in reach[first:]:
+        if lo > last:
+            break
+        i = bisect.bisect_left(values, lo - base)
+        k = bisect.bisect_right(values, hi - base, i)
+        counts.update(map(add, values[i:k]))
+    return True
+
+
+def _count_cross(counts: Counter, offs, top, bot, bands: list[Band], sign: int) -> None:
     """Add to ``counts`` the pairs that join an occurrence ``t`` of ``top`` in
     a lower copy to an occurrence ``u`` of ``bot`` in a higher copy (f to g
-    with ``sign`` 1, g to f with ``sign`` -1), at ``sign * (gap - t + u)``.
+    with ``sign`` 1, g to f with ``sign`` -1), at ``sign * (gap - t + u)``,
+    for the differences inside ``bands``.
 
     Pairs within one copy recur in every copy and are counted by the caller.
-    Both lists are sorted, so the ``u`` within ``window`` of each ``t`` are a
-    prefix of ``bot``: one bisect finds it, one ``Counter.update`` counts it.
+    Both lists are sorted, so the ``u`` of each ``t`` that land in a band
+    are a slice of ``bot``, found by bisection.
     """
+    reach = bands if sign > 0 else [(-hi, -lo) for lo, hi in reversed(bands)]
     for i, lower in enumerate(offs):
         for higher in offs[i + 1 :]:
             for t in reversed(top):
-                base = higher - lower - t
-                k = bisect.bisect_right(bot, window - base)
-                if not k:
+                if not _count_shifted(counts, higher - lower - t, bot, sign, reach):
                     break
-                shift = sign * base
-                counts.update(map(shift.__add__ if sign > 0 else shift.__sub__, bot[:k]))
 
 
 def _pair_profiles(
-    spec: RankOneSpec, stage_f: int, stage_g: int, window: int
+    spec: RankOneSpec, stage_f: int, stage_g: int, bands: list[Band]
 ) -> Iterator[PairProfile]:
-    """Yield the profile at every depth from ``max(stage_f, stage_g)`` down."""
+    """Yield the profile at every depth from ``max(stage_f, stage_g)`` down,
+    counting pairs only at the differences inside the sorted, disjoint
+    ``bands``.  A count at depth ``d + 1`` is ``cuts`` times its depth-``d``
+    count plus the cross-copy pairs at the same difference, so leaving out
+    the other differences changes none of these.  The bottom and top
+    windows reach as far as the farthest band."""
+    window = max((abs(x) for band in bands for x in band), default=0)
     heights = spec.heights()
     widths = spec.widths()
     d0 = max(stage_f, stage_g)
@@ -136,10 +218,12 @@ def _pair_profiles(
     for d in range(stage_g, d0):
         wg = wg.step(spec.stages[d - 1], heights[d - 1], heights[d], window)
     # one of the two windows is still the base position 0
-    counts = Counter(b - a for a in wf.bot for b in wg.bot)
+    counts = Counter()
+    for a in wf.bot:
+        _count_shifted(counts, -a, wg.bot, 1, bands)
     prof = PairProfile(
         depth=d0, height=heights[d0 - 1], width=widths[d0 - 1],
-        window=window, counts=counts, f=wf, g=wg,
+        bands=bands, counts=counts, f=wf, g=wg,
     )
     yield prof
     for d in range(d0, spec.max_depth):
@@ -149,21 +233,15 @@ def _pair_profiles(
         # scaled in place: a copied dict comprehension would be a third live table
         counts = Counter()
         dict.update(counts, zip(prof.counts, map(st.cuts.__mul__, prof.counts.values())))
-        _count_cross(counts, offs, prof.f.top, prof.g.bot, window, 1)
-        _count_cross(counts, offs, prof.g.top, prof.f.bot, window, -1)
+        _count_cross(counts, offs, prof.f.top, prof.g.bot, bands, 1)
+        _count_cross(counts, offs, prof.g.top, prof.f.bot, bands, -1)
         prof = PairProfile(
             depth=d + 1, height=h_new, width=widths[d],
-            window=window, counts=counts,
+            bands=bands, counts=counts,
             f=prof.f.step(st, h, h_new, window),
             g=prof.g.step(st, h, h_new, window),
         )
         yield prof
-
-
-def _window_for(f: LevelFunction, g: LevelFunction, n_max: int) -> int:
-    span_f = max(f.levels) if f.levels else 0
-    span_g = max(g.levels) if g.levels else 0
-    return n_max + span_f + span_g
 
 
 class BracketTable:
@@ -260,9 +338,8 @@ class BracketTable:
         """
         if lo > hi:
             return None
-        window = self.prof.window
-        if any(max(abs(lo + s), abs(hi + s)) > window for _, s in self.terms):
-            raise CoverageError(f"lags [{lo}, {hi}] reach past engine window {window}")
+        if not all(self.prof.covers(lo + s, hi + s) for _, s in self.terms):
+            raise CoverageError(f"lags [{lo}, {hi}] reach past the counted bands")
         n = lo
         while True:
             n = self._next_candidate(n)
@@ -282,11 +359,12 @@ class BracketTable:
 
 
 def bracket_table(
-    spec: RankOneSpec, f: LevelFunction, reach: int, g: Optional[LevelFunction] = None
+    spec: RankOneSpec, f: LevelFunction, intervals, g: Optional[LevelFunction] = None
 ) -> BracketTable:
-    """Brackets off the deepest profile, for lags in ``[-reach, reach]``."""
+    """Brackets off the deepest profile, for lags in the ``(lo, hi)``
+    ``intervals``."""
     g = g or f
-    for prof in _pair_profiles(spec, f.stage, g.stage, _window_for(f, g, reach)):
+    for prof in _pair_profiles(spec, f.stage, g.stage, _lag_bands(intervals, f, g)):
         pass
     return BracketTable(prof, f, g)
 
@@ -335,11 +413,11 @@ def correlation_sequence(
     """
     g = g or f
     ns = sorted(set(n_values))
-    reach = max((abs(n) for n in ns), default=0)
+    intervals = _runs(ns)
     if tolerance is None:
-        table = bracket_table(spec, f, reach, g)
+        table = bracket_table(spec, f, intervals, g)
     else:
-        for prof in _pair_profiles(spec, f.stage, g.stage, _window_for(f, g, reach)):
+        for prof in _pair_profiles(spec, f.stage, g.stage, _lag_bands(intervals, f, g)):
             table = BracketTable(prof, f, g)
             if table.within(ns, tolerance):
                 break

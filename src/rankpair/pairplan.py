@@ -225,6 +225,15 @@ class ConstructionCertificate:
 
 
 @dataclass
+class PlanSummary:
+    """The pair-level verdict of a plan, as ``plan.json`` holds it."""
+
+    horizon: int
+    n_zero_threshold: int
+    sound: bool
+
+
+@dataclass
 class PlanResult:
     spec_s: RankOneSpec
     spec_t: RankOneSpec
@@ -237,6 +246,9 @@ class PlanResult:
 
     def pair_sound(self) -> bool:
         return self.cert_s.ok and self.cert_t.ok and self.n_zero_threshold <= self.horizon
+
+    def summary(self) -> PlanSummary:
+        return PlanSummary(self.horizon, self.n_zero_threshold, self.pair_sound())
 
 
 def _plan_side(blocks, horizon: int, policy: GenericPolicy, subject: str):
@@ -336,10 +348,9 @@ def check_certificate(spec: RankOneSpec, cert: ConstructionCertificate) -> None:
     spec realises is recorded as unsatisfied.
     """
     f = cert.tracked
-    lags = [n for z in cert.zero_intervals if z.checked[0] <= z.checked[1] for n in z.checked]
-    lags += [r.time for r in cert.rigidity_times]
-    reach = max((abs(n) for n in lags), default=0)
-    table = bracket_table(spec, f, reach)
+    intervals = [z.checked for z in cert.zero_intervals]
+    intervals += [(r.time, r.time) for r in cert.rigidity_times]
+    table = bracket_table(spec, f, intervals)
     nsq = f.norm_sq(spec)
     for z in cert.zero_intervals:
         z.first_violation = table.first_nonzero(*z.checked)

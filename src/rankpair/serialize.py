@@ -25,7 +25,7 @@ from typing import Any
 
 from .core import LevelFunction, RankOneSpec
 from .correlation import CorrelationSequence
-from .pairplan import ConstructionCertificate, PolynomialSpec
+from .pairplan import ConstructionCertificate, PlanSummary, PolynomialSpec
 from .schedule import IntervalSchedule
 from .walsh import WalshPolynomial
 
@@ -174,6 +174,7 @@ level_function_to_dict = walsh_to_dict = encode
 spec_from_dict = partial(decode, RankOneSpec)
 certificate_from_dict = partial(decode, ConstructionCertificate)
 schedule_from_dict = partial(decode, IntervalSchedule)
+plan_summary_from_dict = partial(decode, PlanSummary)
 level_function_from_dict = partial(decode, LevelFunction)
 walsh_from_dict = partial(decode, WalshPolynomial)
 
@@ -214,18 +215,31 @@ def correlation_table_to_tsv(table: CorrelationSequence) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{text!r} is not a rational") from None
+
+
 def correlation_table_from_tsv(text: str) -> CorrelationSequence:
+    """Parse a table; a malformed row raises a ``ValueError`` naming its line."""
     subject = ""
     norm_sq = Fraction(0)
     entries: dict[int, tuple[Fraction, Fraction]] = {}
-    for line in text.splitlines():
-        if line.startswith("# subject\t"):
-            subject = line.split("\t", 1)[1]
-        elif line.startswith("# norm_sq\t"):
-            norm_sq = Fraction(line.split("\t", 1)[1])
-        elif line.strip() and not line.startswith("n\t"):
-            n_s, lo_s, hi_s = line.split("\t")
-            entries[int(n_s)] = (Fraction(lo_s), Fraction(hi_s))
+    for number, line in enumerate(text.splitlines(), 1):
+        try:
+            if line.startswith("# subject\t"):
+                subject = line.split("\t", 1)[1]
+            elif line.startswith("# norm_sq\t"):
+                norm_sq = _rational(line.split("\t", 1)[1])
+            elif line.strip() and not line.startswith("n\t"):
+                row = line.split("\t")
+                if len(row) != 3:
+                    raise ValueError(f"expected 3 tab-separated fields, got {len(row)}")
+                entries[int(row[0])] = (_rational(row[1]), _rational(row[2]))
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from None
     return CorrelationSequence(entries=entries, norm_sq=norm_sq, subject=subject)
 
 

@@ -20,7 +20,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .core import LevelFunction, RankOneSpec, occurrence_set
+from .core import EscapeCapError, LevelFunction, RankOneSpec, occurrence_set
 from .correlation import CorrelationSequence, CoverageError
 
 _PSD_SLACK = 1e-9
@@ -29,10 +29,6 @@ _CONFIDENCE = 0.95  # level of the normal interval around a covariance estimate
 
 
 class PSDError(ValueError):
-    pass
-
-
-class EscapeCapError(RuntimeError):
     pass
 
 

@@ -1,6 +1,8 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -119,6 +121,38 @@ def test_failure_is_one_line_and_exit_one(tmp_path, monkeypatch, capsys, argv):
     assert main(["--out-dir", str(tmp_path), *argv]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_wrong_typed_plan_summary_is_one_line(tmp_path, capsys):
+    out = str(tmp_path)
+    assert main(["--out-dir", out, "plan", "--horizon", "300"]) == 0
+    plan = ser.read_json(tmp_path / "plan.json")
+    plan["horizon"] = "300"
+    ser.write_json(tmp_path / "plan.json", plan)
+    capsys.readouterr()
+    assert main(["--out-dir", out, "report", "--plan-dir", out]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f'input error: {tmp_path / "plan.json"}: horizon: expected an integer, got "300"'
+    ]
+
+
+@pytest.mark.parametrize("row, problem", [
+    ("0\t1/1", "expected 3 tab-separated fields, got 2"),
+    ("0\t1/1\thalf", "'half' is not a rational"),
+    ("0\t1/0\t1/1", "'1/0' is not a rational"),
+])
+def test_malformed_table_row_names_file_and_line(tmp_path, capsys, row, problem):
+    table = tmp_path / "table.tsv"
+    table.write_text(f"# subject\tf\n# norm_sq\t1/1\nn\tlower\tupper\n{row}\n1\t0/1\t0/1\n")
+    assert main(["--out-dir", str(tmp_path), "spectrum", "--table", str(table)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"input error: {table}: line 4: {problem}"]
+
+
+def test_certification_commands_start_without_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, rankpair.cli; sys.exit('numpy' in sys.modules)"
+    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                   check=True)
 
 
 class TestCorrelate:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rankpair import (
+    BracketTable,
     CorrelationSequence,
     CoverageError,
     RankOneSpec,
@@ -19,7 +20,7 @@ from rankpair import (
     product_correlation,
 )
 
-from rankpair.correlation import _pair_profiles
+from rankpair.correlation import _merge, _pair_profiles
 
 from conftest import oracle_autocorrelation
 from test_core import spec_strategy, stage_strategy
@@ -252,7 +253,7 @@ class TestAgainstBruteForce:
     def test_first_nonzero(self, case, lo, length):
         spec, f, g = case
         hi = lo + length
-        table = bracket_table(spec, f, max(abs(lo), abs(hi)), g)
+        table = bracket_table(spec, f, [(lo, hi)], g)
         nonzero = [n for n in range(lo, hi + 1) if brute_bracket(spec, f, g, n) != (0, 0)]
         assert table.first_nonzero(lo, hi) == (nonzero[0] if nonzero else None)
 
@@ -276,21 +277,79 @@ class TestAgainstBruteForce:
             correlation_sequence(spec, f, lags, g=g, tolerance=tolerance)
         assert exc.value.achieved_gap == max(hi - lo for lo, hi in expected.values())
 
+    @given(cross_case(),
+           st.lists(st.tuples(st.integers(-30, 30), st.integers(0, 3)), min_size=1, max_size=4),
+           st.fractions(min_value=0, max_value=1, max_denominator=8))
+    @settings(max_examples=100, deadline=None)
+    def test_bands_match_full_window(self, case, runs, tolerance):
+        """Counting only the bands that sparse lag runs reach changes no
+        bracket, no zero-claim answer and no tolerance depth."""
+        spec, f, g = case
+        intervals = [(lo, lo + length) for lo, length in runs]
+        lags = sorted({n for lo, hi in intervals for n in range(lo, hi + 1)})
+        reach = max(abs(n) for n in lags)
+        full = bracket_table(spec, f, [(-reach, reach)], g)
+        banded = bracket_table(spec, f, intervals, g)
+        for n in lags:
+            assert banded.bracket(n) == full.bracket(n) == brute_bracket(spec, f, g, n)
+        for lo, hi in intervals:
+            assert banded.first_nonzero(lo, hi) == full.first_nonzero(lo, hi)
+        fitting = (table for table in (
+            BracketTable(prof, f, g)
+            for prof in _pair_profiles(spec, f.stage, g.stage, full.prof.bands)
+        ) if table.within(lags, tolerance))
+        table = next(fitting, None)
+        if table is None:
+            with pytest.raises(ToleranceNotReached):
+                correlation_sequence(spec, f, lags, g=g, tolerance=tolerance)
+        else:
+            seq = correlation_sequence(spec, f, lags, g=g, tolerance=tolerance)
+            assert seq.entries == {n: table.bracket(n) for n in lags}
+
     @given(st.lists(stage_strategy(max_cuts=4), min_size=1, max_size=3),
            st.integers(1, 3), st.data())
     @settings(max_examples=150, deadline=None)
     def test_count_tables(self, stages, base, data):
         """Every depth's count table holds the pair differences of the full
-        occurrence lists within the window; windows run from 0 to the tower
-        height, so the cross-copy cut-off is exercised."""
+        occurrence lists inside the bands and nothing else; band ends run
+        up to the tower height, so the cross-copy cut-off is exercised."""
         spec = RankOneSpec(stages=tuple(stages), base_height=base)
         stage_f = data.draw(st.integers(1, spec.max_depth))
         stage_g = data.draw(st.integers(1, spec.max_depth))
-        window = data.draw(st.integers(0, spec.heights()[-1]))
+        ends = st.integers(-spec.heights()[-1], spec.heights()[-1])
+        bands = _merge(data.draw(st.lists(st.tuples(ends, ends), max_size=3)))
+        assert all(hi + 1 < lo for (_, hi), (lo, _) in zip(bands, bands[1:]))
         depths = []
-        for prof in _pair_profiles(spec, stage_f, stage_g, window):
+        for prof in _pair_profiles(spec, stage_f, stage_g, bands):
             f = occurrence_set(spec, stage_f, prof.depth).positions
             g = occurrence_set(spec, stage_g, prof.depth).positions
-            assert prof.counts == Counter(b - a for a in f for b in g if abs(b - a) <= window)
+            assert prof.counts == Counter(
+                b - a for a in f for b in g if any(lo <= b - a <= hi for lo, hi in bands))
             depths.append(prof.depth)
         assert depths == list(range(max(stage_f, stage_g), spec.max_depth + 1))
+
+
+class TestBandCoverage:
+    """A difference outside the counted bands was never counted, so reading
+    it raises rather than answer zero."""
+
+    # depth-3 tower of height 10; f's levels 0 and 2 give shifts -2, 0, 2
+    spec = RankOneSpec(stages=(StageSpec(2, (1, 0)), StageSpec(2, (4, 0))))
+    f = LevelFunction.from_dict(2, {0: Fraction(1), 2: Fraction(-1)})
+
+    def test_pair_count_just_outside_a_band(self):
+        prof = bracket_table(self.spec, self.f, [(0, 2), (20, 22)]).prof
+        assert prof.bands == [(-2, 4), (18, 24)]
+        for m in (-2, 4, 18, 24):
+            prof.pair_count(m)
+        for m in (-3, 5, 17, 25):
+            with pytest.raises(CoverageError):
+                prof.pair_count(m)
+
+    def test_first_nonzero_just_outside_a_band(self):
+        table = bracket_table(self.spec, self.f, [(5, 8)])
+        assert table.prof.bands == [(3, 10)]
+        table.first_nonzero(5, 8)
+        for lo, hi in ((4, 8), (5, 9)):
+            with pytest.raises(CoverageError):
+                table.first_nonzero(lo, hi)
