@@ -44,27 +44,28 @@ class UsageError(Exception):
     pass
 
 
-# numpy-backed names, imported by the commands that use them, so that the
+# numpy-backed names, resolved by the commands that use them, so that the
 # certification commands start without numpy
-_NUMERIC = {
-    "fejer_density": "spectral",
-    "trig_polynomial_density": "spectral",
-    "SimulationConfig": "suspension",
-    "gaussian_sample": "suspension",
-    "linear_statistic_covariance": "suspension",
-    "poisson_sample_and_push": "suspension",
-}
+_NUMERIC = (
+    "fejer_density",
+    "trig_polynomial_density",
+    "SimulationConfig",
+    "gaussian_sample",
+    "linear_statistic_covariance",
+    "poisson_sample_and_push",
+)
 
 
 def _numeric(*names: str) -> list:
-    """This module's bindings of the numpy-backed ``names``, each imported
-    and bound on first use.  A binding already in place, such as a tracing
-    wrapper set as an attribute, is kept and returned."""
+    """This module's bindings of the numpy-backed ``names``, each resolved
+    through the package and bound on first use.  A binding already in
+    place, such as a tracing wrapper set as an attribute, is kept and
+    returned."""
     bound = globals()
+    package = importlib.import_module(__package__)
     for name in names:
         if name not in bound:
-            module = importlib.import_module(f".{_NUMERIC[name]}", __package__)
-            bound[name] = getattr(module, name)
+            bound[name] = getattr(package, name)
     return [bound[name] for name in names]
 
 

@@ -102,16 +102,6 @@ def _merge(intervals) -> list[Band]:
     return bands
 
 
-def _runs(ns: list[int]) -> list[Band]:
-    """The sorted distinct lags ``ns`` as maximal runs of consecutive lags."""
-    if not ns:
-        return []
-    if ns[-1] - ns[0] == len(ns) - 1:  # a whole lag range, as ``correlate`` asks
-        return [(ns[0], ns[-1])]
-    breaks = [i for i in range(1, len(ns)) if ns[i] != ns[i - 1] + 1]
-    return [(ns[i], ns[j - 1]) for i, j in zip([0] + breaks, breaks + [len(ns)])]
-
-
 def _lag_bands(intervals, f: LevelFunction, g: LevelFunction) -> list[Band]:
     """The differences that brackets over the lag ``intervals`` read: each
     ``[lo, hi]`` reaches ``[lo + min shift, hi + max shift]``, where a
@@ -146,8 +136,7 @@ class PairProfile:
         return i >= 0 and hi <= self.bands[i][1]
 
     def pair_count(self, m: int) -> int:
-        i = bisect.bisect_right(self.bands, m, key=_START) - 1  # covers(m, m), inlined
-        if i < 0 or m > self.bands[i][1]:
+        if not self.covers(m, m):
             raise CoverageError(f"difference {m} outside the counted bands")
         return self.counts[m]
 
@@ -413,7 +402,7 @@ def correlation_sequence(
     """
     g = g or f
     ns = sorted(set(n_values))
-    intervals = _runs(ns)
+    intervals = [(ns[0], ns[-1])] if ns else []
     if tolerance is None:
         table = bracket_table(spec, f, intervals, g)
     else:
