@@ -21,6 +21,7 @@ from .correlation import (
     ToleranceNotReached,
     autocorrelation,
     bracket_table,
+    bracket_tables,
     corr_functional,
     correlation_sequence,
     product_correlation,

@@ -25,11 +25,10 @@ from .correlation import ToleranceNotReached, correlation_sequence, summability_
 from .pairplan import (
     GenericPolicy,
     PlanError,
-    PlanSummary,
     PolynomialSpec,
     check_certificate,
+    pair_summary,
     plan_pair,
-    zero_threshold,
 )
 from .schedule import generate_schedule, validate_schedule
 from .walsh import corr_tail_certificate, lemma3_truncate
@@ -153,14 +152,19 @@ def _load_spec(path: str):
     return spec
 
 
+def _load_function(path: str, spec):
+    """A level function, which must live on a tower of ``spec``."""
+    f = _read(path, ser.level_function_from_dict)
+    issues = f.issues(spec)
+    if issues:
+        raise UsageError(f"{path}: {issues[0]}")
+    return f
+
+
 def cmd_schedule(args) -> int:
     out_dir = _out_dir(args)
     manifest = _manifest(args, "schedule")
-    sched = generate_schedule(
-        growth=Fraction(args.growth),
-        horizon=args.horizon,
-        seed_lengths=tuple(int(x) for x in args.seed_lengths.split(",")),
-    )
+    sched = generate_schedule(growth=Fraction(args.growth), horizon=args.horizon)
     report = validate_schedule(sched)
     _emit(out_dir, manifest, args.out, ser.schedule_to_dict(sched))
     _finish(out_dir, manifest)
@@ -177,7 +181,6 @@ def _policy_from_args(args) -> GenericPolicy:
     else:
         poly = ser.decode(PolynomialSpec, json.loads(args.poly), "--poly")
     return GenericPolicy(
-        blocking_cuts=args.blocking_cuts,
         generic_cuts=args.generic_cuts,
         generic_poly=poly,
         max_generic_per_block=args.max_generic_per_block,
@@ -199,13 +202,13 @@ def cmd_plan(args) -> int:
     _emit(out_dir, manifest, "spec_t.json", ser.spec_to_dict(result.spec_t))
     _emit(out_dir, manifest, "cert_s.json", ser.certificate_to_dict(result.cert_s))
     _emit(out_dir, manifest, "cert_t.json", ser.certificate_to_dict(result.cert_t))
-    _emit(out_dir, manifest, "plan.json", result.summary())
+    _emit(out_dir, manifest, "plan.json", result.summary)
     _finish(out_dir, manifest)
     if not result.pair_sound():
         print("plan FAILED: certificate violation", file=sys.stderr)
         return EXIT_VIOLATION
     print(
-        f"plan ok: horizon {result.horizon}, product correlations vanish "
+        f"plan ok: horizon {result.summary.horizon}, product correlations vanish "
         f"for n >= {result.n_zero_threshold}"
     )
     return EXIT_PASS
@@ -233,7 +236,7 @@ def cmd_correlate(args) -> int:
     out_dir = _out_dir(args)
     manifest = _manifest(args, "correlate")
     spec = _load_spec(args.spec)
-    f = _read(args.function, ser.level_function_from_dict)
+    f = _load_function(args.function, spec)
     seq = correlation_sequence(
         spec,
         f,
@@ -306,7 +309,10 @@ def cmd_simulate(args) -> int:
         if args.spec is None or args.function is None:
             raise UsageError("--kind poisson needs --spec and --function")
         spec = _load_spec(args.spec)
-        f = _read(args.function, ser.level_function_from_dict)
+        f = _load_function(args.function, spec)
+        if f.stage > args.depth:
+            raise UsageError(f"{args.function}: stage {f.stage} is deeper than "
+                             f"--depth {args.depth}")
         pairs = poisson_sample_and_push(
             spec, args.depth, args.intensity, args.steps, config
         )
@@ -391,21 +397,19 @@ def cmd_report(args) -> int:
             f"ok={cert.ok}"
         )
         cert_lines += [f"{cert.subject} unverified: {note}" for note in cert.unverified_notes]
-    horizon = plan.horizon
-    n0 = zero_threshold(horizon, certs)
-    sound = all(cert.ok for cert in certs) and n0 <= horizon
-    if mismatch is None and plan != PlanSummary(horizon, n0, sound):
-        mismatch = (f"plan.json claims n0 {plan.n_zero_threshold}, sound "
-                    f"{plan.sound}; recomputed n0 {n0}, sound {sound}")
+    summary = pair_summary(plan.horizon, certs)
+    if mismatch is None and plan != summary:
+        mismatch = (f"plan.json claims n0 {plan.n_zero_threshold}, sound {plan.sound}; "
+                    f"recomputed n0 {summary.n_zero_threshold}, sound {summary.sound}")
     lines = [
-        f"horizon: {horizon}",
-        f"product correlations vanish for n >= {n0}",
-        f"sound: {sound}",
+        f"horizon: {summary.horizon}",
+        f"product correlations vanish for n >= {summary.n_zero_threshold}",
+        f"sound: {summary.sound}",
         *cert_lines,
     ]
     if mismatch:
         lines.append(f"mismatch: {mismatch}")
-    ok = sound and mismatch is None
+    ok = summary.sound and mismatch is None
     _emit(out_dir, manifest, args.out, {"ok": ok, "summary": lines})
     _finish(out_dir, manifest)
     print("\n".join(lines))
@@ -423,8 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("schedule", help="generate and validate an interval schedule")
     p.add_argument("--growth", default="3", help="geometric growth ratio (rational)")
     p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--seed-lengths", default="2",
-                   help="comma-separated initial breakpoint gaps")
     p.add_argument("--out", default="schedule.json")
     p.set_defaults(func=cmd_schedule)
 
@@ -432,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", default=None, help="schedule file (else generated)")
     p.add_argument("--growth", default="8")
     p.add_argument("--horizon", type=int, default=100)
-    p.add_argument("--blocking-cuts", type=int, default=2)
     p.add_argument("--generic-cuts", type=int, default=4)
     p.add_argument("--poly", default="rigidity",
                    help='"rigidity" or JSON {"coefficients": {"0": "1/2", ...}}')

@@ -73,8 +73,6 @@ class RankOneSpec:
 class OccurrenceSet:
     """Positions of a fixed base level inside a deeper tower."""
 
-    stage_of_level: int
-    depth: int
     positions: tuple[int, ...]
     height: int
     width: Fraction
@@ -109,14 +107,11 @@ class LevelFunction:
         return sum((c * c * w for _, c in self.coefficients), Fraction(0))
 
     def issues(self, spec: RankOneSpec) -> list[str]:
-        out = []
-        if not self.coefficients:
-            out.append("empty level set")
+        if not 1 <= self.stage <= spec.max_depth:
+            return [f"stage {self.stage} outside [1, {spec.max_depth}]"]
         h = spec.heights()[self.stage - 1]
-        for l, _ in self.coefficients:
-            if not 0 <= l < h:
-                out.append(f"level {l} outside [0, {h})")
-        return out
+        out = [] if self.coefficients else ["empty level set"]
+        return out + [f"level {l} outside [0, {h})" for l in self.levels if not 0 <= l < h]
 
 
 @dataclass
@@ -155,8 +150,6 @@ def occurrence_set(spec: RankOneSpec, level_stage: int, depth: int) -> Occurrenc
         h = st.cuts * h + sum(st.spacers)
     positions.sort()
     return OccurrenceSet(
-        stage_of_level=level_stage,
-        depth=depth,
         positions=tuple(positions),
         height=heights[depth - 1],
         width=spec.widths()[depth - 1],

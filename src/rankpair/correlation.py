@@ -56,12 +56,11 @@ class _SetWindow:
 
     bot: list[int]
     top: list[int]
-    count: int
     maxpos: int
 
     @classmethod
     def initial(cls) -> "_SetWindow":
-        return cls(bot=[0], top=[0], count=1, maxpos=0)
+        return cls(bot=[0], top=[0], maxpos=0)
 
     def step(self, st: StageSpec, h: int, h_new: int, window: int) -> "_SetWindow":
         offs = st.offsets(h)
@@ -76,12 +75,7 @@ class _SetWindow:
             if off + self.maxpos < lo:
                 continue
             top.extend(off + a for a in self.top if off + a >= lo)
-        return _SetWindow(
-            bot=bot,
-            top=top,
-            count=self.count * st.cuts,
-            maxpos=offs[-1] + self.maxpos,
-        )
+        return _SetWindow(bot=bot, top=top, maxpos=offs[-1] + self.maxpos)
 
 
 Band = tuple[int, int]
@@ -347,15 +341,23 @@ class BracketTable:
         return best
 
 
+def bracket_tables(
+    spec: RankOneSpec, f: LevelFunction, intervals, g: Optional[LevelFunction] = None
+) -> Iterator[BracketTable]:
+    """Brackets for lags in the ``(lo, hi)`` ``intervals`` off one engine
+    pass, one table per depth from ``max(f.stage, g.stage)`` down."""
+    g = g or f
+    for prof in _pair_profiles(spec, f.stage, g.stage, _lag_bands(intervals, f, g)):
+        yield BracketTable(prof, f, g)
+
+
 def bracket_table(
     spec: RankOneSpec, f: LevelFunction, intervals, g: Optional[LevelFunction] = None
 ) -> BracketTable:
-    """Brackets off the deepest profile, for lags in the ``(lo, hi)``
-    ``intervals``."""
-    g = g or f
-    for prof in _pair_profiles(spec, f.stage, g.stage, _lag_bands(intervals, f, g)):
+    """The deepest of :func:`bracket_tables`."""
+    for table in bracket_tables(spec, f, intervals, g):
         pass
-    return BracketTable(prof, f, g)
+    return table
 
 
 @dataclass
@@ -406,8 +408,7 @@ def correlation_sequence(
     if tolerance is None:
         table = bracket_table(spec, f, intervals, g)
     else:
-        for prof in _pair_profiles(spec, f.stage, g.stage, _lag_bands(intervals, f, g)):
-            table = BracketTable(prof, f, g)
+        for table in bracket_tables(spec, f, intervals, g):
             if table.within(ns, tolerance):
                 break
         else:

@@ -14,13 +14,17 @@ certificate can be re-checked from the emitted spec alone.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .core import LevelFunction, RankOneSpec, StageSpec, validate_spec
-from .correlation import bracket_table, correlation_sequence
+# correlation_sequence is bound only for the traced pass of perfbench/layers.py to wrap
+from .correlation import BracketTable, bracket_tables, correlation_sequence  # noqa: F401
 from .schedule import IntervalSchedule
+
+BLOCKING_CUTS = 2  # columns of every blocking and closing stage
 
 
 class PlanError(RuntimeError):
@@ -68,7 +72,6 @@ class PolynomialSpec:
 def design_blocking_stage(
     current_height: int,
     forbidden: tuple[int, int],
-    cuts: int = 2,
     max_position: Optional[int] = None,
 ) -> StageSpec:
     """A stage placing every new pair difference strictly past ``forbidden``.
@@ -81,8 +84,6 @@ def design_blocking_stage(
     certified with tolerance 0.
     """
     lo, hi = forbidden
-    if cuts < 2:
-        raise ValueError("blocking stage needs at least 2 cuts")
     if lo < 1 or hi < lo:
         raise ValueError(f"bad forbidden interval [{lo}, {hi}]")
     if current_height < 1:
@@ -90,7 +91,7 @@ def design_blocking_stage(
     if max_position is None:
         max_position = current_height - 1
     s = max(hi - current_height + max_position + 1, 0)
-    return StageSpec(cuts=cuts, spacers=(s,) * cuts)
+    return StageSpec(cuts=BLOCKING_CUTS, spacers=(s,) * BLOCKING_CUTS)
 
 
 def apportion(poly: PolynomialSpec, cuts: int) -> dict[int, int]:
@@ -155,17 +156,15 @@ def design_generic_stage(
 
 @dataclass(frozen=True)
 class GenericPolicy:
-    blocking_cuts: int = 2
     generic_cuts: int = 4
     generic_poly: PolynomialSpec = PolynomialSpec.delta(0)
     max_generic_per_block: int = 1
 
     def __post_init__(self):
-        if min(self.blocking_cuts, self.generic_cuts) < 2 or self.max_generic_per_block < 0:
+        if self.generic_cuts < 2 or self.max_generic_per_block < 0:
             raise ValueError(
-                "policy needs blocking and generic cuts >= 2 and "
-                f"max_generic_per_block >= 0, got {self.blocking_cuts}, "
-                f"{self.generic_cuts} and {self.max_generic_per_block}"
+                "policy needs generic cuts >= 2 and max_generic_per_block >= 0, "
+                f"got {self.generic_cuts} and {self.max_generic_per_block}"
             )
 
 
@@ -233,6 +232,13 @@ class PlanSummary:
     sound: bool
 
 
+def pair_summary(horizon: int, certs) -> PlanSummary:
+    """The pair verdict of checked certificates: sound when every claim
+    holds and ``n0`` lies within the horizon."""
+    n0 = zero_threshold(horizon, certs)
+    return PlanSummary(horizon, n0, all(cert.ok for cert in certs) and n0 <= horizon)
+
+
 @dataclass
 class PlanResult:
     spec_s: RankOneSpec
@@ -241,14 +247,14 @@ class PlanResult:
     cert_t: ConstructionCertificate
     f: LevelFunction
     g: LevelFunction
-    horizon: int
-    n_zero_threshold: int = 1
+    summary: PlanSummary
+
+    @property
+    def n_zero_threshold(self) -> int:
+        return self.summary.n_zero_threshold
 
     def pair_sound(self) -> bool:
-        return self.cert_s.ok and self.cert_t.ok and self.n_zero_threshold <= self.horizon
-
-    def summary(self) -> PlanSummary:
-        return PlanSummary(self.horizon, self.n_zero_threshold, self.pair_sound())
+        return self.summary.sound
 
 
 def _plan_side(blocks, horizon: int, policy: GenericPolicy, subject: str):
@@ -302,9 +308,7 @@ def _plan_side(blocks, horizon: int, policy: GenericPolicy, subject: str):
                 f"{subject}: existing differences reach {maxpos}, overlapping "
                 f"forbidden interval [{lo}, {hi}] (construction ordering violated)"
             )
-        stage = design_blocking_stage(
-            height, forbidden, policy.blocking_cuts, max_position=maxpos
-        )
+        stage = design_blocking_stage(height, forbidden, max_position=maxpos)
         ledger.append((len(stages) + 1, height + min(stage.spacers)))
         claims.append(
             ZeroIntervalClaim(
@@ -317,10 +321,7 @@ def _plan_side(blocks, horizon: int, policy: GenericPolicy, subject: str):
     # closing stage: grow the top gap past the horizon so every zero claim
     # can be certified with tolerance 0 from the finite spec
     if height - maxpos <= horizon:
-        stage = StageSpec(
-            cuts=policy.blocking_cuts,
-            spacers=(horizon + 1,) * policy.blocking_cuts,
-        )
+        stage = StageSpec(cuts=BLOCKING_CUTS, spacers=(horizon + 1,) * BLOCKING_CUTS)
         ledger.append((len(stages) + 1, height + horizon + 1))
         apply(stage)
         stages.append(stage)
@@ -339,18 +340,25 @@ def _plan_side(blocks, horizon: int, policy: GenericPolicy, subject: str):
 
 
 def check_certificate(spec: RankOneSpec, cert: ConstructionCertificate) -> None:
-    """Recompute every claim in place from one engine pass.
+    """Recompute every claim in place from one engine pass over the lags
+    of all claims, which yields one bracket table per depth.
 
-    A zero claim is a range query on the deepest profile's count keys and
+    A zero claim is a range query on the deepest table's count keys and
     envelope (:meth:`BracketTable.first_nonzero`), so its cost does not
     grow with the interval's length; rigidity claims read single-lag
-    brackets off the same profile.  A polynomial claim that no stage of the
-    spec realises is recorded as unsatisfied.
+    brackets off the same table.  A polynomial claim also reads the table
+    of the tower its stage is applied to (:func:`verify_polynomial_limit`);
+    one that no stage of the spec realises is recorded as unsatisfied.  A
+    tracked function that lives on no tower of the spec is a ``ValueError``.
     """
     f = cert.tracked
+    issues = f.issues(spec)
+    if issues:
+        raise ValueError(f"{cert.subject} tracked function: {issues[0]}")
     intervals = [z.checked for z in cert.zero_intervals]
     intervals += [(r.time, r.time) for r in cert.rigidity_times]
-    table = bracket_table(spec, f, intervals)
+    claims = [(p.time, p.poly) for p in cert.polynomial_claims]
+    table, at = _one_pass(spec, f, f, intervals, claims)
     nsq = f.norm_sq(spec)
     for z in cert.zero_intervals:
         z.first_violation = table.first_nonzero(*z.checked)
@@ -361,7 +369,7 @@ def check_certificate(spec: RankOneSpec, cert: ConstructionCertificate) -> None:
         r.satisfied = r.lower_bound >= r.target
     for p in cert.polynomial_claims:
         try:
-            res = verify_polynomial_limit(spec, p.time, p.poly, f, f)
+            res = _polynomial_verdict(spec, table, at.get(p.time), p.time, p.poly, f, f)
         except UnsupportedClaim:
             p.satisfied = False
             continue
@@ -409,7 +417,6 @@ def plan_pair(
     check_certificate(spec_s, cert_s)
     check_certificate(spec_t, cert_t)
 
-    n0 = zero_threshold(horizon, (cert_s, cert_t))
     return PlanResult(
         spec_s=spec_s,
         spec_t=spec_t,
@@ -417,8 +424,7 @@ def plan_pair(
         cert_t=cert_t,
         f=cert_s.tracked,
         g=cert_t.tracked,
-        horizon=horizon,
-        n_zero_threshold=n0,
+        summary=pair_summary(horizon, (cert_s, cert_t)),
     )
 
 
@@ -427,6 +433,19 @@ class PolyVerification:
     deviation: Fraction     # certified upper bound on the deviation
     bound: Fraction         # |f||g| (2/cuts + rounding mass); exact when f = g
     satisfied: bool
+
+
+def _one_pass(spec: RankOneSpec, f, g, intervals, claims) -> tuple[BracketTable, dict]:
+    """One engine pass over the lag ``intervals`` and those of the ``(time,
+    poly)`` claims: the deepest table, and by height the tables they read."""
+    intervals = [*intervals, *((t, t) for t, _ in claims),
+                 *((-z, -z) for _, poly in claims for z, _ in poly.coefficients)]
+    times = {t for t, _ in claims}
+    at = {}
+    for table in bracket_tables(spec, f, intervals, g):
+        if table.prof.height in times:
+            at[table.prof.height] = table
+    return table, at
 
 
 def verify_polynomial_limit(
@@ -440,35 +459,29 @@ def verify_polynomial_limit(
 
     The reference correlations are those of the construction *before* the
     stage (the stage itself is what installs the overlap pattern, so the
-    finished transformation's small-lag correlations already include it);
-    the full-depth value of ``(f, T^time g)`` is then compared against the
-    polynomial average of those pre-stage correlations.
+    finished transformation's small-lag correlations already include it),
+    which is the profile of the tower of height ``time``.  One engine pass
+    compares the full-depth value of ``(f, T^time g)`` off the deepest
+    table with the polynomial average of the exact values at ``-z`` off
+    that tower's table.
     """
-    stage_idx = None
-    heights = spec.heights()
-    for i, st in enumerate(spec.stages):
-        if heights[i] == time:
-            stage_idx = i
-            break
-    if stage_idx is None:
-        raise UnsupportedClaim(f"time {time} is not a stage height of the spec")
-    stage = spec.stages[stage_idx]
-    counts = apportion(poly, stage.cuts)
-    realized = {}
-    for s in stage.spacers:
-        realized[s] = realized.get(s, 0) + 1
-    for z, m in counts.items():
-        if realized.get(z, 0) < m:
-            raise UnsupportedClaim(
-                f"stage at height {time} does not realise the polynomial histogram"
-            )
+    final, at = _one_pass(spec, f, g, [], [(time, poly)])
+    return _polynomial_verdict(spec, final, at.get(time), time, poly, f, g)
 
-    pre_spec = RankOneSpec(stages=spec.stages[:stage_idx], base_height=spec.base_height)
-    lhs_lo, lhs_hi = correlation_sequence(spec, f, [time], g=g).entries[time]
+
+def _polynomial_verdict(
+    spec, final: BracketTable, pre: Optional[BracketTable], time, poly, f, g
+) -> PolyVerification:
+    if pre is None or pre is final:  # the deepest tower has no stage applied to it
+        raise UnsupportedClaim(f"time {time} is not a stage height of the spec")
+    stage = spec.stages[pre.prof.depth - 1]
+    realized = Counter(stage.spacers)
+    if any(realized[z] < m for z, m in apportion(poly, stage.cuts).items()):
+        raise UnsupportedClaim(f"stage at height {time} does not realise the polynomial histogram")
+
+    lhs_lo, lhs_hi = final.bracket(time)
     # pre-stage values are finite-tower quantities: take the exact pair count
-    zs = [z for z, _ in poly.coefficients]
-    pre = correlation_sequence(pre_spec, f, [-z for z in zs], g=g)
-    rhs = sum((a * pre.entries[-z][0] for z, a in poly.coefficients), Fraction(0))
+    rhs = sum((a * pre.bracket(-z)[0] for z, a in poly.coefficients), Fraction(0))
     deviation = max(abs(lhs_lo - rhs), abs(lhs_hi - rhs))
     slack = Fraction(2, stage.cuts) + rounding_mass(poly, stage.cuts)
     nf2 = f.norm_sq(spec)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 IntInterval = Optional[tuple[int, int]]  # closed [a, b]; None = empty
 
@@ -87,16 +87,13 @@ def validate_schedule(s: IntervalSchedule) -> ScheduleReport:
     return ScheduleReport(ok=not issues, issues=issues, first_uncovered=first_uncovered)
 
 
-def generate_schedule(
-    growth: Fraction | int = 3,
-    horizon: int = 100,
-    seed_lengths: Sequence[int] = (2,),
-) -> IntervalSchedule:
+def generate_schedule(growth: Fraction | int = 3, horizon: int = 100) -> IntervalSchedule:
     """Deterministic geometric schedule covering ``[1, horizon]``.
 
-    Breakpoints grow by a factor of ``growth`` and are consumed in the
-    cyclic order (block start, previous J end, J start, block end), which
-    yields overlapping I and J chains whose gaps host the tilde intervals.
+    Breakpoints start at 2, grow by a factor of ``growth`` (rounded down)
+    and are consumed in the cyclic order (block start, previous J end, J
+    start, block end), which yields overlapping I and J chains whose gaps
+    host the tilde intervals.
     The last block may run past the horizon; coverage is what matters.
     """
     growth = Fraction(growth)
@@ -104,8 +101,6 @@ def generate_schedule(
         raise ValueError("growth must be at least 2")
     if horizon < 1:
         raise ValueError("horizon must be positive")
-    if not seed_lengths or seed_lengths[0] < 1:
-        raise ValueError("infeasible seed lengths: need a positive first length")
 
     if horizon == 1:
         return IntervalSchedule(
@@ -113,16 +108,10 @@ def generate_schedule(
         )
 
     def grid():
-        p = seed_lengths[0]
-        idx = 0
+        p = 2
         while True:
             yield p
-            idx += 1
-            step = seed_lengths[idx] if idx < len(seed_lengths) else None
-            nxt = max(int(p * growth), p + 1)
-            if step is not None:
-                nxt = max(nxt, p + step)
-            p = nxt
+            p = int(p * growth)  # at least 2 p, since growth >= 2
 
     points = grid()
     # breakpoints: alpha_n < gamma_n < beta_n bound I_n and the start of J_n;

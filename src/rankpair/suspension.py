@@ -153,7 +153,7 @@ def poisson_sample_and_push(
         raise ValueError("intensity must be positive")
     heights = spec.heights()
     if not 1 <= depth <= spec.max_depth:
-        raise IndexError(f"depth {depth} outside [1, {spec.max_depth}]")
+        raise ValueError(f"depth {depth} outside [1, {spec.max_depth}]")
     h = heights[depth - 1]
     w = float(spec.widths()[depth - 1])
     expected_escape = min(abs(steps) / h, 1.0)

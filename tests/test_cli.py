@@ -88,6 +88,15 @@ MALFORMED = {  # files whose fields have the wrong JSON type
     "indices-int.json": {"terms": [{"indices": 3, "coefficient": "1/2"}]},
     "float-coefficient.json": {"stage": 1, "coefficients": {"0": 0.1}},
 }
+STAGE_9 = {"stage": 9, "coefficients": {"0": "1/1"}}
+MISFIT = {  # well-typed files whose level function does not fit its use on the golden spec
+    "stage-0.json": {"stage": 0, "coefficients": {"0": "1/1"}},
+    "stage-9.json": STAGE_9,
+    "level-past-top.json": {"stage": 1, "coefficients": {"5": "1/1"}},  # stage-1 height is 1
+    "stage-3.json": {"stage": 3, "coefficients": {"0": "1/1"}},
+    "tracked-stage-9.json": {**ser.read_json(Path(GOLDEN_SPEC).with_name("cert_s.json")),
+                             "tracked": STAGE_9},
+}
 
 
 def correlate(spec, function="f.json"):
@@ -109,14 +118,23 @@ def correlate(spec, function="f.json"):
     correlate("top-level-array.json"),
     ["lemma3", "--function", "indices-int.json", "--delta", "1/10"],
     correlate(GOLDEN_SPEC, "float-coefficient.json"),
+    correlate(GOLDEN_SPEC, "stage-0.json"),
+    correlate(GOLDEN_SPEC, "stage-9.json"),
+    correlate(GOLDEN_SPEC, "level-past-top.json"),
+    POISSON + ["--depth", "99"],
+    POISSON[:-1] + ["stage-3.json", "--depth", "2"],
+    POISSON[:-1] + ["stage-9.json"],
+    ["verify", "--spec", GOLDEN_SPEC, "--cert", "tracked-stage-9.json"],
 ], ids=["tolerance", "gaussian-no-table", "poisson-no-spec", "intensity-0",
         "escape-cap", "generic-cuts-1", "negative-generic-per-block", "negative-power",
         "spacers-str", "base-height-str", "cuts-float", "top-level-array", "indices-int",
-        "float-coefficient"])
+        "float-coefficient", "function-stage-0", "function-stage-9", "level-past-top",
+        "poisson-depth-99", "function-deeper-than-depth", "poisson-function-stage-9",
+        "tracked-stage-9"])
 def test_failure_is_one_line_and_exit_one(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     write_indicator(tmp_path)
-    for name, content in MALFORMED.items():
+    for name, content in {**MALFORMED, **MISFIT}.items():
         (tmp_path / name).write_text(json.dumps(content))
     assert main(["--out-dir", str(tmp_path), *argv]) == 1
     err = capsys.readouterr().err

@@ -138,3 +138,7 @@ class TestLevelFunction:
     def test_issues(self, small_spec):
         assert LevelFunction.from_dict(2, {5: Fraction(1)}).issues(small_spec)
         assert not LevelFunction.indicator(2).issues(small_spec)
+        # a stage outside the spec is named before any level is looked up
+        for stage in (0, -1, small_spec.max_depth + 1):
+            assert LevelFunction.indicator(stage).issues(small_spec) == [
+                f"stage {stage} outside [1, {small_spec.max_depth}]"]

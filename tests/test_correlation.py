@@ -14,6 +14,7 @@ from rankpair import (
     ToleranceNotReached,
     autocorrelation,
     bracket_table,
+    bracket_tables,
     corr_functional,
     correlation_sequence,
     occurrence_set,
@@ -327,6 +328,23 @@ class TestAgainstBruteForce:
                 b - a for a in f for b in g if any(lo <= b - a <= hi for lo, hi in bands))
             depths.append(prof.depth)
         assert depths == list(range(max(stage_f, stage_g), spec.max_depth + 1))
+
+
+    @given(cross_case(), st.lists(st.integers(-15, 15), min_size=1, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_tables_match_truncated_specs(self, case, lags):
+        """The table one pass yields at depth ``d`` brackets every lag as the
+        spec cut to its first ``d - 1`` stages does at its deepest."""
+        spec, f, g = case
+        intervals = [(n, n) for n in lags]
+        depths = []
+        for table in bracket_tables(spec, f, intervals, g):
+            d = table.prof.depth
+            cut = RankOneSpec(stages=spec.stages[: d - 1], base_height=spec.base_height)
+            for n in lags:
+                assert table.bracket(n) == brute_bracket(cut, f, g, n)
+            depths.append(d)
+        assert depths == list(range(max(f.stage, g.stage), spec.max_depth + 1))
 
 
 class TestBandCoverage:

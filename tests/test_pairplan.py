@@ -1,6 +1,8 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rankpair import (
     ConstructionCertificate,
@@ -21,8 +23,13 @@ from rankpair import (
     verify_polynomial_limit,
     zero_threshold,
 )
+from rankpair import correlation
 from rankpair import serialize as ser
-from rankpair.pairplan import ZeroIntervalClaim, apportion, rounding_mass
+from rankpair.pairplan import UnsupportedClaim, ZeroIntervalClaim, apportion, rounding_mass
+
+from test_core import stage_strategy
+
+POLY_GOLDEN = Path(__file__).parent / "golden" / "poly"
 
 
 class TestPolynomialSpec:
@@ -58,7 +65,7 @@ class TestBlockingStage:
     def test_new_differences_clear_forbidden_interval(self):
         base = RankOneSpec(stages=(StageSpec(2, (1, 1)),))
         h = base.heights()[-1]
-        stage = design_blocking_stage(h, (1, 100), cuts=2)
+        stage = design_blocking_stage(h, (1, 100))
         spec = RankOneSpec(stages=base.stages + (stage,))
         occ = occurrence_set(spec, 1, spec.max_depth)
         diffs = {
@@ -211,3 +218,99 @@ class TestPolynomialLimit:
         f = LevelFunction.indicator(1)
         with pytest.raises(ValueError):
             verify_polynomial_limit(spec, time, other, f, f)
+
+    def test_claim_at_the_final_height_is_unsupported(self):
+        # no stage is applied to the deepest tower
+        poly = PolynomialSpec.from_dict({0: Fraction(1, 2), 1: Fraction(1, 2)})
+        spec, _ = self.build(4, poly)
+        f = LevelFunction.indicator(1)
+        with pytest.raises(UnsupportedClaim):
+            verify_polynomial_limit(spec, spec.heights()[-1], poly, f, f)
+
+
+def truncated_deviation(spec, time, poly, f, g):
+    """The deviation read with a second engine run on the spec cut just
+    before the stage at ``time``, which is the tower the claim reads."""
+    cut = RankOneSpec(stages=spec.stages[: spec.heights().index(time)],
+                      base_height=spec.base_height)
+    lo, hi = correlation_sequence(spec, f, [time], g=g).entries[time]
+    pre = correlation_sequence(cut, f, [-z for z, _ in poly.coefficients], g=g)
+    rhs = sum((a * pre.entries[-z][0] for z, a in poly.coefficients), Fraction(0))
+    return max(abs(lo - rhs), abs(hi - rhs))
+
+
+@st.composite
+def polynomial_case(draw):
+    """A spec whose generic stage realises a drawn polynomial at a drawn
+    height, open stages before and after it, and two signed functions on
+    towers no deeper than the claim's."""
+    before = draw(st.lists(stage_strategy(), max_size=2))
+    base = draw(st.integers(1, 3))
+    heights = RankOneSpec(stages=tuple(before), base_height=base).heights()
+    zs = draw(st.lists(st.integers(0, 4), unique=True, max_size=3))
+    parts = [draw(st.integers(1, 4)) for _ in zs]
+    total = max(sum(parts) + draw(st.integers(0, 3)), 1)
+    poly = PolynomialSpec.from_dict({z: Fraction(k, total) for z, k in zip(zs, parts)})
+    time = heights[-1]
+    generic = design_generic_stage(time, (1, 10 ** 9), poly, draw(st.integers(2, 6)),
+                                   max_position=time - 1)
+    after = draw(st.lists(stage_strategy(), max_size=2))
+    spec = RankOneSpec(stages=(*before, generic, *after), base_height=base)
+
+    def function():
+        stage = draw(st.integers(1, len(heights)))
+        coeffs = draw(st.dictionaries(
+            st.integers(0, heights[stage - 1] - 1),
+            st.fractions(min_value=-2, max_value=2, max_denominator=4),
+            min_size=1, max_size=3,
+        ))
+        return LevelFunction.from_dict(stage, coeffs)
+
+    return spec, time, poly, function(), function()
+
+
+class TestOnePass:
+    """Every claim of a certificate is read off one engine pass."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        calls = []
+        engine = correlation._pair_profiles
+
+        def counted(*args):
+            calls.append(args)
+            return engine(*args)
+
+        monkeypatch.setattr(correlation, "_pair_profiles", counted)
+        return calls
+
+    @staticmethod
+    def golden(side):
+        spec = ser.spec_from_dict(ser.read_json(POLY_GOLDEN / f"spec_{side}.json"))
+        cert = ser.certificate_from_dict(ser.read_json(POLY_GOLDEN / f"cert_{side}.json"))
+        assert cert.polynomial_claims
+        return spec, cert
+
+    @pytest.mark.parametrize("side", "st")
+    def test_check_certificate(self, passes, side):
+        spec, cert = self.golden(side)
+        claimed = ser.certificate_to_dict(cert)
+        check_certificate(spec, cert)
+        assert len(passes) == 1
+        assert ser.certificate_to_dict(cert) == claimed
+
+    @pytest.mark.parametrize("side", "st")
+    def test_verify_polynomial_limit(self, passes, side):
+        spec, cert = self.golden(side)
+        for p in cert.polynomial_claims:
+            passes.clear()
+            res = verify_polynomial_limit(spec, p.time, p.poly, cert.tracked, cert.tracked)
+            assert len(passes) == 1
+            assert (res.deviation, res.bound, res.satisfied) == (p.deviation, p.bound, True)
+
+    @given(polynomial_case())
+    @settings(max_examples=100, deadline=None)
+    def test_pre_stage_values_match_the_truncated_spec(self, case):
+        spec, time, poly, f, g = case
+        res = verify_polynomial_limit(spec, time, poly, f, g)
+        assert res.deviation == truncated_deviation(spec, time, poly, f, g)

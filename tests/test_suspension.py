@@ -143,3 +143,6 @@ class TestConfig:
         cfg = SimulationConfig(sample_count=10, seed=0)
         with pytest.raises(ValueError):
             poisson_sample_and_push(spec, 3, 0.0, 0, cfg)
+        for depth in (0, spec.max_depth + 1):
+            with pytest.raises(ValueError, match=f"depth {depth} outside"):
+                poisson_sample_and_push(spec, depth, 1.0, 0, cfg)
