@@ -70,11 +70,11 @@ _LAZY = {
     "suspension": (
         "CovarianceEstimate",
         "GaussianSample",
+        "MemoryCapError",
         "PoissonPush",
         "PSDError",
         "SimulationConfig",
         "gaussian_sample",
-        "level_values",
         "linear_statistic_covariance",
         "poisson_sample_and_push",
     ),

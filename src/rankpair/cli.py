@@ -299,6 +299,7 @@ def cmd_simulate(args) -> int:
             lag: abs(sample.sample_covariance(lag) - float(seq.midpoint(lag)))
             for lag in range(args.lag_max + 1)
         }
+        manifest.stats = {"length": length, "repaired": sample.repaired}
         payload = {
             "kind": "gaussian",
             "repaired": sample.repaired,
@@ -314,9 +315,18 @@ def cmd_simulate(args) -> int:
             raise UsageError(f"{args.function}: stage {f.stage} is deeper than "
                              f"--depth {args.depth}")
         pairs = poisson_sample_and_push(
-            spec, args.depth, args.intensity, args.steps, config
+            spec, f, args.depth, args.intensity, args.steps, config
         )
         est = linear_statistic_covariance(pairs, f)
+        width = spec.widths()[args.depth - 1]
+        manifest.stats = {
+            "configurations": pairs.n_configs,
+            "points": int(pairs.levels.size),
+            "region_cells": int(pairs.region.size),
+            "region_measure": width * int(pairs.region.size),
+            "tower_measure": width * spec.heights()[args.depth - 1],
+            "escape_basis": "whole tower",
+        }
         exact = correlation_sequence(spec, f, [abs(args.steps)]).entry(abs(args.steps))
         payload = {
             "kind": "poisson",

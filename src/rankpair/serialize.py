@@ -252,6 +252,7 @@ class RunManifest:
     command: str
     arguments: dict[str, Any]
     outputs: list[str] = field(default_factory=list)
+    stats: dict[str, Any] = field(default_factory=dict)  # what the run did, by command
     started_at: str = field(default_factory=_now)
     finished_at: str = ""
     platform: str = platform.platform()

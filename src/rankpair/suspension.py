@@ -1,19 +1,22 @@
 """Monte-Carlo checks of the Gaussian and Poisson suspension layers.
 
 The Gaussian sampler draws stationary sequences whose covariance is a
-given correlation sequence; the Poisson sampler throws configurations on
-a finite tower region and pushes every point along the orbit, so linear
-statistics reproduce the base correlations through the first chaos
-(Campbell's formula).
+given correlation sequence.  The Poisson sampler throws configurations on
+the only cells its statistics read, ``A = supp f ∪ T^-n supp f``, and
+pushes every point ``n`` levels along the orbit, so linear statistics
+reproduce the base correlations through the first chaos (Campbell's
+formula).  Both samplers refuse, before allocating, a run whose arrays
+would exceed a fixed cap.
 
 Randomness uses counter-based Philox streams: stream 0 drives Gaussian
-paths, stream 1 Poisson configuration sizes, stream 2 point positions.
-Identical configs give bit-identical statistics; replicas under distinct
-streams can run concurrently and aggregate by pure reduction.
+paths, stream 1 Poisson configuration sizes, stream 2 point positions,
+stream 3 the whole-tower escape counts.  Identical configs give
+bit-identical statistics.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from statistics import NormalDist
@@ -26,10 +29,19 @@ from .correlation import CorrelationSequence, CoverageError
 _PSD_SLACK = 1e-9
 _ESCAPE_CAP = 0.5   # largest expected escaping fraction a Poisson push accepts
 _CONFIDENCE = 0.95  # level of the normal interval around a covariance estimate
+# memory caps, checked before allocating: a Poisson point costs about 50
+# bytes across the sampler and the estimator, a float array entry 8 bytes
+_POINT_CAP = 10 ** 7        # expected Poisson points in one simulation
+_CELL_CAP = 10 ** 6         # cells of supp f in the sampled tower
+_GAUSSIAN_CAP = 1 << 24     # entries of the Toeplitz matrix and of the paths
 
 
 class PSDError(ValueError):
     pass
+
+
+class MemoryCapError(MemoryError):
+    """A simulation would allocate more than its fixed cap allows."""
 
 
 @dataclass(frozen=True)
@@ -91,8 +103,16 @@ def gaussian_sample(
     The truncated Toeplitz matrix is checked for positive semidefiniteness;
     eigenvalues negative by at most a relative 1e-9 are projected to zero
     (truncating a genuine covariance can graze zero), anything worse is an
-    error naming the first offending leading principal minor.
+    error naming the first offending leading principal minor.  A length
+    whose Toeplitz matrix, or a sample whose paths, would hold more than
+    ``2**24`` entries is refused before anything is allocated.
     """
+    entries = max(length * length, config.sample_count * length)
+    if entries > _GAUSSIAN_CAP:
+        raise MemoryCapError(
+            f"length {length} with {config.sample_count} paths needs an array of {entries} "
+            f"entries, over the cap {_GAUSSIAN_CAP}"
+        )
     if not cov.covers(0, length - 1):
         raise CoverageError(f"covariance must cover lags [0, {length - 1}]")
     r = np.array([float(cov.midpoint(n)) for n in range(length)])
@@ -118,61 +138,101 @@ def gaussian_sample(
 
 @dataclass
 class PoissonPush:
-    """Paired Poisson configurations on a tower region and their push-forward."""
+    """Paired Poisson configurations on ``A = supp f ∪ T^-steps supp f`` and
+    their push-forward."""
 
     spec: RankOneSpec
+    f: LevelFunction
     depth: int
     steps: int
-    levels: np.ndarray        # level index of every sampled point
+    support: np.ndarray       # sorted levels of the cells of supp f
+    weights: np.ndarray       # value of f on each of those cells
+    region: np.ndarray        # sorted levels of the cells of A
+    levels: np.ndarray        # level index of every sampled point, all in A
     config_index: np.ndarray  # which configuration each point belongs to
-    pushed: np.ndarray        # level after the orbit push (escapes included, >= height)
-    escaped: np.ndarray       # bool mask
     n_configs: int
     intensity: float
+    escape_fraction: float    # escaping share of a whole-tower configuration
 
-    @property
-    def escape_fraction(self) -> float:
-        return float(self.escaped.mean()) if self.levels.size else 0.0
+
+def _support(spec: RankOneSpec, f: LevelFunction, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted levels of the cells of ``supp f`` in the depth-``depth`` tower,
+    and the value of ``f`` on each.  Occurrences of the stage-``f.stage``
+    tower lie at least its height apart and every level lies below it, so
+    the cells are distinct."""
+    occ = np.array(occurrence_set(spec, f.stage, depth).positions, dtype=np.int64)
+    levels, coeffs = zip(*f.coefficients)
+    cells = np.add.outer(occ, np.array(levels, dtype=np.int64)).ravel()
+    values = np.tile([float(c) for c in coeffs], occ.size)
+    order = np.argsort(cells)
+    return cells[order], values[order]
+
+
+def _values_at(support: np.ndarray, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``f`` at the levels ``x``: its weight on a support cell, else zero
+    (levels outside the tower included)."""
+    i = np.minimum(np.searchsorted(support, x), support.size - 1)
+    return np.where(support[i] == x, weights[i], 0.0)
 
 
 def poisson_sample_and_push(
     spec: RankOneSpec,
+    f: LevelFunction,
     depth: int,
     intensity: float,
     steps: int,
     config: SimulationConfig,
 ) -> PoissonPush:
-    """Sample configurations on the depth-``depth`` tower and push by the orbit map.
+    """Sample configurations on ``A = supp f ∪ T^-steps supp f`` in the
+    depth-``depth`` tower and push them ``steps`` levels along the orbit.
 
-    Points are uniform over the tower's cells (the statistics only read
-    cell-constant functions); the push adds ``steps`` levels and flags the
-    points that leave the constructed region, exactly like the orbit
-    oracle does.
+    ``N(f)`` and ``N(f) o push`` read no point outside ``A``, and a Poisson
+    process restricted to ``A`` is Poisson with mean ``intensity * mu(A)``,
+    so sampling on ``A`` alone gives their joint law.  Every cell has the
+    same width, so points are uniform over ``A``'s cells.  The escape
+    fraction stays a whole-tower statistic: the share of a whole-tower
+    configuration that the push carries out of ``[0, height)``.
+    Memory is bounded before any array is built: the cell count of
+    ``supp f`` and the expected point count each have a fixed cap.
     """
     if not intensity > 0:  # also rejects NaN
         raise ValueError("intensity must be positive")
-    heights = spec.heights()
     if not 1 <= depth <= spec.max_depth:
         raise ValueError(f"depth {depth} outside [1, {spec.max_depth}]")
-    h = heights[depth - 1]
+    problems = f.issues(spec)
+    if problems:
+        raise ValueError(problems[0])
+    h = spec.heights()[depth - 1]
     w = float(spec.widths()[depth - 1])
-    expected_escape = min(abs(steps) / h, 1.0)
-    if expected_escape > _ESCAPE_CAP:
+    escaping_levels = min(abs(steps), h)
+    if escaping_levels / h > _ESCAPE_CAP:
         raise EscapeCapError(
-            f"expected escaping fraction {expected_escape:.3f} exceeds cap {_ESCAPE_CAP}"
+            f"expected escaping fraction {escaping_levels / h:.3f} exceeds cap {_ESCAPE_CAP}"
         )
-    mean_points = intensity * h * w
+    cells = len(f.coefficients) * math.prod(st.cuts for st in spec.stages[f.stage - 1 : depth - 1])
+    if cells > _CELL_CAP:
+        raise MemoryCapError(f"supp f has {cells} cells at depth {depth}, over the cap {_CELL_CAP}")
+    support, weights = _support(spec, f, depth)
+    shifted = support - steps
+    region = np.union1d(support, shifted[(shifted >= 0) & (shifted < h)])
+    mean_points = intensity * w * region.size
+    if mean_points * config.sample_count > _POINT_CAP:
+        raise MemoryCapError(
+            f"{mean_points * config.sample_count:.3g} expected points, over the cap {_POINT_CAP:.0e}"
+        )
     counts = _stream(config.seed, 1).poisson(mean_points, config.sample_count)
-    total = int(counts.sum())
-    levels = _stream(config.seed, 2).integers(0, h, total)
-    config_index = np.repeat(np.arange(config.sample_count), counts)
-    pushed = levels + steps
-    escaped = (pushed < 0) | (pushed >= h)
+    levels = region[_stream(config.seed, 2).integers(0, region.size, int(counts.sum()))]
+    # whole-tower escape: independent Poisson counts on the escaping and the other levels
+    per_level = intensity * w * config.sample_count
+    escape = _stream(config.seed, 3)
+    escaped = int(escape.poisson(per_level * escaping_levels))
+    total = escaped + int(escape.poisson(per_level * (h - escaping_levels)))
     return PoissonPush(
-        spec=spec, depth=depth, steps=steps,
-        levels=levels, config_index=config_index,
-        pushed=pushed, escaped=escaped,
+        spec=spec, f=f, depth=depth, steps=steps,
+        support=support, weights=weights, region=region, levels=levels,
+        config_index=np.repeat(np.arange(config.sample_count), counts),
         n_configs=config.sample_count, intensity=intensity,
+        escape_fraction=escaped / total if total else 0.0,
     )
 
 
@@ -192,16 +252,6 @@ class CovarianceEstimate:
         return bool(self.ci[0] <= float(hi) and float(lo) <= self.ci[1])
 
 
-def level_values(spec: RankOneSpec, f: LevelFunction, depth: int) -> np.ndarray:
-    """Value of ``f`` on every cell of the depth-``depth`` tower."""
-    occ = occurrence_set(spec, f.stage, depth)
-    val = np.zeros(occ.height)
-    pos = np.array(occ.positions, dtype=np.int64)
-    for level, coeff in f.coefficients:
-        val[pos + level] = float(coeff)
-    return val
-
-
 def linear_statistic_covariance(pairs: PoissonPush, f: LevelFunction) -> CovarianceEstimate:
     """Estimate ``Cov(N(f), N(f) o push) / intensity`` with a 95 % normal CI.
 
@@ -210,18 +260,15 @@ def linear_statistic_covariance(pairs: PoissonPush, f: LevelFunction) -> Covaria
     ``(f, T^steps f)``.  Escaped points are outside the constructed region
     and contribute zero; the certified correlations say when that is exact.
     """
-    val = level_values(pairs.spec, f, pairs.depth)
-    n1 = np.bincount(
-        pairs.config_index, weights=val[pairs.levels], minlength=pairs.n_configs
-    )
-    keep = ~pairs.escaped
-    n2 = np.bincount(
-        pairs.config_index[keep],
-        weights=val[pairs.pushed[keep]],
-        minlength=pairs.n_configs,
-    )
+    if f != pairs.f:
+        raise ValueError("f is not the function the configurations were sampled for")
     if pairs.n_configs < 2:
         raise ValueError("degenerate sample: need at least 2 configurations")
+    n1, n2 = (
+        np.bincount(pairs.config_index, minlength=pairs.n_configs,
+                    weights=_values_at(pairs.support, pairs.weights, levels))
+        for levels in (pairs.levels, pairs.levels + pairs.steps)
+    )
     prods = (n1 - n1.mean()) * (n2 - n2.mean())
     # Campbell: Cov(N(f), N(f) o push) = intensity * integral of f * pushed f
     scale = 1.0 / pairs.intensity

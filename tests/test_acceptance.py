@@ -200,7 +200,7 @@ def test_criterion_7_suspension_first_chaos(planned):
     ok = True
     details = []
     for steps in (0, zero_lag, rigidity):
-        pairs = poisson_sample_and_push(spec, 3, 2.0, steps, config)
+        pairs = poisson_sample_and_push(spec, f, 3, 2.0, steps, config)
         est = linear_statistic_covariance(pairs, f)
         hit = est.contains(exact.entries[steps][0])
         ok = ok and hit

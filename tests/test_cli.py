@@ -99,6 +99,11 @@ MISFIT = {  # well-typed files whose level function does not fit its use on the 
 }
 
 
+OVERSIZED = {  # a spec whose depth-4 tower puts 10^9 occurrences of the stage-1 level
+    "wide-tower.json": {"stages": [{"cuts": 1000, "spacers": [0] * 1000}] * 3},
+}
+
+
 def correlate(spec, function="f.json"):
     return ["correlate", "--spec", spec, "--function", function, "--n-max", "5"]
 
@@ -125,16 +130,21 @@ def correlate(spec, function="f.json"):
     POISSON[:-1] + ["stage-3.json", "--depth", "2"],
     POISSON[:-1] + ["stage-9.json"],
     ["verify", "--spec", GOLDEN_SPEC, "--cert", "tracked-stage-9.json"],
+    POISSON + ["--intensity", "1e12", "--samples", "10"],
+    ["simulate", "--kind", "poisson", "--spec", "wide-tower.json", "--function", "f.json",
+     "--depth", "4"],
+    ["simulate", "--kind", "gaussian", "--table",
+     str(Path(GOLDEN_SPEC).with_name("correlations.tsv")), "--lag-max", "5000"],
 ], ids=["tolerance", "gaussian-no-table", "poisson-no-spec", "intensity-0",
         "escape-cap", "generic-cuts-1", "negative-generic-per-block", "negative-power",
         "spacers-str", "base-height-str", "cuts-float", "top-level-array", "indices-int",
         "float-coefficient", "function-stage-0", "function-stage-9", "level-past-top",
         "poisson-depth-99", "function-deeper-than-depth", "poisson-function-stage-9",
-        "tracked-stage-9"])
+        "tracked-stage-9", "poisson-point-cap", "poisson-cell-cap", "gaussian-matrix-cap"])
 def test_failure_is_one_line_and_exit_one(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     write_indicator(tmp_path)
-    for name, content in {**MALFORMED, **MISFIT}.items():
+    for name, content in {**MALFORMED, **MISFIT, **OVERSIZED}.items():
         (tmp_path / name).write_text(json.dumps(content))
     assert main(["--out-dir", str(tmp_path), *argv]) == 1
     err = capsys.readouterr().err

@@ -8,13 +8,13 @@ from rankpair import (
     CovarianceEstimate,
     EscapeCapError,
     LevelFunction,
+    MemoryCapError,
     PSDError,
     RankOneSpec,
     SimulationConfig,
     StageSpec,
     correlation_sequence,
     gaussian_sample,
-    level_values,
     linear_statistic_covariance,
     occurrence_set,
     poisson_sample_and_push,
@@ -93,39 +93,78 @@ class TestPoisson:
     def test_escape_cap(self, spec):
         with pytest.raises(EscapeCapError):
             poisson_sample_and_push(
-                spec, 1, 1.0, 5, SimulationConfig(sample_count=10, seed=0)
+                spec, LevelFunction.indicator(1), 1, 1.0, 5,
+                SimulationConfig(sample_count=10, seed=0),
             )
 
-    def test_level_values_match_occurrences(self, spec):
+    def test_region_matches_brute_force(self, spec):
+        f = LevelFunction.from_dict(2, {0: Fraction(1), 5: Fraction(-1, 2), 20: Fraction(2)})
+        depth = 3
+        h = spec.heights()[depth - 1]
+        occ = occurrence_set(spec, f.stage, depth).positions
+        supp = {p + level for p in occ for level in f.levels}
+        value = dict(f.coefficients)
+        cfg = SimulationConfig(sample_count=10, seed=0)
+        for steps in (-40, -17, 0, 3, 34, 60):
+            pairs = poisson_sample_and_push(spec, f, depth, 1.0, steps, cfg)
+            assert pairs.support.tolist() == sorted(supp)
+            assert pairs.weights.tolist() == [
+                float(value[x - max(p for p in occ if p <= x)]) for x in sorted(supp)
+            ]
+            region = {x for x in range(h) if x in supp or x + steps in supp}
+            assert pairs.region.tolist() == sorted(region), steps
+
+    def test_point_count_follows_region_measure(self, spec):
         f = LevelFunction.indicator(1)
-        val = level_values(spec, f, 3)
-        occ = occurrence_set(spec, 1, 3)
-        assert set(np.nonzero(val)[0]) == set(occ.positions)
-        assert val.sum() == len(occ.positions)
+        cfg = SimulationConfig(sample_count=20000, seed=2)
+        pairs = poisson_sample_and_push(spec, f, 3, 2.0, 17, cfg)
+        mean = 2.0 * cfg.sample_count * float(spec.widths()[2]) * pairs.region.size
+        assert pairs.region.size == 8  # supp f is the 8 occurrences; T^-17 adds none
+        assert abs(pairs.levels.size - mean) <= 5.5 * np.sqrt(mean)
+        assert np.isin(pairs.levels, pairs.region).all()
+
+    @pytest.mark.parametrize("steps", [-17, 0, 17, 34])
+    def test_escape_fraction_is_whole_tower_share(self, spec, steps):
+        cfg = SimulationConfig(sample_count=20000, seed=4)
+        pairs = poisson_sample_and_push(spec, LevelFunction.indicator(1), 3, 2.0, steps, cfg)
+        h = spec.heights()[2]
+        p = abs(steps) / h
+        points = 2.0 * cfg.sample_count * float(spec.widths()[2]) * h
+        assert abs(pairs.escape_fraction - p) <= 5.5 * np.sqrt(p * (1 - p) / points)
 
     def test_determinism(self, spec):
+        f = LevelFunction.indicator(1)
         cfg = SimulationConfig(sample_count=50, seed=3)
-        a = poisson_sample_and_push(spec, 3, 2.0, 17, cfg)
-        b = poisson_sample_and_push(spec, 3, 2.0, 17, cfg)
+        a = poisson_sample_and_push(spec, f, 3, 2.0, 17, cfg)
+        b = poisson_sample_and_push(spec, f, 3, 2.0, 17, cfg)
         assert np.array_equal(a.levels, b.levels)
-        assert np.array_equal(a.pushed, b.pushed)
+        assert np.array_equal(a.config_index, b.config_index)
+        assert a.escape_fraction == b.escape_fraction
+        assert linear_statistic_covariance(a, f) == linear_statistic_covariance(b, f)
 
     def test_covariance_matches_exact_correlation(self, spec):
         f = LevelFunction.indicator(1)
         cfg = SimulationConfig(sample_count=20000, seed=11)
         exact = correlation_sequence(spec, f, [0, 17, 34], tolerance=Fraction(0))
-        for steps in (0, 17, 34):
-            pairs = poisson_sample_and_push(spec, 3, 2.0, steps, cfg)
+        for steps in (-17, 0, 17, 34):
+            pairs = poisson_sample_and_push(spec, f, 3, 2.0, steps, cfg)
             est = linear_statistic_covariance(pairs, f)
-            assert est.contains(exact.entries[steps][0]), (
-                steps, est.estimate, exact.entries[steps][0]
+            assert est.contains(exact.entries[abs(steps)][0]), (
+                steps, est.estimate, exact.entries[abs(steps)][0]
             )
+
+    def test_covariance_rejects_another_function(self, spec):
+        f = LevelFunction.indicator(1)
+        pairs = poisson_sample_and_push(spec, f, 3, 2.0, 17,
+                                        SimulationConfig(sample_count=10, seed=0))
+        with pytest.raises(ValueError, match="not the function"):
+            linear_statistic_covariance(pairs, LevelFunction.indicator(2))
 
     def test_zero_lag_is_mean_measure(self, spec):
         # sanity for the Campbell normalization: variance / intensity = |f|^2
         f = LevelFunction.indicator(1)
         cfg = SimulationConfig(sample_count=20000, seed=5)
-        pairs = poisson_sample_and_push(spec, 3, 4.0, 0, cfg)
+        pairs = poisson_sample_and_push(spec, f, 3, 4.0, 0, cfg)
         est = linear_statistic_covariance(pairs, f)
         assert est.estimate == pytest.approx(float(f.norm_sq(spec)), abs=0.05)
 
@@ -141,8 +180,24 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimulationConfig(sample_count=0, seed=0)
         cfg = SimulationConfig(sample_count=10, seed=0)
+        f = LevelFunction.indicator(1)
         with pytest.raises(ValueError):
-            poisson_sample_and_push(spec, 3, 0.0, 0, cfg)
+            poisson_sample_and_push(spec, f, 3, 0.0, 0, cfg)
         for depth in (0, spec.max_depth + 1):
             with pytest.raises(ValueError, match=f"depth {depth} outside"):
-                poisson_sample_and_push(spec, depth, 1.0, 0, cfg)
+                poisson_sample_and_push(spec, f, depth, 1.0, 0, cfg)
+        with pytest.raises(ValueError, match="level 40 outside"):
+            poisson_sample_and_push(spec, LevelFunction.indicator(2, 40), 3, 1.0, 0, cfg)
+
+    def test_memory_caps_refuse_before_allocating(self, spec):
+        f = LevelFunction.indicator(1)
+        with pytest.raises(MemoryCapError, match="expected points"):
+            poisson_sample_and_push(spec, f, 3, 1e12, 0, SimulationConfig(sample_count=10))
+        wide = RankOneSpec(stages=(StageSpec(1000, (0,) * 1000),) * 3)
+        with pytest.raises(MemoryCapError, match="cells at depth 4"):
+            poisson_sample_and_push(wide, f, 4, 1.0, 0, SimulationConfig(sample_count=10))
+        s = exact_seq({0: 1})
+        with pytest.raises(MemoryCapError, match="over the cap"):
+            gaussian_sample(s, 5000, SimulationConfig(sample_count=10))
+        with pytest.raises(MemoryCapError, match="over the cap"):
+            gaussian_sample(s, 1, SimulationConfig(sample_count=10 ** 8))
