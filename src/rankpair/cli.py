@@ -2,10 +2,11 @@
 simulate, lemma3, report.
 
 Exit codes: 0 on pass, 1 on usage or input errors and on runs that cannot
-finish (tolerance not reached, planning failure, escape cap, out of
-memory), 2 on a certificate violation.  Every run writes a manifest next
-to its outputs with enough information (arguments, seed, source revision)
-to reproduce it byte-for-byte.  All file writes are atomic.
+finish (tolerance not reached, planning failure, escape cap, memory cap,
+out of memory), 2 on a certificate violation.  Every run writes a manifest
+next to its outputs with enough information (arguments, seed, source
+revision) to reproduce it byte-for-byte; ``simulate`` also records there
+what it sampled (``stats``).  All file writes are atomic.
 """
 
 from __future__ import annotations

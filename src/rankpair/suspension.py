@@ -209,9 +209,13 @@ def poisson_sample_and_push(
         raise EscapeCapError(
             f"expected escaping fraction {escaping_levels / h:.3f} exceeds cap {_ESCAPE_CAP}"
         )
-    cells = len(f.coefficients) * math.prod(st.cuts for st in spec.stages[f.stage - 1 : depth - 1])
-    if cells > _CELL_CAP:
-        raise MemoryCapError(f"supp f has {cells} cells at depth {depth}, over the cap {_CELL_CAP}")
+    cell_count = len(f.coefficients) * math.prod(
+        st.cuts for st in spec.stages[f.stage - 1 : depth - 1]
+    )
+    if cell_count > _CELL_CAP:
+        raise MemoryCapError(
+            f"supp f has {cell_count} cells at depth {depth}, over the cap {_CELL_CAP}"
+        )
     support, weights = _support(spec, f, depth)
     shifted = support - steps
     region = np.union1d(support, shifted[(shifted >= 0) & (shifted < h)])
@@ -259,6 +263,8 @@ def linear_statistic_covariance(pairs: PoissonPush, f: LevelFunction) -> Covaria
     formula the normalized covariance equals the region-restricted value of
     ``(f, T^steps f)``.  Escaped points are outside the constructed region
     and contribute zero; the certified correlations say when that is exact.
+    ``f`` must be the function the configurations were sampled for, since
+    they cover only its region.
     """
     if f != pairs.f:
         raise ValueError("f is not the function the configurations were sampled for")

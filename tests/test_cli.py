@@ -237,6 +237,15 @@ class TestPipeline:
                      "--samples", "2000", "--intensity", "2"]) == 0
         payload = ser.read_json(plan_dir / "simulation.json")
         assert payload["ci_contains_exact"]
+        stats = ser.read_json(plan_dir / "simulate_manifest.json")["stats"]
+        assert stats["configurations"] == 2000 and stats["escape_basis"] == "whole tower"
+        assert Fraction(stats["region_measure"]) / stats["region_cells"] == Fraction(1, 8)
+        assert Fraction(stats["tower_measure"]) > Fraction(stats["region_measure"])
+        assert main(["--out-dir", out, "simulate", "--kind", "gaussian",
+                     "--table", str(plan_dir / "correlations.tsv"),
+                     "--lag-max", "5", "--samples", "200"]) == 0
+        stats = ser.read_json(plan_dir / "simulate_manifest.json")["stats"]
+        assert stats == {"length": 11, "repaired": False}
 
     def test_lemma3(self, tmp_path):
         w = tmp_path / "w.json"
