@@ -7,6 +7,11 @@ out of memory), 2 on a certificate violation.  Every run writes a manifest
 next to its outputs with enough information (arguments, seed, source
 revision) to reproduce it byte-for-byte; ``simulate`` also records there
 what it sampled (``stats``).  All file writes are atomic.
+
+``main`` owns the run: it makes the output directory (``--out-dir``,
+default ``.``) and the manifest, hands the command an output handle, and
+writes the manifest when the command returns with exit 0 or 2.  A run
+that stops on an error writes no manifest.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ import argparse
 import contextlib
 import importlib
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -44,7 +48,7 @@ class UsageError(Exception):
     pass
 
 
-# numpy-backed names, resolved by the commands that use them, so that the
+# numpy-backed names, bound in this module on first use so that the
 # certification commands start without numpy
 _NUMERIC = (
     "fejer_density",
@@ -56,24 +60,17 @@ _NUMERIC = (
 )
 
 
-def _numeric(*names: str) -> list:
-    """This module's bindings of the numpy-backed ``names``, each resolved
-    through the package and bound on first use.  A binding already in
-    place, such as a tracing wrapper set as an attribute, is kept and
-    returned."""
-    bound = globals()
-    package = importlib.import_module(__package__)
-    for name in names:
-        if name not in bound:
-            bound[name] = getattr(package, name)
-    return [bound[name] for name in names]
-
-
 def __getattr__(name: str):
-    # PEP 562: the numpy-backed names also resolve as attributes
-    if name in _NUMERIC:
-        return _numeric(name)[0]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    """PEP 562: bind a numpy-backed name in this module on first use.
+    Commands call these names as ``_here.<name>``, so a binding already set
+    as an attribute, such as a tracing wrapper, is the one that runs."""
+    if name not in _NUMERIC:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(__package__), name)
+    return value
+
+
+_here = sys.modules[__name__]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,28 +96,26 @@ def _revision() -> str:
         return "unknown"
 
 
-def _out_dir(args) -> Path:
-    d = Path(args.out_dir or os.environ.get("RANKPAIR_OUT", "."))
-    d.mkdir(parents=True, exist_ok=True)
-    return d
+class _Output:
+    """One run's outputs: ``emit`` writes a file to the output directory
+    and lists it in the manifest, ``stats`` is the manifest's record of
+    what the run did.  ``main`` writes the manifest when the command
+    returns."""
 
+    def __init__(self, args):
+        self.dir = Path(args.out_dir)
+        self.dir.mkdir(parents=True, exist_ok=True)
+        arguments = {k: v for k, v in vars(args).items() if k != "func"}
+        self.manifest = ser.RunManifest(args.command, {**arguments, "version": _revision()})
+        self.stats = self.manifest.stats
 
-def _manifest(args, command: str) -> ser.RunManifest:
-    arguments = {k: v for k, v in vars(args).items() if k != "func"}
-    return ser.RunManifest(command, {**arguments, "version": _revision()})
-
-
-def _emit(out_dir: Path, manifest: ser.RunManifest, name: str, payload) -> None:
-    path = out_dir / name
-    if name.endswith(".tsv"):
-        ser.atomic_write_text(path, payload)
-    else:
-        ser.write_json(path, payload)
-    manifest.outputs.append(str(path))
-
-
-def _finish(out_dir: Path, manifest: ser.RunManifest) -> None:
-    manifest.finish(out_dir / f"{manifest.command}_manifest.json")
+    def emit(self, name: str, payload) -> None:
+        path = self.dir / name
+        if name.endswith(".tsv"):
+            ser.atomic_write_text(path, payload)
+        else:
+            ser.write_json(path, payload)
+        self.manifest.outputs.append(str(path))
 
 
 @contextlib.contextmanager
@@ -162,13 +157,10 @@ def _load_function(path: str, spec):
     return f
 
 
-def cmd_schedule(args) -> int:
-    out_dir = _out_dir(args)
-    manifest = _manifest(args, "schedule")
+def cmd_schedule(args, out: _Output) -> int:
     sched = generate_schedule(growth=Fraction(args.growth), horizon=args.horizon)
     report = validate_schedule(sched)
-    _emit(out_dir, manifest, args.out, ser.schedule_to_dict(sched))
-    _finish(out_dir, manifest)
+    out.emit(args.out, ser.schedule_to_dict(sched))
     if not report.ok:
         print(f"schedule INVALID: {report.issues[0]}", file=sys.stderr)
         return EXIT_VIOLATION
@@ -181,16 +173,10 @@ def _policy_from_args(args) -> GenericPolicy:
         poly = PolynomialSpec.delta(0)
     else:
         poly = ser.decode(PolynomialSpec, json.loads(args.poly), "--poly")
-    return GenericPolicy(
-        generic_cuts=args.generic_cuts,
-        generic_poly=poly,
-        max_generic_per_block=args.max_generic_per_block,
-    )
+    return GenericPolicy(generic_cuts=args.generic_cuts, generic_poly=poly)
 
 
-def cmd_plan(args) -> int:
-    out_dir = _out_dir(args)
-    manifest = _manifest(args, "plan")
+def cmd_plan(args, out: _Output) -> int:
     if args.schedule:
         sched = _read(args.schedule, ser.schedule_from_dict)
     else:
@@ -199,12 +185,11 @@ def cmd_plan(args) -> int:
     if not report.ok:
         raise UsageError(f"schedule invalid: {report.issues[0]}")
     result = plan_pair(sched, _policy_from_args(args))
-    _emit(out_dir, manifest, "spec_s.json", ser.spec_to_dict(result.spec_s))
-    _emit(out_dir, manifest, "spec_t.json", ser.spec_to_dict(result.spec_t))
-    _emit(out_dir, manifest, "cert_s.json", ser.certificate_to_dict(result.cert_s))
-    _emit(out_dir, manifest, "cert_t.json", ser.certificate_to_dict(result.cert_t))
-    _emit(out_dir, manifest, "plan.json", result.summary)
-    _finish(out_dir, manifest)
+    out.emit("spec_s.json", ser.spec_to_dict(result.spec_s))
+    out.emit("spec_t.json", ser.spec_to_dict(result.spec_t))
+    out.emit("cert_s.json", ser.certificate_to_dict(result.cert_s))
+    out.emit("cert_t.json", ser.certificate_to_dict(result.cert_t))
+    out.emit("plan.json", result.summary)
     if not result.pair_sound():
         print("plan FAILED: certificate violation", file=sys.stderr)
         return EXIT_VIOLATION
@@ -215,17 +200,14 @@ def cmd_plan(args) -> int:
     return EXIT_PASS
 
 
-def cmd_verify(args) -> int:
-    out_dir = _out_dir(args)
-    manifest = _manifest(args, "verify")
+def cmd_verify(args, out: _Output) -> int:
     spec = _load_spec(args.spec)
     cert = _read(args.cert, ser.certificate_from_dict)
     problem = _recheck(spec, cert)
-    _emit(out_dir, manifest, "verify_report.json", {
+    out.emit("verify_report.json", {
         "ok": problem is None,
         "recomputed": ser.certificate_to_dict(cert),
     })
-    _finish(out_dir, manifest)
     if problem:
         print(f"verify FAILED: {problem}", file=sys.stderr)
         return EXIT_VIOLATION
@@ -233,40 +215,34 @@ def cmd_verify(args) -> int:
     return EXIT_PASS
 
 
-def cmd_correlate(args) -> int:
-    out_dir = _out_dir(args)
-    manifest = _manifest(args, "correlate")
+def cmd_correlate(args, out: _Output) -> int:
     spec = _load_spec(args.spec)
     f = _load_function(args.function, spec)
     seq = correlation_sequence(
         spec,
         f,
         range(args.n_min, args.n_max + 1),
-        tolerance=Fraction(args.tolerance),
+        tolerance=Fraction(0),
         subject=Path(args.function).stem,
     )
-    _emit(out_dir, manifest, args.out, ser.correlation_table_to_tsv(seq))
-    _finish(out_dir, manifest)
+    out.emit(args.out, ser.correlation_table_to_tsv(seq))
     exact = sum(lo == hi for lo, hi in seq.entries.values())
     print(f"correlate ok: {len(seq.entries)} lags, {exact} exact")
     return EXIT_PASS
 
 
-def cmd_spectrum(args) -> int:
-    out_dir = _out_dir(args)
-    manifest = _manifest(args, "spectrum")
-    fejer_density, trig_polynomial_density = _numeric("fejer_density", "trig_polynomial_density")
+def cmd_spectrum(args, out: _Output) -> int:
     seq = _read_table(args.table)
     if args.exact:
-        est = trig_polynomial_density(seq, args.grid)
+        est = _here.trig_polynomial_density(seq, args.grid)
     else:
-        est = fejer_density(seq, args.order, args.grid)
+        est = _here.fejer_density(seq, args.order, args.grid)
     summ = summability_report(seq, (min(seq.entries), max(seq.entries)))
     lines = ["theta\tdensity"]
     for theta, v in zip(est.thetas, est.values):
         lines.append(f"{theta:.12g}\t{v:.12g}")
-    _emit(out_dir, manifest, args.out, "\n".join(lines) + "\n")
-    _emit(out_dir, manifest, "spectrum_summary.json", {
+    out.emit(args.out, "\n".join(lines) + "\n")
+    out.emit("spectrum_summary.json", {
         "grid_mean": est.grid_mean(),
         "min_value": est.min_value(),
         "exact": est.exact,
@@ -274,7 +250,6 @@ def cmd_spectrum(args) -> int:
         "l2": summ.l2,
         "support": summ.support,
     })
-    _finish(out_dir, manifest)
     print(
         f"spectrum ok: grid mean {est.grid_mean():.6g}, "
         f"min {est.min_value():.6g}"
@@ -282,25 +257,19 @@ def cmd_spectrum(args) -> int:
     return EXIT_PASS
 
 
-def cmd_simulate(args) -> int:
-    out_dir = _out_dir(args)
-    manifest = _manifest(args, "simulate")
-    (SimulationConfig, gaussian_sample, linear_statistic_covariance,
-     poisson_sample_and_push) = _numeric("SimulationConfig", "gaussian_sample",
-                                         "linear_statistic_covariance",
-                                         "poisson_sample_and_push")
-    config = SimulationConfig(sample_count=args.samples, seed=args.seed)
+def cmd_simulate(args, out: _Output) -> int:
+    config = _here.SimulationConfig(sample_count=args.samples, seed=args.seed)
     if args.kind == "gaussian":
         if args.table is None:
             raise UsageError("--kind gaussian needs --table")
         seq = _read_table(args.table)
         length = args.lag_max * 2 + 1
-        sample = gaussian_sample(seq, length, config)
+        sample = _here.gaussian_sample(seq, length, config)
         errors = {
             lag: abs(sample.sample_covariance(lag) - float(seq.midpoint(lag)))
             for lag in range(args.lag_max + 1)
         }
-        manifest.stats = {"length": length, "repaired": sample.repaired}
+        out.stats.update({"length": length, "repaired": sample.repaired})
         payload = {
             "kind": "gaussian",
             "repaired": sample.repaired,
@@ -315,19 +284,19 @@ def cmd_simulate(args) -> int:
         if f.stage > args.depth:
             raise UsageError(f"{args.function}: stage {f.stage} is deeper than "
                              f"--depth {args.depth}")
-        pairs = poisson_sample_and_push(
+        pairs = _here.poisson_sample_and_push(
             spec, f, args.depth, args.intensity, args.steps, config
         )
-        est = linear_statistic_covariance(pairs, f)
+        est = _here.linear_statistic_covariance(pairs, f)
         width = spec.widths()[args.depth - 1]
-        manifest.stats = {
+        out.stats.update({
             "configurations": pairs.n_configs,
             "points": int(pairs.levels.size),
             "region_cells": int(pairs.region.size),
             "region_measure": width * int(pairs.region.size),
             "tower_measure": width * spec.heights()[args.depth - 1],
             "escape_basis": "whole tower",
-        }
+        })
         exact = correlation_sequence(spec, f, [abs(args.steps)]).entry(abs(args.steps))
         payload = {
             "kind": "poisson",
@@ -339,19 +308,16 @@ def cmd_simulate(args) -> int:
             "exact_bracket": exact,
             "ci_contains_exact": est.overlaps(*exact),
         }
-    _emit(out_dir, manifest, args.out, payload)
-    _finish(out_dir, manifest)
+    out.emit(args.out, payload)
     print(f"simulate ok ({args.kind})")
     return EXIT_PASS
 
 
-def cmd_lemma3(args) -> int:
-    out_dir = _out_dir(args)
-    manifest = _manifest(args, "lemma3")
+def cmd_lemma3(args, out: _Output) -> int:
     f = _read(args.function, ser.walsh_from_dict)
     trunc = lemma3_truncate(f, Fraction(args.delta))
     residual = corr_tail_certificate(trunc.f_prime, trunc.cutoff, args.horizon)
-    _emit(out_dir, manifest, args.out, {
+    out.emit(args.out, {
         "f_prime": ser.walsh_to_dict(trunc.f_prime),
         "cutoff": trunc.cutoff,
         "kept_norm_sq": trunc.kept_norm_sq,
@@ -359,7 +325,6 @@ def cmd_lemma3(args) -> int:
         "distance_below_delta": trunc.distance_below(Fraction(args.delta)),
         "residual_correlation": residual,
     })
-    _finish(out_dir, manifest)
     if residual != 0 or not trunc.distance_below(Fraction(args.delta)):
         print("lemma3 FAILED: truncation guarantee violated", file=sys.stderr)
         return EXIT_VIOLATION
@@ -389,9 +354,7 @@ def _recheck(spec, cert) -> Optional[str]:
     return None
 
 
-def cmd_report(args) -> int:
-    out_dir = _out_dir(args)
-    manifest = _manifest(args, "report")
+def cmd_report(args, out: _Output) -> int:
     plan_dir = Path(args.plan_dir)
     plan = _read(plan_dir / "plan.json", ser.plan_summary_from_dict)
     certs, cert_lines, mismatch = [], [], None
@@ -421,8 +384,7 @@ def cmd_report(args) -> int:
     if mismatch:
         lines.append(f"mismatch: {mismatch}")
     ok = summary.sound and mismatch is None
-    _emit(out_dir, manifest, args.out, {"ok": ok, "summary": lines})
-    _finish(out_dir, manifest)
+    out.emit(args.out, {"ok": ok, "summary": lines})
     print("\n".join(lines))
     if mismatch:
         print(f"report FAILED: {mismatch}", file=sys.stderr)
@@ -431,8 +393,7 @@ def cmd_report(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="rankpair", description=__doc__)
-    parser.add_argument("--out-dir", default=None,
-                        help="output directory (default: $RANKPAIR_OUT or .)")
+    parser.add_argument("--out-dir", default=".", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("schedule", help="generate and validate an interval schedule")
@@ -448,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generic-cuts", type=int, default=4)
     p.add_argument("--poly", default="rigidity",
                    help='"rigidity" or JSON {"coefficients": {"0": "1/2", ...}}')
-    p.add_argument("--max-generic-per-block", type=int, default=1)
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("verify", help="recheck a certificate against its spec")
@@ -461,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function", required=True)
     p.add_argument("--n-min", type=int, default=0)
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--tolerance", default="0")
     p.add_argument("--out", default="correlations.tsv")
     p.set_defaults(func=cmd_correlate)
 
@@ -508,7 +467,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        out = _Output(args)
+        code = args.func(args, out)
+        out.manifest.finish(out.dir / f"{args.command}_manifest.json")
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

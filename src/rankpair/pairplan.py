@@ -158,14 +158,10 @@ def design_generic_stage(
 class GenericPolicy:
     generic_cuts: int = 4
     generic_poly: PolynomialSpec = PolynomialSpec.delta(0)
-    max_generic_per_block: int = 1
 
     def __post_init__(self):
-        if self.generic_cuts < 2 or self.max_generic_per_block < 0:
-            raise ValueError(
-                "policy needs generic cuts >= 2 and max_generic_per_block >= 0, "
-                f"got {self.generic_cuts} and {self.max_generic_per_block}"
-            )
+        if self.generic_cuts < 2:
+            raise ValueError(f"policy needs generic cuts >= 2, got {self.generic_cuts}")
 
 
 @dataclass
@@ -258,8 +254,9 @@ class PlanResult:
 
 
 def _plan_side(blocks, horizon: int, policy: GenericPolicy, subject: str):
-    """Plan one factor: per block, optional generic stages in the budget that
-    precedes the forbidden interval, then the blocking stage itself."""
+    """Plan one factor: per block, a generic stage in the budget that
+    precedes the forbidden interval when one fits, then the blocking stage
+    itself."""
     stages: list[StageSpec] = []
     height = 1
     maxpos = 0  # exact largest occurrence position == largest pair difference
@@ -277,15 +274,14 @@ def _plan_side(blocks, horizon: int, policy: GenericPolicy, subject: str):
 
     for budget, forbidden in blocks:
         if budget is not None:
-            for _ in range(policy.max_generic_per_block):
-                try:
-                    stage = design_generic_stage(
-                        height, budget, policy.generic_poly,
-                        policy.generic_cuts, max_position=maxpos,
-                    )
-                except PlanError:
-                    skipped.append(budget)
-                    break
+            try:
+                stage = design_generic_stage(
+                    height, budget, policy.generic_poly,
+                    policy.generic_cuts, max_position=maxpos,
+                )
+            except PlanError:
+                skipped.append(budget)
+            else:
                 time = height
                 ledger.append((len(stages) + 1, height + min(stage.spacers)))
                 if policy.generic_poly.is_rigidity():

@@ -47,7 +47,6 @@ class IntervalSchedule:
 class ScheduleReport:
     ok: bool
     issues: list[str] = field(default_factory=list)
-    first_uncovered: Optional[int] = None
 
 
 def validate_schedule(s: IntervalSchedule) -> ScheduleReport:
@@ -72,19 +71,13 @@ def validate_schedule(s: IntervalSchedule) -> ScheduleReport:
         iv for b in s.blocks for iv in (b.i, b.j) if iv is not None
     )
     covered_to = 0
-    first_uncovered = None
     for a, b in spans:
         if a > covered_to + 1:
-            first_uncovered = covered_to + 1
             break
         covered_to = max(covered_to, b)
-    if first_uncovered is None and covered_to < s.horizon:
-        first_uncovered = covered_to + 1
-    if first_uncovered is not None and first_uncovered <= s.horizon:
-        issues.append(f"uncovered: {first_uncovered}")
-    else:
-        first_uncovered = None
-    return ScheduleReport(ok=not issues, issues=issues, first_uncovered=first_uncovered)
+    if covered_to < s.horizon:
+        issues.append(f"uncovered: {covered_to + 1}")
+    return ScheduleReport(ok=not issues, issues=issues)
 
 
 def generate_schedule(growth: Fraction | int = 3, horizon: int = 100) -> IntervalSchedule:

@@ -119,13 +119,18 @@ def gaussian_sample(
     idx = np.arange(length)
     toep = r[np.abs(np.subtract.outer(idx, idx))]
     eigvals, eigvecs = np.linalg.eigh(toep)
-    scale = max(r[0], 1.0)
-    if eigvals[0] < -_PSD_SLACK * scale:
-        minor = next(
-            (k for k in range(1, length + 1)
-             if np.linalg.det(toep[:k, :k]) < -_PSD_SLACK * scale ** k),
-            length,
-        )
+    slack = _PSD_SLACK * max(r[0], 1.0)
+    if eigvals[0] < -slack:
+        # bisect for the first leading block with an eigenvalue below -slack:
+        # by Cauchy interlacing that eigenvalue never rises with the order
+        within, minor = 0, length
+        while minor - within > 1:
+            k = (within + minor) // 2
+            try:
+                np.linalg.cholesky(toep[:k, :k] + slack * np.eye(k))
+                within = k
+            except np.linalg.LinAlgError:
+                minor = k
         raise PSDError(
             f"covariance not PSD: min eigenvalue {eigvals[0]:.3e}, "
             f"first offending leading minor of order {minor}"
@@ -141,9 +146,7 @@ class PoissonPush:
     """Paired Poisson configurations on ``A = supp f ∪ T^-steps supp f`` and
     their push-forward."""
 
-    spec: RankOneSpec
     f: LevelFunction
-    depth: int
     steps: int
     support: np.ndarray       # sorted levels of the cells of supp f
     weights: np.ndarray       # value of f on each of those cells
@@ -232,7 +235,7 @@ def poisson_sample_and_push(
     escaped = int(escape.poisson(per_level * escaping_levels))
     total = escaped + int(escape.poisson(per_level * (h - escaping_levels)))
     return PoissonPush(
-        spec=spec, f=f, depth=depth, steps=steps,
+        f=f, steps=steps,
         support=support, weights=weights, region=region, levels=levels,
         config_index=np.repeat(np.arange(config.sample_count), counts),
         n_configs=config.sample_count, intensity=intensity,

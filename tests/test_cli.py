@@ -10,6 +10,7 @@ import pytest
 
 from rankpair import LevelFunction, WalshPolynomial, correlation_sequence
 from rankpair import serialize as ser
+from rankpair import cli
 from rankpair.cli import main
 
 
@@ -79,6 +80,7 @@ class TestExitCodes:
 
 
 GOLDEN_SPEC = str(Path(__file__).parent / "golden" / "default" / "spec_s.json")
+GOLDEN_TABLE = str(Path(GOLDEN_SPEC).with_name("correlations.tsv"))
 POISSON = ["simulate", "--kind", "poisson", "--spec", GOLDEN_SPEC, "--function", "f.json"]
 MALFORMED = {  # files whose fields have the wrong JSON type
     "spacers-str.json": {"base_height": 1, "stages": [{"cuts": 2, "spacers": ["1", "0"]}]},
@@ -115,7 +117,6 @@ def correlate(spec, function="f.json"):
     POISSON + ["--intensity", "0"],
     POISSON + ["--steps", "100000"],
     ["plan", "--generic-cuts", "1"],
-    ["plan", "--max-generic-per-block", "-1"],
     ["plan", "--horizon", "1000", "--poly", '{"coefficients": {"-1": "1/2"}}'],
     correlate("spacers-str.json"),
     correlate("base-height-str.json"),
@@ -133,10 +134,9 @@ def correlate(spec, function="f.json"):
     POISSON + ["--intensity", "1e12", "--samples", "10"],
     ["simulate", "--kind", "poisson", "--spec", "wide-tower.json", "--function", "f.json",
      "--depth", "4"],
-    ["simulate", "--kind", "gaussian", "--table",
-     str(Path(GOLDEN_SPEC).with_name("correlations.tsv")), "--lag-max", "5000"],
+    ["simulate", "--kind", "gaussian", "--table", GOLDEN_TABLE, "--lag-max", "5000"],
 ], ids=["tolerance", "gaussian-no-table", "poisson-no-spec", "intensity-0",
-        "escape-cap", "generic-cuts-1", "negative-generic-per-block", "negative-power",
+        "escape-cap", "generic-cuts-1", "negative-power",
         "spacers-str", "base-height-str", "cuts-float", "top-level-array", "indices-int",
         "float-coefficient", "function-stage-0", "function-stage-9", "level-past-top",
         "poisson-depth-99", "function-deeper-than-depth", "poisson-function-stage-9",
@@ -149,6 +149,7 @@ def test_failure_is_one_line_and_exit_one(tmp_path, monkeypatch, capsys, argv):
     assert main(["--out-dir", str(tmp_path), *argv]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not list(tmp_path.glob("*_manifest.json"))
 
 
 def test_wrong_typed_plan_summary_is_one_line(tmp_path, capsys):
@@ -183,6 +184,22 @@ def test_certification_commands_start_without_numpy():
                    check=True)
 
 
+def test_commands_run_the_module_binding(tmp_path, monkeypatch):
+    """A wrapper set as an attribute of ``rankpair.cli``, as the benchmark's
+    traced pass sets one, is the function the commands call."""
+    calls = []
+    for name in ("fejer_density", "gaussian_sample"):
+        fn = getattr(cli, name)
+        monkeypatch.setattr(cli, name,
+                            lambda *a, fn=fn, name=name, **kw: calls.append(name) or fn(*a, **kw))
+    out = str(tmp_path)
+    assert main(["--out-dir", out, "spectrum", "--table", GOLDEN_TABLE,
+                 "--order", "8", "--grid", "64"]) == 0
+    assert main(["--out-dir", out, "simulate", "--kind", "gaussian", "--table", GOLDEN_TABLE,
+                 "--lag-max", "5", "--samples", "100"]) == 0
+    assert calls == ["fejer_density", "gaussian_sample"]
+
+
 class TestCorrelate:
     def test_lag_zero_row_is_norm_sq(self, plan_dir):
         f = write_indicator(plan_dir)
@@ -193,6 +210,19 @@ class TestCorrelate:
             (plan_dir / "correlations.tsv").read_text()
         )
         assert table.entries[0] == (Fraction(1), Fraction(1))
+
+
+EVERY_COMMAND = {  # arguments of one passing run, with {plan} the plan_dir fixture
+    "schedule": ["--horizon", "100"],
+    "plan": ["--horizon", "100"],
+    "verify": ["--spec", "{plan}/spec_s.json", "--cert", "{plan}/cert_s.json"],
+    "correlate": ["--spec", "{plan}/spec_s.json", "--function", "{plan}/f.json", "--n-max", "10"],
+    "spectrum": ["--table", GOLDEN_TABLE, "--order", "8", "--grid", "64"],
+    "simulate": ["--kind", "gaussian", "--table", GOLDEN_TABLE, "--lag-max", "5",
+                 "--samples", "100"],
+    "lemma3": ["--function", "{plan}/w.json", "--delta", "1/10"],
+    "report": ["--plan-dir", "{plan}"],
+}
 
 
 class TestPipeline:
@@ -221,6 +251,8 @@ class TestPipeline:
             "verdict exact-zero -> violated, first_violation None -> 1"
         ]
         assert not ser.read_json(tmp_path / "report.json")["ok"]
+        manifest = ser.read_json(tmp_path / "report_manifest.json")
+        assert manifest["outputs"] == [str(tmp_path / "report.json")]
 
     def test_spectrum_and_simulate(self, plan_dir):
         f = write_indicator(plan_dir)
@@ -258,10 +290,19 @@ class TestPipeline:
         assert payload["cutoff"] == 4
         assert payload["residual_correlation"] == "0/1"
 
-    def test_manifests_written(self, plan_dir):
-        manifest = ser.read_json(plan_dir / "plan_manifest.json")
-        assert manifest["command"] == "plan"
-        assert any(p.endswith("spec_s.json") for p in manifest["outputs"])
+    @pytest.mark.parametrize("command", list(EVERY_COMMAND))
+    def test_manifests_written(self, plan_dir, command):
+        write_indicator(plan_dir)
+        ser.write_json(plan_dir / "w.json", ser.walsh_to_dict(
+            WalshPolynomial.from_terms([((0,), Fraction(1, 2))])))
+        out = plan_dir / "run"
+        assert main(["--out-dir", str(out), command,
+                     *(arg.format(plan=plan_dir) for arg in EVERY_COMMAND[command])]) == 0
+        manifest_path = out / f"{command}_manifest.json"
+        manifest = ser.read_json(manifest_path)
+        assert manifest["command"] == command
+        written = {str(path) for path in out.iterdir() if path != manifest_path}
+        assert sorted(manifest["outputs"]) == sorted(written)
 
     def test_manifest_records_the_source_revision(self, plan_dir):
         root = Path(__file__).resolve().parents[1]

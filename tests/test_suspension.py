@@ -83,10 +83,14 @@ class TestGaussian:
         assert np.array_equal(sample.covariance, loop)
 
     def test_non_psd_rejected(self):
-        s = exact_seq({0: 1, 1: 2})
-        with pytest.raises(PSDError) as exc:
-            gaussian_sample(s, 2, SimulationConfig(sample_count=10, seed=0))
-        assert "leading minor" in str(exc.value)
+        # the second sequence's leading blocks are the identity up to order
+        # 250; order 251 is the first to meet r(250) = 3/2
+        late = {n: 0 for n in range(301)} | {0: 1, 250: Fraction(3, 2)}
+        for entries, order in (({0: 1, 1: 2}, 2), (late, 251)):
+            with pytest.raises(PSDError) as exc:
+                gaussian_sample(exact_seq(entries), len(entries),
+                                SimulationConfig(sample_count=10, seed=0))
+            assert str(exc.value).endswith(f"first offending leading minor of order {order}")
 
 
 class TestPoisson:
