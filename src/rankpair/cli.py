@@ -135,16 +135,19 @@ def _read(path, decoder):
 
 def _read_table(path):
     """Read one correlation table; a malformed row is an input error naming
-    the file and the line."""
+    the file and the line, an empty table one naming the file."""
     with _located(path):
-        return ser.correlation_table_from_tsv(Path(path).read_text())
+        seq = ser.correlation_table_from_tsv(Path(path).read_text())
+        if not seq.entries:
+            raise ValueError("the table is empty")
+    return seq
 
 
 def _load_spec(path: str):
     spec = _read(path, ser.spec_from_dict)
-    report = validate_spec(spec)
-    if not report.ok:
-        raise UsageError(f"{path}: {report.issues[0]}")
+    issues = validate_spec(spec)
+    if issues:
+        raise UsageError(f"{path}: {issues[0]}")
     return spec
 
 
@@ -158,11 +161,11 @@ def _load_function(path: str, spec):
 
 
 def cmd_schedule(args, out: _Output) -> int:
-    sched = generate_schedule(growth=Fraction(args.growth), horizon=args.horizon)
-    report = validate_schedule(sched)
+    sched = generate_schedule(growth=args.growth, horizon=args.horizon)
+    issues = validate_schedule(sched)
     out.emit(args.out, ser.schedule_to_dict(sched))
-    if not report.ok:
-        print(f"schedule INVALID: {report.issues[0]}", file=sys.stderr)
+    if issues:
+        print(f"schedule INVALID: {issues[0]}", file=sys.stderr)
         return EXIT_VIOLATION
     print(f"schedule ok: {len(sched.blocks)} blocks, horizon {sched.horizon}")
     return EXIT_PASS
@@ -180,10 +183,10 @@ def cmd_plan(args, out: _Output) -> int:
     if args.schedule:
         sched = _read(args.schedule, ser.schedule_from_dict)
     else:
-        sched = generate_schedule(growth=Fraction(args.growth), horizon=args.horizon)
-    report = validate_schedule(sched)
-    if not report.ok:
-        raise UsageError(f"schedule invalid: {report.issues[0]}")
+        sched = generate_schedule(growth=args.growth, horizon=args.horizon)
+    issues = validate_schedule(sched)
+    if issues:
+        raise UsageError(f"schedule invalid: {issues[0]}")
     result = plan_pair(sched, _policy_from_args(args))
     out.emit("spec_s.json", ser.spec_to_dict(result.spec_s))
     out.emit("spec_t.json", ser.spec_to_dict(result.spec_t))
@@ -315,17 +318,17 @@ def cmd_simulate(args, out: _Output) -> int:
 
 def cmd_lemma3(args, out: _Output) -> int:
     f = _read(args.function, ser.walsh_from_dict)
-    trunc = lemma3_truncate(f, Fraction(args.delta))
+    trunc = lemma3_truncate(f, args.delta)
     residual = corr_tail_certificate(trunc.f_prime, trunc.cutoff, args.horizon)
     out.emit(args.out, {
         "f_prime": ser.walsh_to_dict(trunc.f_prime),
         "cutoff": trunc.cutoff,
         "kept_norm_sq": trunc.kept_norm_sq,
         "tail_frac": trunc.tail_frac,
-        "distance_below_delta": trunc.distance_below(Fraction(args.delta)),
+        "distance_below_delta": trunc.distance_below(args.delta),
         "residual_correlation": residual,
     })
-    if residual != 0 or not trunc.distance_below(Fraction(args.delta)):
+    if residual != 0 or not trunc.distance_below(args.delta):
         print("lemma3 FAILED: truncation guarantee violated", file=sys.stderr)
         return EXIT_VIOLATION
     print(
@@ -397,14 +400,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("schedule", help="generate and validate an interval schedule")
-    p.add_argument("--growth", default="3", help="geometric growth ratio (rational)")
+    p.add_argument("--growth", type=ser._rational, default="3",
+                   help="geometric growth ratio (rational)")
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--out", default="schedule.json")
     p.set_defaults(func=cmd_schedule)
 
     p = sub.add_parser("plan", help="build and certify a transformation pair")
     p.add_argument("--schedule", default=None, help="schedule file (else generated)")
-    p.add_argument("--growth", default="8")
+    p.add_argument("--growth", type=ser._rational, default="8")
     p.add_argument("--horizon", type=int, default=100)
     p.add_argument("--generic-cuts", type=int, default=4)
     p.add_argument("--poly", default="rigidity",
@@ -450,7 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lemma3", help="truncate a shift polynomial with an "
                                       "exact orthogonality cutoff")
     p.add_argument("--function", required=True)
-    p.add_argument("--delta", required=True, help="distance guarantee (rational)")
+    p.add_argument("--delta", type=ser._rational, required=True,
+                   help="distance guarantee (rational)")
     p.add_argument("--horizon", type=int, default=10000)
     p.add_argument("--out", default="truncation.json")
     p.set_defaults(func=cmd_lemma3)

@@ -10,14 +10,13 @@ Tower depths are 1-based: depth ``d`` is the tower obtained after applying
 stages ``0 .. d-2``, so a spec with ``n`` stages defines towers at depths
 ``1 .. n+1``.  A finite spec only defines the transformation on the
 constructed region; an orbit that runs off the deepest tower "escapes"
-(a normal return value, not an error).
+(a normal outcome, not an error).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -70,15 +69,6 @@ class RankOneSpec:
 
 
 @dataclass(frozen=True)
-class OccurrenceSet:
-    """Positions of a fixed base level inside a deeper tower."""
-
-    positions: tuple[int, ...]
-    height: int
-    width: Fraction
-
-
-@dataclass(frozen=True)
 class LevelFunction:
     """A rational linear combination of level indicators of one tower.
 
@@ -114,24 +104,18 @@ class LevelFunction:
         return out + [f"level {l} outside [0, {h})" for l in self.levels if not 0 <= l < h]
 
 
-@dataclass
-class ValidationReport:
-    ok: bool
-    issues: list[str]
-
-
-def validate_spec(spec: RankOneSpec) -> ValidationReport:
+def validate_spec(spec: RankOneSpec) -> list[str]:
     """Structural check; violations are reported, never raised."""
     issues = []
     if spec.base_height < 1:
         issues.append(f"base_height < 1 (got {spec.base_height})")
     for i, st in enumerate(spec.stages, start=1):
         issues.extend(f"stage {i}: {msg}" for msg in st.issues())
-    return ValidationReport(ok=not issues, issues=issues)
+    return issues
 
 
-def occurrence_set(spec: RankOneSpec, level_stage: int, depth: int) -> OccurrenceSet:
-    """Exact positions of the stage-``level_stage`` base level at ``depth``.
+def occurrence_set(spec: RankOneSpec, level_stage: int, depth: int) -> tuple[int, ...]:
+    """Exact sorted positions of the stage-``level_stage`` base level at ``depth``.
 
     Materialises the full position list (its length is the product of the
     intervening cut counts); use the correlation module for deep towers.
@@ -141,45 +125,15 @@ def occurrence_set(spec: RankOneSpec, level_stage: int, depth: int) -> Occurrenc
             f"need 1 <= level_stage <= depth <= {spec.max_depth}, "
             f"got level_stage={level_stage}, depth={depth}"
         )
-    heights = spec.heights()
     positions = [0]
-    h = heights[level_stage - 1]
+    h = spec.heights()[level_stage - 1]
     for st in spec.stages[level_stage - 1 : depth - 1]:
         offs = st.offsets(h)
         positions = [off + p for off in offs for p in positions]
         h = st.cuts * h + sum(st.spacers)
-    positions.sort()
-    return OccurrenceSet(
-        positions=tuple(positions),
-        height=heights[depth - 1],
-        width=spec.widths()[depth - 1],
-    )
+    return tuple(sorted(positions))
 
 
 class EscapeCapError(RuntimeError):
     """Too large a share of a push would escape the constructed region."""
 
-
-def point_map(
-    spec: RankOneSpec, depth: int, position: int, steps: int
-) -> Optional[tuple[int, int]]:
-    """Move a tower cell ``steps`` levels along the orbit.
-
-    Cells are tracked through their leftmost-column representative, so the
-    stacked deeper towers simply extend the climb: the image of ``position``
-    is ``position + steps`` at the shallowest depth that contains it.
-    Returns ``(depth, position)``, or ``None`` when the orbit leaves the
-    constructed region (escape is a normal outcome for a finite spec).
-    """
-    heights = spec.heights()
-    if not 1 <= depth <= spec.max_depth:
-        raise IndexError(f"depth {depth} outside [1, {spec.max_depth}]")
-    if not 0 <= position < heights[depth - 1]:
-        raise ValueError(f"position {position} outside [0, {heights[depth - 1]})")
-    q = position + steps
-    d = depth
-    while not 0 <= q < heights[d - 1]:
-        if d == spec.max_depth:
-            return None
-        d += 1
-    return (d, q)

@@ -351,15 +351,6 @@ def bracket_tables(
         yield BracketTable(prof, f, g)
 
 
-def bracket_table(
-    spec: RankOneSpec, f: LevelFunction, intervals, g: Optional[LevelFunction] = None
-) -> BracketTable:
-    """The deepest of :func:`bracket_tables`."""
-    for table in bracket_tables(spec, f, intervals, g):
-        pass
-    return table
-
-
 @dataclass
 class CorrelationSequence:
     """Table ``n -> (lower, upper)`` of certified correlation brackets;
@@ -405,13 +396,11 @@ def correlation_sequence(
     g = g or f
     ns = sorted(set(n_values))
     intervals = [(ns[0], ns[-1])] if ns else []
-    if tolerance is None:
-        table = bracket_table(spec, f, intervals, g)
+    for table in bracket_tables(spec, f, intervals, g):
+        if tolerance is not None and table.within(ns, tolerance):
+            break
     else:
-        for table in bracket_tables(spec, f, intervals, g):
-            if table.within(ns, tolerance):
-                break
-        else:
+        if tolerance is not None:
             raise ToleranceNotReached(table.widest(ns))
     entries = {n: table.bracket(n) for n in ns}
     return CorrelationSequence(entries, f.norm_sq(spec), subject)

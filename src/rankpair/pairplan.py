@@ -72,24 +72,21 @@ class PolynomialSpec:
 def design_blocking_stage(
     current_height: int,
     forbidden: tuple[int, int],
-    max_position: Optional[int] = None,
+    max_position: int,
 ) -> StageSpec:
     """A stage placing every new pair difference strictly past ``forbidden``.
 
     The smallest new difference is the inter-copy gap minus the largest
-    existing occurrence position, so the spacer budgets for ``max_position``
-    (worst case assumed when not given).  All columns (including the last)
-    receive the same spacer, so the gap between the topmost occurrence and
-    the tower top also grows by it -- that gap is what lets zero claims be
-    certified with tolerance 0.
+    existing occurrence position, so the spacer budgets for ``max_position``.
+    All columns (including the last) receive the same spacer, so the gap
+    between the topmost occurrence and the tower top also grows by it --
+    that gap is what lets zero claims be certified with tolerance 0.
     """
     lo, hi = forbidden
     if lo < 1 or hi < lo:
         raise ValueError(f"bad forbidden interval [{lo}, {hi}]")
     if current_height < 1:
         raise ValueError("current_height must be positive")
-    if max_position is None:
-        max_position = current_height - 1
     s = max(hi - current_height + max_position + 1, 0)
     return StageSpec(cuts=BLOCKING_CUTS, spacers=(s,) * BLOCKING_CUTS)
 
@@ -230,8 +227,15 @@ class PlanSummary:
 
 def pair_summary(horizon: int, certs) -> PlanSummary:
     """The pair verdict of checked certificates: sound when every claim
-    holds and ``n0`` lies within the horizon."""
-    n0 = zero_threshold(horizon, certs)
+    holds and ``n0`` lies within the horizon.  ``n0`` is one past the
+    largest lag in ``[1, horizon]`` that no verified zero interval of
+    ``certs`` covers (1 when they cover all of it)."""
+    n = horizon
+    # by descending start: once ``n`` drops below a start it stays below
+    for lo, hi in sorted((iv for cert in certs for iv in cert.zero_set()), reverse=True):
+        if lo <= n <= hi:
+            n = lo - 1
+    n0 = max(n, 0) + 1
     return PlanSummary(horizon, n0, all(cert.ok for cert in certs) and n0 <= horizon)
 
 
@@ -374,17 +378,6 @@ def check_certificate(spec: RankOneSpec, cert: ConstructionCertificate) -> None:
         p.satisfied = res.satisfied
 
 
-def zero_threshold(horizon: int, certs) -> int:
-    """One past the largest lag in ``[1, horizon]`` that no verified zero
-    interval of ``certs`` covers (1 when they cover all of it)."""
-    n = horizon
-    # by descending start: once ``n`` drops below a start it stays below
-    for lo, hi in sorted((iv for cert in certs for iv in cert.zero_set()), reverse=True):
-        if lo <= n <= hi:
-            n = lo - 1
-    return max(n, 0) + 1
-
-
 def plan_pair(
     schedule: IntervalSchedule, policy: Optional[GenericPolicy] = None
 ) -> PlanResult:
@@ -407,7 +400,7 @@ def plan_pair(
     spec_s, cert_s = _plan_side(s_blocks, horizon, policy, "S")
     spec_t, cert_t = _plan_side(t_blocks, horizon, policy, "T")
     for spec in (spec_s, spec_t):
-        issues = validate_spec(spec).issues
+        issues = validate_spec(spec)
         if issues:
             raise PlanError(f"planned spec is invalid: {issues[0]}")
     check_certificate(spec_s, cert_s)

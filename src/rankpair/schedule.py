@@ -10,7 +10,7 @@ intervals may be empty: minimal examples have nowhere to put them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -43,13 +43,7 @@ class IntervalSchedule:
     blocks: tuple[ScheduleBlock, ...]
 
 
-@dataclass
-class ScheduleReport:
-    ok: bool
-    issues: list[str] = field(default_factory=list)
-
-
-def validate_schedule(s: IntervalSchedule) -> ScheduleReport:
+def validate_schedule(s: IntervalSchedule) -> list[str]:
     """Check containment, ordering, layout and coverage; report, never raise."""
     issues = []
     for k, b in enumerate(s.blocks, start=1):
@@ -77,7 +71,7 @@ def validate_schedule(s: IntervalSchedule) -> ScheduleReport:
         covered_to = max(covered_to, b)
     if covered_to < s.horizon:
         issues.append(f"uncovered: {covered_to + 1}")
-    return ScheduleReport(ok=not issues, issues=issues)
+    return issues
 
 
 def generate_schedule(growth: Fraction | int = 3, horizon: int = 100) -> IntervalSchedule:

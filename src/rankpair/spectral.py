@@ -39,6 +39,8 @@ class DensityEstimate:
 def _cosine_density(seq: CorrelationSequence, weights, grid: int, exact: bool) -> DensityEstimate:
     """``rho(0) + 2 sum_n w_n rho(n) cos(n theta)`` over ``(n, w_n)`` in
     ascending ``n``, with ``rho`` the bracket midpoints."""
+    if grid < 1:
+        raise ValueError("grid must be positive")
     thetas = 2.0 * np.pi * np.arange(grid) / grid
     values = np.full(grid, float(seq.midpoint(0)) if 0 in seq.entries else 0.0)
     for n, w in weights:
@@ -48,8 +50,8 @@ def _cosine_density(seq: CorrelationSequence, weights, grid: int, exact: bool) -
 
 def fejer_density(seq: CorrelationSequence, order: int, grid: int) -> DensityEstimate:
     """Non-negative kernel estimate of the spectral density from lags < order."""
-    if order < 1 or grid < 1:
-        raise ValueError("order and grid must be positive")
+    if order < 1:
+        raise ValueError("order must be positive")
     if not seq.covers(0, order - 1):
         raise CoverageError(f"sequence must cover [0, {order - 1}]")
     return _cosine_density(seq, ((n, 1.0 - n / order) for n in range(1, order)), grid, False)
@@ -70,7 +72,6 @@ class ChaosCoefficients:
     """Truncated Fock-space coefficient sequence with certified tails."""
 
     sequence: CorrelationSequence
-    chaos_cap: int
     tails: dict[int, Fraction]
 
 
@@ -114,4 +115,4 @@ def chaos_exp_coefficients(seq: CorrelationSequence, chaos_cap: int) -> ChaosCoe
         norm_sq=_exp_partial(Fraction(1), chaos_cap),
         subject=f"chaos<= {chaos_cap} of ({seq.subject})",
     )
-    return ChaosCoefficients(sequence=out, chaos_cap=chaos_cap, tails=tails)
+    return ChaosCoefficients(sequence=out, tails=tails)

@@ -107,6 +107,8 @@ def gaussian_sample(
     whose Toeplitz matrix, or a sample whose paths, would hold more than
     ``2**24`` entries is refused before anything is allocated.
     """
+    if length < 1:
+        raise ValueError(f"length must be at least 1, got {length}")
     entries = max(length * length, config.sample_count * length)
     if entries > _GAUSSIAN_CAP:
         raise MemoryCapError(
@@ -163,7 +165,7 @@ def _support(spec: RankOneSpec, f: LevelFunction, depth: int) -> tuple[np.ndarra
     and the value of ``f`` on each.  Occurrences of the stage-``f.stage``
     tower lie at least its height apart and every level lies below it, so
     the cells are distinct."""
-    occ = np.array(occurrence_set(spec, f.stage, depth).positions, dtype=np.int64)
+    occ = np.array(occurrence_set(spec, f.stage, depth), dtype=np.int64)
     levels, coeffs = zip(*f.coefficients)
     cells = np.add.outer(occ, np.array(levels, dtype=np.int64)).ravel()
     values = np.tile([float(c) for c in coeffs], occ.size)

@@ -2,15 +2,15 @@
 
 The oracle rebuilds each tower as a literal list of cell labels (plain
 list concatenation, no offset recursion) and brackets correlations from
-pairwise differences plus ``point_map`` escape counts.  It shares no code
-path with the windowed pair-count engine it is used to check.
+pairwise differences plus escape counts read off the same list.  It shares
+no code path with the windowed pair-count engine it is used to check.
 """
 
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from rankpair import LevelFunction, RankOneSpec, point_map
+from rankpair import LevelFunction, RankOneSpec
 
 
 def tower_labels(spec: RankOneSpec, stage: int) -> list[int]:
@@ -32,8 +32,9 @@ def oracle_autocorrelation(
     """Bracket for ``(f, T^n f)`` by full enumeration at the deepest tower.
 
     The lower value counts realized pairs; the uncertainty adds, for every
-    needed level-difference, the occurrences whose ``point_map`` image
-    escapes the constructed region and so may still land on anything.
+    needed level-difference ``m``, the occurrences ``a`` whose image
+    ``a + |m|`` runs past the last label, so escapes the constructed region
+    and may still land on anything.
     """
     depth = spec.max_depth
     labels = tower_labels(spec, f.stage)
@@ -47,9 +48,7 @@ def oracle_autocorrelation(
             m = n + lf - lg
             coeff = cf * cg
             lower = diffs[m] * width
-            escapes = sum(
-                1 for a in base if point_map(spec, depth, a, abs(m)) is None
-            )
+            escapes = sum(1 for a in base if a + abs(m) >= len(labels))
             upper = lower + (escapes if m != 0 else 0) * width
             if coeff >= 0:
                 lo += coeff * lower

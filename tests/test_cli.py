@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import shutil
@@ -106,6 +107,9 @@ OVERSIZED = {  # a spec whose depth-4 tower puts 10^9 occurrences of the stage-1
 }
 
 
+EMPTY_TABLE = "# subject\tf\n# norm_sq\t1/1\nn\tlower\tupper\n"
+
+
 def correlate(spec, function="f.json"):
     return ["correlate", "--spec", spec, "--function", function, "--n-max", "5"]
 
@@ -135,17 +139,27 @@ def correlate(spec, function="f.json"):
     ["simulate", "--kind", "poisson", "--spec", "wide-tower.json", "--function", "f.json",
      "--depth", "4"],
     ["simulate", "--kind", "gaussian", "--table", GOLDEN_TABLE, "--lag-max", "5000"],
+    ["schedule", "--growth", "1/0", "--horizon", "10"],
+    ["plan", "--growth", "1/0"],
+    ["lemma3", "--function", "w.json", "--delta", "1/0"],
+    ["simulate", "--kind", "gaussian", "--table", GOLDEN_TABLE, "--lag-max", "-1"],
+    ["spectrum", "--table", GOLDEN_TABLE, "--exact", "--grid", "0"],
+    ["spectrum", "--table", "empty.tsv", "--exact"],
 ], ids=["tolerance", "gaussian-no-table", "poisson-no-spec", "intensity-0",
         "escape-cap", "generic-cuts-1", "negative-power",
         "spacers-str", "base-height-str", "cuts-float", "top-level-array", "indices-int",
         "float-coefficient", "function-stage-0", "function-stage-9", "level-past-top",
         "poisson-depth-99", "function-deeper-than-depth", "poisson-function-stage-9",
-        "tracked-stage-9", "poisson-point-cap", "poisson-cell-cap", "gaussian-matrix-cap"])
+        "tracked-stage-9", "poisson-point-cap", "poisson-cell-cap", "gaussian-matrix-cap",
+        "schedule-zero-denominator", "plan-zero-denominator", "lemma3-zero-denominator",
+        "gaussian-lag-max-minus-1", "spectrum-grid-0", "spectrum-empty-table"])
 def test_failure_is_one_line_and_exit_one(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     write_indicator(tmp_path)
     for name, content in {**MALFORMED, **MISFIT, **OVERSIZED}.items():
         (tmp_path / name).write_text(json.dumps(content))
+    ser.write_json(tmp_path / "w.json", WalshPolynomial.from_terms([([1], 1)]))
+    (tmp_path / "empty.tsv").write_text(EMPTY_TABLE)
     assert main(["--out-dir", str(tmp_path), *argv]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
@@ -177,11 +191,45 @@ def test_malformed_table_row_names_file_and_line(tmp_path, capsys, row, problem)
     assert capsys.readouterr().err.splitlines() == [f"input error: {table}: line 4: {problem}"]
 
 
+def test_empty_table_names_the_file(tmp_path, capsys):
+    table = tmp_path / "empty.tsv"
+    table.write_text(EMPTY_TABLE)
+    assert main(["--out-dir", str(tmp_path), "spectrum", "--table", str(table), "--exact"]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"input error: {table}: the table is empty"]
+
+
 def test_certification_commands_start_without_numpy():
     src = Path(__file__).resolve().parents[1] / "src"
     code = "import sys, rankpair.cli; sys.exit('numpy' in sys.modules)"
     subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
                    check=True)
+
+
+def test_exported_names_have_a_user():
+    """Every name ``rankpair`` exports resolves, is no submodule, and is
+    imported by ``rankpair.cli`` (or bound there from ``_NUMERIC``), imported
+    by the acceptance tests, or an error class that ``main`` maps to exit 1."""
+    import rankpair
+
+    cli_tree = ast.parse(Path(cli.__file__).read_text())
+    acceptance = ast.parse(Path(__file__).with_name("test_acceptance.py").read_text())
+    used = {alias.name for tree in (cli_tree, acceptance) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+    used.update(cli._NUMERIC)
+    main_def = next(node for node in cli_tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "main")
+    exit_one = ()
+    for handler in ast.walk(main_def):
+        if isinstance(handler, ast.ExceptHandler) and any(
+                isinstance(n, ast.Return) and ast.unparse(n.value) == "EXIT_USAGE"
+                for n in handler.body):
+            caught = eval(ast.unparse(handler.type), vars(cli))
+            exit_one += caught if isinstance(caught, tuple) else (caught,)
+    assert exit_one
+    for name in rankpair.__all__:
+        value = getattr(rankpair, name)
+        assert not isinstance(value, type(rankpair)), name
+        assert name in used or (isinstance(value, type) and issubclass(value, exit_one)), name
 
 
 def test_commands_run_the_module_binding(tmp_path, monkeypatch):

@@ -7,10 +7,9 @@ from rankpair import (
     LevelFunction,
     RankOneSpec,
     StageSpec,
-    occurrence_set,
-    point_map,
     validate_spec,
 )
+from rankpair.core import occurrence_set
 
 from conftest import tower_labels
 
@@ -53,29 +52,26 @@ class TestRankOneSpec:
 
 class TestValidateSpec:
     def test_valid(self, small_spec):
-        report = validate_spec(small_spec)
-        assert report.ok and not report.issues
+        assert validate_spec(small_spec) == []
 
     def test_invalid_reports_instead_of_raising(self):
         bad = RankOneSpec(stages=(StageSpec(2, (0, 0, 0)),))
-        report = validate_spec(bad)
-        assert not report.ok
-        assert "stage 1" in report.issues[0]
+        issues = validate_spec(bad)
+        assert issues
+        assert "stage 1" in issues[0]
 
 
 class TestOccurrenceSet:
     def test_known_positions(self, small_spec):
-        occ = occurrence_set(small_spec, 1, 2)
-        assert occ.positions == (0, 2)
-        occ = occurrence_set(small_spec, 1, 3)
+        assert occurrence_set(small_spec, 1, 2) == (0, 2)
         # copies of the depth-2 tower start at 0, 3, 8
-        assert occ.positions == (0, 2, 3, 5, 8, 10)
+        assert occurrence_set(small_spec, 1, 3) == (0, 2, 3, 5, 8, 10)
 
     @given(spec_strategy())
     def test_matches_label_scan(self, spec):
         labels = tower_labels(spec, 1)
         occ = occurrence_set(spec, 1, spec.max_depth)
-        assert list(occ.positions) == [
+        assert list(occ) == [
             q for q, lab in enumerate(labels) if lab == 0
         ]
 
@@ -83,45 +79,13 @@ class TestOccurrenceSet:
     def test_measure_is_conserved(self, spec):
         # cutting never destroys the base level's mass
         occ = occurrence_set(spec, 1, spec.max_depth)
-        assert len(occ.positions) * occ.width == spec.widths()[0]
+        assert len(occ) * spec.widths()[-1] == spec.widths()[0]
 
     def test_index_checks(self, small_spec):
         with pytest.raises(IndexError):
             occurrence_set(small_spec, 2, 1)
         with pytest.raises(IndexError):
             occurrence_set(small_spec, 1, 4)
-
-
-class TestPointMap:
-    def test_zero_steps_is_identity(self, small_spec):
-        assert point_map(small_spec, 2, 1, 0) == (2, 1)
-
-    def test_climbs_into_deeper_tower(self, small_spec):
-        # top of the depth-2 tower: next step lands past its copy at depth 3
-        assert point_map(small_spec, 2, 2, 1) == (3, 3)
-
-    def test_escape_is_none(self, small_spec):
-        assert point_map(small_spec, 3, 11, 1) is None
-        assert point_map(small_spec, 3, 0, -1) is None
-
-    @given(spec_strategy(), st.integers(0, 30), st.integers(0, 30),
-           st.data())
-    def test_composition(self, spec, a, b, data):
-        h = spec.heights()[-1]
-        pos = data.draw(st.integers(0, h - 1))
-        once = point_map(spec, spec.max_depth, pos, a)
-        total = point_map(spec, spec.max_depth, pos, a + b)
-        if once is not None:
-            chained = point_map(spec, once[0], once[1], b)
-            assert chained == total
-
-    @given(spec_strategy())
-    def test_tracks_label_array(self, spec):
-        # one step up from any non-top cell stays one cell up in the stack
-        labels = tower_labels(spec, 1)
-        h = spec.heights()[-1]
-        for q in range(h - 1):
-            assert point_map(spec, spec.max_depth, q, 1) == (spec.max_depth, q + 1)
 
 
 class TestLevelFunction:

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rankpair import (
-    BracketTable,
     CorrelationSequence,
     CoverageError,
     RankOneSpec,
@@ -13,15 +12,13 @@ from rankpair import (
     LevelFunction,
     ToleranceNotReached,
     autocorrelation,
-    bracket_table,
-    bracket_tables,
     corr_functional,
     correlation_sequence,
-    occurrence_set,
     product_correlation,
 )
 
-from rankpair.correlation import _merge, _pair_profiles
+from rankpair.core import occurrence_set
+from rankpair.correlation import BracketTable, _merge, _pair_profiles, bracket_tables
 
 from conftest import oracle_autocorrelation
 from test_core import spec_strategy, stage_strategy
@@ -56,10 +53,9 @@ class TestAutocorrelation:
         # pairs at difference 2 give a lower bound of 1/2 and one occurrence
         # in the top window adds 1/4 of slack
         spec = RankOneSpec(stages=(StageSpec(2, (1, 0)), StageSpec(2, (4, 0))))
-        occ = occurrence_set(spec, 1, 3)
-        assert occ.positions == (0, 2, 7, 9)
-        assert occ.height == 10
-        assert occ.width == Fraction(1, 4)
+        assert occurrence_set(spec, 1, 3) == (0, 2, 7, 9)
+        assert spec.heights()[2] == 10
+        assert spec.widths()[2] == Fraction(1, 4)
         f = LevelFunction.indicator(1)
         assert autocorrelation(spec, f, 2) == (Fraction(1, 2), Fraction(3, 4))
 
@@ -202,14 +198,14 @@ def brute_bracket(spec, f, g, n):
     for ``m < 0``), whose pairs deeper stages may still complete."""
     depth = spec.max_depth
     occ_f = occurrence_set(spec, f.stage, depth)
-    occ_g = occurrence_set(spec, g.stage, depth).positions
-    h, w = occ_f.height, occ_f.width
+    occ_g = occurrence_set(spec, g.stage, depth)
+    h, w = spec.heights()[depth - 1], spec.widths()[depth - 1]
     lo = hi = Fraction(0)
     for lf, cf in f.coefficients:
         for lg, cg in g.coefficients:
             m = n + lf - lg
-            pairs = sum(1 for a in occ_f.positions for b in occ_g if b - a == m)
-            top = occ_f.positions if m > 0 else occ_g if m < 0 else ()
+            pairs = sum(1 for a in occ_f for b in occ_g if b - a == m)
+            top = occ_f if m > 0 else occ_g if m < 0 else ()
             zone = sum(1 for a in top if a >= h - abs(m))
             c = cf * cg
             lo += c * (pairs + (zone if c < 0 else 0)) * w
@@ -254,7 +250,7 @@ class TestAgainstBruteForce:
     def test_first_nonzero(self, case, lo, length):
         spec, f, g = case
         hi = lo + length
-        table = bracket_table(spec, f, [(lo, hi)], g)
+        table = [*bracket_tables(spec, f, [(lo, hi)], g)][-1]
         nonzero = [n for n in range(lo, hi + 1) if brute_bracket(spec, f, g, n) != (0, 0)]
         assert table.first_nonzero(lo, hi) == (nonzero[0] if nonzero else None)
 
@@ -289,8 +285,8 @@ class TestAgainstBruteForce:
         intervals = [(lo, lo + length) for lo, length in runs]
         lags = sorted({n for lo, hi in intervals for n in range(lo, hi + 1)})
         reach = max(abs(n) for n in lags)
-        full = bracket_table(spec, f, [(-reach, reach)], g)
-        banded = bracket_table(spec, f, intervals, g)
+        full = [*bracket_tables(spec, f, [(-reach, reach)], g)][-1]
+        banded = [*bracket_tables(spec, f, intervals, g)][-1]
         for n in lags:
             assert banded.bracket(n) == full.bracket(n) == brute_bracket(spec, f, g, n)
         for lo, hi in intervals:
@@ -322,8 +318,8 @@ class TestAgainstBruteForce:
         assert all(hi + 1 < lo for (_, hi), (lo, _) in zip(bands, bands[1:]))
         depths = []
         for prof in _pair_profiles(spec, stage_f, stage_g, bands):
-            f = occurrence_set(spec, stage_f, prof.depth).positions
-            g = occurrence_set(spec, stage_g, prof.depth).positions
+            f = occurrence_set(spec, stage_f, prof.depth)
+            g = occurrence_set(spec, stage_g, prof.depth)
             assert prof.counts == Counter(
                 b - a for a in f for b in g if any(lo <= b - a <= hi for lo, hi in bands))
             depths.append(prof.depth)
@@ -356,7 +352,7 @@ class TestBandCoverage:
     f = LevelFunction.from_dict(2, {0: Fraction(1), 2: Fraction(-1)})
 
     def test_pair_count_just_outside_a_band(self):
-        prof = bracket_table(self.spec, self.f, [(0, 2), (20, 22)]).prof
+        prof = [*bracket_tables(self.spec, self.f, [(0, 2), (20, 22)])][-1].prof
         assert prof.bands == [(-2, 4), (18, 24)]
         for m in (-2, 4, 18, 24):
             prof.pair_count(m)
@@ -365,7 +361,7 @@ class TestBandCoverage:
                 prof.pair_count(m)
 
     def test_first_nonzero_just_outside_a_band(self):
-        table = bracket_table(self.spec, self.f, [(5, 8)])
+        table = [*bracket_tables(self.spec, self.f, [(5, 8)])][-1]
         assert table.prof.bands == [(3, 10)]
         table.first_nonzero(5, 8)
         for lo, hi in ((4, 8), (5, 9)):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rankpair import (
-    ConstructionCertificate,
     GenericPolicy,
     LevelFunction,
     PlanError,
@@ -15,17 +14,23 @@ from rankpair import (
     autocorrelation,
     check_certificate,
     correlation_sequence,
-    design_blocking_stage,
     design_generic_stage,
     generate_schedule,
-    occurrence_set,
     plan_pair,
     verify_polynomial_limit,
-    zero_threshold,
 )
 from rankpair import correlation
 from rankpair import serialize as ser
-from rankpair.pairplan import UnsupportedClaim, ZeroIntervalClaim, apportion, rounding_mass
+from rankpair.core import occurrence_set
+from rankpair.pairplan import (
+    ConstructionCertificate,
+    UnsupportedClaim,
+    ZeroIntervalClaim,
+    apportion,
+    design_blocking_stage,
+    pair_summary,
+    rounding_mass,
+)
 
 from test_core import stage_strategy
 
@@ -65,18 +70,18 @@ class TestBlockingStage:
     def test_new_differences_clear_forbidden_interval(self):
         base = RankOneSpec(stages=(StageSpec(2, (1, 1)),))
         h = base.heights()[-1]
-        stage = design_blocking_stage(h, (1, 100))
+        stage = design_blocking_stage(h, (1, 100), max_position=h - 1)
         spec = RankOneSpec(stages=base.stages + (stage,))
         occ = occurrence_set(spec, 1, spec.max_depth)
         diffs = {
-            b - a for a in occ.positions for b in occ.positions if b > a
+            b - a for a in occ for b in occ if b > a
         }
         old = {b - a for a in (0, 2) for b in (0, 2) if b > a}
         assert all(d > 100 for d in diffs - old)
 
     def test_rejects_bad_interval(self):
         with pytest.raises(ValueError):
-            design_blocking_stage(4, (5, 3))
+            design_blocking_stage(4, (5, 3), max_position=3)
 
 
 class TestGenericStage:
@@ -119,7 +124,7 @@ class TestPlanPair:
             assert claim.lower_bound == claim.target
 
     def test_overlapping_forbidden_intervals_raise(self):
-        from rankpair import IntervalSchedule, ScheduleBlock
+        from rankpair.schedule import IntervalSchedule, ScheduleBlock
 
         # the second forbidden interval starts below the differences the
         # first blocking stage already created
@@ -171,15 +176,15 @@ class TestZeroThreshold:
         # overlapping, nested and adjacent intervals, out of order
         a = self.cert((40, 60), (5, 10), (61, 70))
         b = self.cert((8, 45), (50, 55), (71, 200))
-        assert zero_threshold(100, [a, b]) == 5
-        assert zero_threshold(100, [a]) == 101
-        assert zero_threshold(30, [b]) == 8
-        assert zero_threshold(3, [a, b]) == 4
+        assert pair_summary(100, [a, b]).n_zero_threshold == 5
+        assert pair_summary(100, [a]).n_zero_threshold == 101
+        assert pair_summary(30, [b]).n_zero_threshold == 8
+        assert pair_summary(3, [a, b]).n_zero_threshold == 4
 
     def test_only_verified_intervals_count(self):
         a = self.cert((1, 50), (51, 100), violated=[(1, 50)])
-        assert zero_threshold(100, [a]) == 51
-        assert zero_threshold(100, [self.cert((1, 100))]) == 1
+        assert pair_summary(100, [a]).n_zero_threshold == 51
+        assert pair_summary(100, [self.cert((1, 100))]).n_zero_threshold == 1
 
 
 class TestPolynomialLimit:

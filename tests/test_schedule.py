@@ -3,23 +3,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rankpair import (
-    IntervalSchedule,
-    ScheduleBlock,
-    generate_schedule,
-    validate_schedule,
-)
+from rankpair import generate_schedule, validate_schedule
+from rankpair.schedule import IntervalSchedule, ScheduleBlock
 
 
 class TestGenerate:
     def test_small_horizon(self):
         sched = generate_schedule(growth=3, horizon=50)
-        report = validate_schedule(sched)
-        assert report.ok, report.issues
+        issues = validate_schedule(sched)
+        assert not issues, issues
 
     def test_horizon_one(self):
         sched = generate_schedule(growth=3, horizon=1)
-        assert validate_schedule(sched).ok
+        assert not validate_schedule(sched)
 
     def test_growth_must_grow(self):
         with pytest.raises(ValueError):
@@ -31,8 +27,8 @@ class TestGenerate:
     )
     @settings(max_examples=80, deadline=None)
     def test_generated_schedules_always_validate(self, growth, horizon):
-        report = validate_schedule(generate_schedule(growth, horizon))
-        assert report.ok, report.issues
+        issues = validate_schedule(generate_schedule(growth, horizon))
+        assert not issues, issues
 
 
 class TestValidate:
@@ -46,16 +42,15 @@ class TestValidate:
         blocks[-1] = ScheduleBlock(
             i=(b.i[0], b.i[0]), j=b.j, i_tilde=b.i_tilde, j_tilde=b.j_tilde
         )
-        report = validate_schedule(IntervalSchedule(horizon=sched.horizon, blocks=tuple(blocks)))
-        assert not report.ok
+        issues = validate_schedule(IntervalSchedule(horizon=sched.horizon, blocks=tuple(blocks)))
+        assert issues
         # everything between the previous block's J and this block's J is now bare
-        assert f"uncovered: {sched.blocks[0].j[1] + 1}" in report.issues
+        assert f"uncovered: {sched.blocks[0].j[1] + 1}" in issues
 
     def test_ordering_violation_detected(self):
         sched = self.base()
         blocks = list(reversed(sched.blocks))
-        report = validate_schedule(IntervalSchedule(horizon=sched.horizon, blocks=tuple(blocks)))
-        assert not report.ok
+        assert validate_schedule(IntervalSchedule(horizon=sched.horizon, blocks=tuple(blocks)))
 
     def test_interleaving_blocks_cover_jointly(self):
         sched = self.base()

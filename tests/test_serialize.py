@@ -5,9 +5,7 @@ import os
 import pytest
 
 from rankpair import (
-    ConstructionCertificate,
     CorrelationSequence,
-    IntervalSchedule,
     LevelFunction,
     PolynomialSpec,
     RankOneSpec,
@@ -17,6 +15,8 @@ from rankpair import (
     plan_pair,
 )
 from rankpair import serialize as ser
+from rankpair.pairplan import ConstructionCertificate
+from rankpair.schedule import IntervalSchedule
 
 
 class TestFractions:

@@ -5,7 +5,6 @@ import pytest
 
 from rankpair import (
     CorrelationSequence,
-    CovarianceEstimate,
     EscapeCapError,
     LevelFunction,
     MemoryCapError,
@@ -16,9 +15,10 @@ from rankpair import (
     correlation_sequence,
     gaussian_sample,
     linear_statistic_covariance,
-    occurrence_set,
     poisson_sample_and_push,
 )
+from rankpair.core import occurrence_set
+from rankpair.suspension import CovarianceEstimate
 
 
 def exact_seq(entries):
@@ -105,7 +105,7 @@ class TestPoisson:
         f = LevelFunction.from_dict(2, {0: Fraction(1), 5: Fraction(-1, 2), 20: Fraction(2)})
         depth = 3
         h = spec.heights()[depth - 1]
-        occ = occurrence_set(spec, f.stage, depth).positions
+        occ = occurrence_set(spec, f.stage, depth)
         supp = {p + level for p in occ for level in f.levels}
         value = dict(f.coefficients)
         cfg = SimulationConfig(sample_count=10, seed=0)

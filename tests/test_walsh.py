@@ -6,12 +6,11 @@ from hypothesis import given, settings, strategies as st
 from rankpair import (
     WalshPolynomial,
     corr_tail_certificate,
-    correlation_budget,
     inner_product,
     lemma3_truncate,
     shift_power,
 )
-from rankpair.walsh import shift_cutoff
+from rankpair.walsh import correlation_budget, shift_cutoff
 
 
 def walsh_strategy(max_index=30, max_terms=5):
