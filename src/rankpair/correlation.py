@@ -295,14 +295,6 @@ class BracketTable:
         j = max(i, bisect.bisect_left(ns, self.envelope_from))
         return ns[j:][::-1] + ns[:i]
 
-    def within(self, ns: list[int], tolerance: Fraction) -> bool:
-        """Whether every bracket over the sorted lags ``ns`` is at most
-        ``tolerance`` wide."""
-        if tolerance < 0:  # no bracket is narrower than that
-            return not ns
-        limit = tolerance / self.scale
-        return all(self.spread(n) <= limit for n in self.envelope(ns))
-
     def widest(self, ns: list[int]) -> Fraction:
         """Width of the widest bracket over the sorted lags ``ns``."""
         return max((self.spread(n) for n in self.envelope(ns)), default=0) * self.scale
@@ -388,20 +380,18 @@ def correlation_sequence(
     """Certified brackets for ``(f, T^n g)`` over a set of lags, off a single
     engine pass.
 
-    Without a ``tolerance`` every bracket is read from the deepest profile.
-    With one, the table is read from the shallowest profile at which every
-    bracket is at most ``tolerance`` wide; :class:`ToleranceNotReached`
-    (carrying the widest final bracket) is raised when the spec ends first.
+    Every bracket is read from the deepest profile, the narrowest since
+    brackets are nested.  A ``tolerance`` that some bracket there exceeds
+    raises :class:`ToleranceNotReached`, carrying the widest; one first met
+    at a shallower depth still yields the deepest brackets, never wider.
     """
     g = g or f
     ns = sorted(set(n_values))
     intervals = [(ns[0], ns[-1])] if ns else []
     for table in bracket_tables(spec, f, intervals, g):
-        if tolerance is not None and table.within(ns, tolerance):
-            break
-    else:
-        if tolerance is not None:
-            raise ToleranceNotReached(table.widest(ns))
+        pass  # only the last, deepest table is read; one is alive at a time
+    if tolerance is not None and table.widest(ns) > tolerance:
+        raise ToleranceNotReached(table.widest(ns))
     entries = {n: table.bracket(n) for n in ns}
     return CorrelationSequence(entries, f.norm_sq(spec), subject)
 
@@ -437,18 +427,14 @@ def summability_report(
     lo, hi = interval
     if not seq.covers(lo, hi):
         raise CoverageError(f"interval [{lo}, {hi}] not covered")
-    l1 = [Fraction(0), Fraction(0)]
-    l2 = [Fraction(0), Fraction(0)]
-    support = []
-    for n in range(lo, hi + 1):
-        a, b = _abs_interval(seq.entry(n))
-        l1[0] += a
-        l1[1] += b
-        l2[0] += a * a
-        l2[1] += b * b
-        if b != 0:
-            support.append(n)
-    return SummabilityReport(l1=(l1[0], l1[1]), l2=(l2[0], l2[1]), support=support)
+    # a lag outside the support is certified zero and adds nothing
+    support = [n for n in seq.support() if lo <= n <= hi]
+    l1 = l2 = ZERO
+    for n in support:
+        a, b = _abs_interval(seq.entries[n])
+        l1 = (l1[0] + a, l1[1] + b)
+        l2 = (l2[0] + a * a, l2[1] + b * b)
+    return SummabilityReport(l1=l1, l2=l2, support=support)
 
 
 def corr_functional(seq: CorrelationSequence, interval: tuple[int, int]) -> Interval:

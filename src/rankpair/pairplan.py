@@ -116,7 +116,7 @@ def design_generic_stage(
     budget: tuple[int, int],
     poly: PolynomialSpec,
     cuts: int,
-    max_position: Optional[int] = None,
+    max_position: int,
 ) -> StageSpec:
     """A stage whose spacer histogram realises ``poly`` within ``budget``.
 
@@ -130,8 +130,6 @@ def design_generic_stage(
     lo, hi = budget
     if lo < 1 or hi < lo:
         raise ValueError(f"bad budget interval [{lo}, {hi}]")
-    if max_position is None:
-        max_position = current_height - 1  # worst case: occurrences everywhere
     counts = apportion(poly, cuts)
     escape = cuts - sum(counts.values())
     spacers = []

@@ -215,7 +215,7 @@ def correlation_table_to_tsv(table: CorrelationSequence) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _rational(text: str) -> Fraction:
+def rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -232,12 +232,12 @@ def correlation_table_from_tsv(text: str) -> CorrelationSequence:
             if line.startswith("# subject\t"):
                 subject = line.split("\t", 1)[1]
             elif line.startswith("# norm_sq\t"):
-                norm_sq = _rational(line.split("\t", 1)[1])
+                norm_sq = rational(line.split("\t", 1)[1])
             elif line.strip() and not line.startswith("n\t"):
                 row = line.split("\t")
                 if len(row) != 3:
                     raise ValueError(f"expected 3 tab-separated fields, got {len(row)}")
-                entries[int(row[0])] = (_rational(row[1]), _rational(row[2]))
+                entries[int(row[0])] = (rational(row[1]), rational(row[2]))
         except ValueError as exc:
             raise ValueError(f"line {number}: {exc}") from None
     return CorrelationSequence(entries=entries, norm_sq=norm_sq, subject=subject)

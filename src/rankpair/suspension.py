@@ -9,9 +9,8 @@ formula).  Both samplers refuse, before allocating, a run whose arrays
 would exceed a fixed cap.
 
 Randomness uses counter-based Philox streams: stream 0 drives Gaussian
-paths, stream 1 Poisson configuration sizes, stream 2 point positions,
-stream 3 the whole-tower escape counts.  Identical configs give
-bit-identical statistics.
+paths, stream 1 Poisson configuration sizes, stream 2 point positions.
+Identical configs give bit-identical statistics.
 """
 
 from __future__ import annotations
@@ -77,7 +76,7 @@ def _lagged_sums(x: np.ndarray) -> np.ndarray:
 @dataclass
 class GaussianSample:
     paths: np.ndarray          # (sample_count, length)
-    covariance: np.ndarray     # the (possibly repaired) Toeplitz matrix used
+    covariance: np.ndarray     # the Toeplitz matrix of the covariance
     repaired: bool
     _lagged: np.ndarray | None = field(default=None, init=False, repr=False)
 
@@ -157,7 +156,7 @@ class PoissonPush:
     config_index: np.ndarray  # which configuration each point belongs to
     n_configs: int
     intensity: float
-    escape_fraction: float    # escaping share of a whole-tower configuration
+    escape_fraction: float    # share of the whole tower the push carries out
 
 
 def _support(spec: RankOneSpec, f: LevelFunction, depth: int) -> tuple[np.ndarray, np.ndarray]:
@@ -195,8 +194,8 @@ def poisson_sample_and_push(
     process restricted to ``A`` is Poisson with mean ``intensity * mu(A)``,
     so sampling on ``A`` alone gives their joint law.  Every cell has the
     same width, so points are uniform over ``A``'s cells.  The escape
-    fraction stays a whole-tower statistic: the share of a whole-tower
-    configuration that the push carries out of ``[0, height)``.
+    fraction is exact: the share of the whole tower that the push carries
+    out of ``[0, height)``.
     Memory is bounded before any array is built: the cell count of
     ``supp f`` and the expected point count each have a fixed cap.
     """
@@ -209,10 +208,10 @@ def poisson_sample_and_push(
         raise ValueError(problems[0])
     h = spec.heights()[depth - 1]
     w = float(spec.widths()[depth - 1])
-    escaping_levels = min(abs(steps), h)
-    if escaping_levels / h > _ESCAPE_CAP:
+    escape_fraction = min(abs(steps), h) / h
+    if escape_fraction > _ESCAPE_CAP:
         raise EscapeCapError(
-            f"expected escaping fraction {escaping_levels / h:.3f} exceeds cap {_ESCAPE_CAP}"
+            f"expected escaping fraction {escape_fraction:.3f} exceeds cap {_ESCAPE_CAP}"
         )
     cell_count = len(f.coefficients) * math.prod(
         st.cuts for st in spec.stages[f.stage - 1 : depth - 1]
@@ -231,17 +230,12 @@ def poisson_sample_and_push(
         )
     counts = _stream(config.seed, 1).poisson(mean_points, config.sample_count)
     levels = region[_stream(config.seed, 2).integers(0, region.size, int(counts.sum()))]
-    # whole-tower escape: independent Poisson counts on the escaping and the other levels
-    per_level = intensity * w * config.sample_count
-    escape = _stream(config.seed, 3)
-    escaped = int(escape.poisson(per_level * escaping_levels))
-    total = escaped + int(escape.poisson(per_level * (h - escaping_levels)))
     return PoissonPush(
         f=f, steps=steps,
         support=support, weights=weights, region=region, levels=levels,
         config_index=np.repeat(np.arange(config.sample_count), counts),
         n_configs=config.sample_count, intensity=intensity,
-        escape_fraction=escaped / total if total else 0.0,
+        escape_fraction=escape_fraction,
     )
 
 

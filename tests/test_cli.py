@@ -114,6 +114,9 @@ def correlate(spec, function="f.json"):
     return ["correlate", "--spec", spec, "--function", function, "--n-max", "5"]
 
 
+N_MIN_ABOVE_N_MAX = correlate(GOLDEN_SPEC) + ["--n-min", "6"]
+
+
 @pytest.mark.parametrize("argv", [
     ["correlate", "--spec", GOLDEN_SPEC, "--function", "f.json", "--n-max", "100000"],
     ["simulate", "--kind", "gaussian"],
@@ -145,6 +148,7 @@ def correlate(spec, function="f.json"):
     ["simulate", "--kind", "gaussian", "--table", GOLDEN_TABLE, "--lag-max", "-1"],
     ["spectrum", "--table", GOLDEN_TABLE, "--exact", "--grid", "0"],
     ["spectrum", "--table", "empty.tsv", "--exact"],
+    N_MIN_ABOVE_N_MAX,
 ], ids=["tolerance", "gaussian-no-table", "poisson-no-spec", "intensity-0",
         "escape-cap", "generic-cuts-1", "negative-power",
         "spacers-str", "base-height-str", "cuts-float", "top-level-array", "indices-int",
@@ -152,7 +156,8 @@ def correlate(spec, function="f.json"):
         "poisson-depth-99", "function-deeper-than-depth", "poisson-function-stage-9",
         "tracked-stage-9", "poisson-point-cap", "poisson-cell-cap", "gaussian-matrix-cap",
         "schedule-zero-denominator", "plan-zero-denominator", "lemma3-zero-denominator",
-        "gaussian-lag-max-minus-1", "spectrum-grid-0", "spectrum-empty-table"])
+        "gaussian-lag-max-minus-1", "spectrum-grid-0", "spectrum-empty-table",
+        "n-min-above-n-max"])
 def test_failure_is_one_line_and_exit_one(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     write_indicator(tmp_path)
@@ -164,6 +169,18 @@ def test_failure_is_one_line_and_exit_one(tmp_path, monkeypatch, capsys, argv):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert not list(tmp_path.glob("*_manifest.json"))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (N_MIN_ABOVE_N_MAX, "usage error: --n-min 6 is above --n-max 5"),
+    (["schedule", "--growth", "1/0", "--horizon", "10"],
+     "usage error: argument --growth: invalid rational value: '1/0'"),
+    (["simulate", "--kind", "gaussian", "--table", GOLDEN_TABLE, "--lag-max", "-1"],
+     "usage error: --lag-max must be at least 0, got -1"),
+])
+def test_flag_errors_name_the_flag(tmp_path, capsys, argv, message):
+    assert main(["--out-dir", str(tmp_path), *argv]) == 1
+    assert capsys.readouterr().err.splitlines() == [message]
 
 
 def test_wrong_typed_plan_summary_is_one_line(tmp_path, capsys):

@@ -18,7 +18,7 @@ from rankpair import (
 )
 
 from rankpair.core import occurrence_set
-from rankpair.correlation import BracketTable, _merge, _pair_profiles, bracket_tables
+from rankpair.correlation import _merge, _pair_profiles, bracket_tables
 
 from conftest import oracle_autocorrelation
 from test_core import spec_strategy, stage_strategy
@@ -234,7 +234,7 @@ def cross_case(draw):
 
 
 class TestAgainstBruteForce:
-    """The engine's count tables, integer brackets, the tolerance loop and
+    """The engine's count tables, integer brackets, the tolerance check and
     the range-query zero check against the full occurrence lists."""
 
     @given(cross_case(), st.lists(st.integers(-15, 15), min_size=1, max_size=6))
@@ -258,21 +258,18 @@ class TestAgainstBruteForce:
            st.fractions(min_value=0, max_value=1, max_denominator=8))
     @settings(max_examples=100, deadline=None)
     def test_tolerance_depth(self, case, lags, tolerance):
+        """Within the tolerance the brackets are the deepest ones; past it
+        the error carries the widest of them."""
         spec, f, g = case
-        # the profile at depth d is the deepest one of the first d - 1 stages
-        truncations = [
-            RankOneSpec(stages=spec.stages[: d - 1], base_height=spec.base_height)
-            for d in range(max(f.stage, g.stage), spec.max_depth + 1)
-        ]
-        for pre in truncations:
-            expected = {n: brute_bracket(pre, f, g, n) for n in lags}
-            if all(hi - lo <= tolerance for lo, hi in expected.values()):
-                seq = correlation_sequence(spec, f, lags, g=g, tolerance=tolerance)
-                assert seq.entries == expected
-                return
-        with pytest.raises(ToleranceNotReached) as exc:
-            correlation_sequence(spec, f, lags, g=g, tolerance=tolerance)
-        assert exc.value.achieved_gap == max(hi - lo for lo, hi in expected.values())
+        expected = {n: brute_bracket(spec, f, g, n) for n in lags}
+        widest = max(hi - lo for lo, hi in expected.values())
+        if widest <= tolerance:
+            seq = correlation_sequence(spec, f, lags, g=g, tolerance=tolerance)
+            assert seq.entries == expected
+        else:
+            with pytest.raises(ToleranceNotReached) as exc:
+                correlation_sequence(spec, f, lags, g=g, tolerance=tolerance)
+            assert exc.value.achieved_gap == widest
 
     @given(cross_case(),
            st.lists(st.tuples(st.integers(-30, 30), st.integers(0, 3)), min_size=1, max_size=4),
@@ -280,7 +277,7 @@ class TestAgainstBruteForce:
     @settings(max_examples=100, deadline=None)
     def test_bands_match_full_window(self, case, runs, tolerance):
         """Counting only the bands that sparse lag runs reach changes no
-        bracket, no zero-claim answer and no tolerance depth."""
+        bracket, no zero-claim answer and no tolerance result."""
         spec, f, g = case
         intervals = [(lo, lo + length) for lo, length in runs]
         lags = sorted({n for lo, hi in intervals for n in range(lo, hi + 1)})
@@ -291,17 +288,15 @@ class TestAgainstBruteForce:
             assert banded.bracket(n) == full.bracket(n) == brute_bracket(spec, f, g, n)
         for lo, hi in intervals:
             assert banded.first_nonzero(lo, hi) == full.first_nonzero(lo, hi)
-        fitting = (table for table in (
-            BracketTable(prof, f, g)
-            for prof in _pair_profiles(spec, f.stage, g.stage, full.prof.bands)
-        ) if table.within(lags, tolerance))
-        table = next(fitting, None)
-        if table is None:
-            with pytest.raises(ToleranceNotReached):
+        widest = banded.widest(lags)
+        assert widest == full.widest(lags)
+        if widest > tolerance:
+            with pytest.raises(ToleranceNotReached) as exc:
                 correlation_sequence(spec, f, lags, g=g, tolerance=tolerance)
+            assert exc.value.achieved_gap == widest
         else:
             seq = correlation_sequence(spec, f, lags, g=g, tolerance=tolerance)
-            assert seq.entries == {n: table.bracket(n) for n in lags}
+            assert seq.entries == {n: banded.bracket(n) for n in lags}
 
     @given(st.lists(stage_strategy(max_cuts=4), min_size=1, max_size=3),
            st.integers(1, 3), st.data())

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from rankpair import (
     CorrelationSequence,
@@ -51,7 +52,39 @@ class TestDensities:
             fejer_density(seq({0: 1}), order=4, grid=64)
 
 
+@st.composite
+def bracket(draw):
+    """A straddling, negative, positive or zero bracket; a zero one is made
+    of fresh ``Fraction`` objects, not the shared ``ZERO``."""
+    kind = draw(st.sampled_from(["straddling", "negative", "positive", "zero"]))
+    if kind == "zero":
+        return (Fraction(0), Fraction(0))
+    magnitude = st.fractions(min_value=Fraction(1, 8), max_value=2, max_denominator=8)
+    x, y = sorted(draw(st.lists(magnitude, min_size=2, max_size=2)))
+    return {"straddling": (-x, y), "negative": (-y, -x), "positive": (x, y)}[kind]
+
+
 class TestSummability:
+    @given(st.integers(-5, 5), st.lists(bracket(), min_size=1, max_size=12), st.data())
+    def test_matches_per_lag_sums(self, start, brackets, data):
+        s = CorrelationSequence(
+            entries={start + i: b for i, b in enumerate(brackets)}, norm_sq=Fraction(1)
+        )
+        lo = data.draw(st.integers(start, start + len(brackets) - 1))
+        hi = data.draw(st.integers(lo, start + len(brackets) - 1))
+        l1 = [Fraction(0), Fraction(0)]
+        l2 = [Fraction(0), Fraction(0)]
+        for n in range(lo, hi + 1):
+            a, b = s.entries[n]
+            upper = max(abs(a), abs(b))
+            lower = Fraction(0) if a <= 0 <= b else min(abs(a), abs(b))
+            l1 = [l1[0] + lower, l1[1] + upper]
+            l2 = [l2[0] + lower * lower, l2[1] + upper * upper]
+        rep = summability_report(s, (lo, hi))
+        assert rep.l1 == tuple(l1) and rep.l2 == tuple(l2)
+        assert all(type(x) is Fraction for x in rep.l1 + rep.l2)
+        assert rep.support == [n for n in range(lo, hi + 1) if s.entries[n] != (0, 0)]
+
     def test_exact_sums(self):
         s = seq({0: 1, 1: Fraction(1, 2), 2: 0})
         rep = summability_report(s, (0, 2))

@@ -131,10 +131,7 @@ class TestPoisson:
     def test_escape_fraction_is_whole_tower_share(self, spec, steps):
         cfg = SimulationConfig(sample_count=20000, seed=4)
         pairs = poisson_sample_and_push(spec, LevelFunction.indicator(1), 3, 2.0, steps, cfg)
-        h = spec.heights()[2]
-        p = abs(steps) / h
-        points = 2.0 * cfg.sample_count * float(spec.widths()[2]) * h
-        assert abs(pairs.escape_fraction - p) <= 5.5 * np.sqrt(p * (1 - p) / points)
+        assert pairs.escape_fraction == abs(steps) / spec.heights()[2]
 
     def test_determinism(self, spec):
         f = LevelFunction.indicator(1)
