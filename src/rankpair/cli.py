@@ -276,7 +276,8 @@ def cmd_simulate(args, out: _Output) -> int:
             lag: abs(sample.sample_covariance(lag) - float(seq.midpoint(lag)))
             for lag in range(args.lag_max + 1)
         }
-        out.stats.update({"length": length, "repaired": sample.repaired})
+        out.stats.update({"length": length, "repaired": sample.repaired,
+                          "sampler": sample.sampler, "embedding_min": sample.embedding_min})
         payload = {
             "kind": "gaussian",
             "repaired": sample.repaired,

@@ -247,6 +247,16 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def _platform() -> str:
+    """``platform.platform()`` without the processor, whose lookup spawns
+    ``uname -p`` on Linux; that string drops it when it equals the machine
+    or reads unknown, as it does on common Linux systems."""
+    uname = platform.uname()
+    lib, version = platform.libc_ver()
+    parts = (uname.system, uname.release, uname.machine, "with" if lib else "", lib + version)
+    return "-".join(part for part in parts if part)
+
+
 @dataclass
 class RunManifest:
     command: str
@@ -255,7 +265,7 @@ class RunManifest:
     stats: dict[str, Any] = field(default_factory=dict)  # what the run did, by command
     started_at: str = field(default_factory=_now)
     finished_at: str = ""
-    platform: str = platform.platform()
+    platform: str = _platform()
 
     def finish(self, path: str | Path) -> None:
         self.finished_at = _now()

@@ -38,13 +38,20 @@ class DensityEstimate:
 
 def _cosine_density(seq: CorrelationSequence, weights, grid: int, exact: bool) -> DensityEstimate:
     """``rho(0) + 2 sum_n w_n rho(n) cos(n theta)`` over ``(n, w_n)`` in
-    ascending ``n``, with ``rho`` the bracket midpoints."""
+    ascending ``n``, with ``rho`` the bracket midpoints.
+
+    Lags with ``rho(n) = 0`` are skipped: their term is a signed zero, and
+    adding a zero to a sum that started from a positive zero or a nonzero
+    value never changes it, so the values are the all-lags values bit for
+    bit."""
     if grid < 1:
         raise ValueError("grid must be positive")
     thetas = 2.0 * np.pi * np.arange(grid) / grid
     values = np.full(grid, float(seq.midpoint(0)) if 0 in seq.entries else 0.0)
     for n, w in weights:
-        values += 2.0 * (w * float(seq.midpoint(n))) * np.cos(n * thetas)
+        rho = float(seq.midpoint(n))
+        if rho != 0.0:
+            values += 2.0 * (w * rho) * np.cos(n * thetas)
     return DensityEstimate(grid_size=grid, values=values, exact=exact)
 
 

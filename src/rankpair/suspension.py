@@ -73,12 +73,24 @@ def _lagged_sums(x: np.ndarray) -> np.ndarray:
     return np.fft.irfft(power, n=nfft)[:length]
 
 
+def _toeplitz(r: np.ndarray) -> np.ndarray:
+    idx = np.arange(r.size)
+    return r[np.abs(np.subtract.outer(idx, idx))]
+
+
 @dataclass
 class GaussianSample:
     paths: np.ndarray          # (sample_count, length)
-    covariance: np.ndarray     # the Toeplitz matrix of the covariance
+    first_row: np.ndarray      # the covariance at lags 0 .. length - 1
     repaired: bool
+    sampler: str               # "circulant" or "eigh"
+    embedding_min: float       # smallest eigenvalue of the circulant embedding
     _lagged: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    @property
+    def covariance(self) -> np.ndarray:
+        """The Toeplitz matrix of the covariance, built on each read."""
+        return _toeplitz(self.first_row)
 
     def sample_covariance(self, lag: int) -> float:
         """Average of lagged products over both samples and time.
@@ -94,13 +106,39 @@ class GaussianSample:
         return float(self._lagged[lag]) / (samples * (length - lag))
 
 
+def _circulant_paths(scale: np.ndarray, length: int, config: SimulationConfig) -> np.ndarray:
+    """Paths whose covariance is the circulant with eigenvalues
+    ``scale**2 * scale.size``, truncated to ``length``.  Each row of
+    ``fft(scale * (z1 + i z2))`` gives two independent exact paths, its real
+    part and its imaginary part; blocks of ``_FFT_ROWS`` paths bound the
+    complex buffer."""
+    rng = _stream(config.seed, 0)
+    paths = np.empty((config.sample_count, length))
+    for start in range(0, config.sample_count, _FFT_ROWS):
+        rows = min(_FFT_ROWS, config.sample_count - start)
+        # pairs of standard normals viewed as z1 + i z2
+        noise = rng.standard_normal(((rows + 1) // 2, scale.size, 2)).view(np.complex128)[..., 0]
+        noise *= scale
+        y = np.fft.fft(noise, axis=1)[:, :length]
+        half = y.shape[0]
+        paths[start : start + half] = y.real
+        paths[start + half : start + rows] = y.imag[: rows - half]
+    return paths
+
+
 def gaussian_sample(
     cov: CorrelationSequence, length: int, config: SimulationConfig
 ) -> GaussianSample:
     """Stationary zero-mean Gaussian paths with the given covariance.
 
-    The truncated Toeplitz matrix is checked for positive semidefiniteness;
-    eigenvalues negative by at most a relative 1e-9 are projected to zero
+    The fast path embeds the covariance in the minimal circulant, with
+    first row ``(r_0 .. r_{L-1}, r_{L-2} .. r_1)``, whose eigenvalues are one
+    real FFT of that row (Davies & Harte 1987; Dietrich & Newsam 1997).  If
+    none is below ``-1e-9 * max(r_0, 1)``, negative ones are clipped to zero
+    and the paths are FFTs of scaled complex noise; the Toeplitz matrix is
+    the embedding's leading block, so it is PSD as well and is never built.
+    Otherwise the Toeplitz matrix is factored with ``eigh``: eigenvalues
+    negative by at most that relative slack are projected to zero
     (truncating a genuine covariance can graze zero), anything worse is an
     error naming the first offending leading principal minor.  A length
     whose Toeplitz matrix, or a sample whose paths, would hold more than
@@ -117,10 +155,19 @@ def gaussian_sample(
     if not cov.covers(0, length - 1):
         raise CoverageError(f"covariance must cover lags [0, {length - 1}]")
     r = np.array([float(cov.midpoint(n)) for n in range(length)])
-    idx = np.arange(length)
-    toep = r[np.abs(np.subtract.outer(idx, idx))]
-    eigvals, eigvecs = np.linalg.eigh(toep)
     slack = _PSD_SLACK * max(r[0], 1.0)
+    # the embedding's eigenvalues at frequencies 0 .. m/2; the others mirror them
+    lam = np.fft.rfft(np.concatenate((r, r[-2:0:-1]))).real
+    embedding_min = float(lam.min())
+    if embedding_min >= -slack:
+        eig = np.clip(np.concatenate((lam, lam[-2:0:-1])), 0.0, None)
+        return GaussianSample(
+            paths=_circulant_paths(np.sqrt(eig / eig.size), length, config),
+            first_row=r, repaired=embedding_min < 0,
+            sampler="circulant", embedding_min=embedding_min,
+        )
+    toep = _toeplitz(r)
+    eigvals, eigvecs = np.linalg.eigh(toep)
     if eigvals[0] < -slack:
         # bisect for the first leading block with an eigenvalue below -slack:
         # by Cauchy interlacing that eigenvalue never rises with the order
@@ -139,7 +186,8 @@ def gaussian_sample(
     repaired = bool(eigvals[0] < 0)
     factor = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
     z = _stream(config.seed, 0).standard_normal((config.sample_count, length))
-    return GaussianSample(paths=z @ factor.T, covariance=toep, repaired=repaired)
+    return GaussianSample(paths=z @ factor.T, first_row=r, repaired=repaired,
+                          sampler="eigh", embedding_min=embedding_min)
 
 
 @dataclass

@@ -222,6 +222,24 @@ def test_certification_commands_start_without_numpy():
                    check=True)
 
 
+def test_commands_spawn_no_process(tmp_path):
+    """A CLI run starts no subprocess: ``platform.platform()`` spawns
+    ``uname -p`` on Linux, and the manifest must not call it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "spawned = []\n"
+        "sys.addaudithook(lambda event, args: event.startswith(('subprocess.', 'os.exec', "
+        "'os.fork', 'os.posix_spawn', 'os.spawn', 'os.system')) and spawned.append(event))\n"
+        "import rankpair.cli\n"
+        f"code = rankpair.cli.main(['--out-dir', {str(tmp_path)!r}, 'schedule', '--horizon', '100'])\n"
+        "sys.exit(code or ', '.join(spawned) or None)\n"
+    )
+    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                   check=True)
+    assert (tmp_path / "schedule_manifest.json").exists()
+
+
 def test_exported_names_have_a_user():
     """Every name ``rankpair`` exports resolves, is no submodule, and is
     imported by ``rankpair.cli`` (or bound there from ``_NUMERIC``), imported
@@ -342,7 +360,9 @@ class TestPipeline:
                      "--table", str(plan_dir / "correlations.tsv"),
                      "--lag-max", "5", "--samples", "200"]) == 0
         stats = ser.read_json(plan_dir / "simulate_manifest.json")["stats"]
-        assert stats == {"length": 11, "repaired": False}
+        assert stats == {"length": 11, "repaired": False, "sampler": "circulant",
+                         "embedding_min": stats["embedding_min"]}
+        assert stats["embedding_min"] >= 0
 
     def test_lemma3(self, tmp_path):
         w = tmp_path / "w.json"

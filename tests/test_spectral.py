@@ -34,6 +34,21 @@ class TestDensities:
         expected = 1.0 + np.cos(3 * est.thetas)
         assert np.allclose(est.values, expected)
 
+    def test_zero_lags_skipped_bit_for_bit(self):
+        # lags 1-29 and the bracket (-1/4, 1/4) at lag 40 have midpoint 0
+        entries = {n: (Fraction(0), Fraction(0)) for n in range(64)}
+        entries.update({0: (Fraction(1), Fraction(1)), 30: (Fraction(-1, 3), Fraction(-1, 3)),
+                        40: (Fraction(-1, 4), Fraction(1, 4)), 63: (Fraction(1, 7), Fraction(1, 5))})
+        s = CorrelationSequence(entries=entries, norm_sq=Fraction(1))
+        thetas = 2.0 * np.pi * np.arange(97) / 97
+        for est, weights in ((fejer_density(s, 64, 97), [(n, 1.0 - n / 64) for n in range(1, 64)]),
+                             (trig_polynomial_density(s, 97), [(n, 1.0) for n in range(1, 64)])):
+            loop = np.full(97, 1.0)
+            for n, w in weights:
+                loop += 2.0 * (w * float(s.midpoint(n))) * np.cos(n * thetas)
+            assert np.array_equal(est.values, loop)
+            assert np.array_equal(np.signbit(est.values), np.signbit(loop))
+
     def test_grid_mean_recovers_lag_zero(self):
         est = trig_polynomial_density(
             seq({0: 1, 1: Fraction(1, 3), 5: Fraction(-1, 7)}), 4096

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from rankpair import (
     poisson_sample_and_push,
 )
 from rankpair.core import occurrence_set
+from rankpair.serialize import correlation_table_from_tsv
 from rankpair.suspension import CovarianceEstimate
 
 
@@ -81,6 +83,50 @@ class TestGaussian:
         loop = np.array([[r[abs(i - j)] for j in range(4)] for i in range(4)])
         sample = gaussian_sample(s, 4, SimulationConfig(sample_count=10, seed=0))
         assert np.array_equal(sample.covariance, loop)
+
+    def test_embeddable_sequence_takes_the_circulant_path(self):
+        # the embedding (1, 1/4, 0, 0, 0, 0, 0, 1/4) has eigenvalues 1 + cos(2 pi k / 8) / 2
+        s = exact_seq({0: 1, 1: Fraction(1, 4), 2: 0, 3: 0, 4: 0})
+        sample = gaussian_sample(s, 5, SimulationConfig(sample_count=10, seed=0))
+        assert sample.sampler == "circulant" and not sample.repaired
+        assert sample.embedding_min == pytest.approx(0.5, abs=1e-15)
+        assert sample.paths.shape == (10, 5)
+
+    def test_unembeddable_table_takes_eigh_with_unchanged_draws(self):
+        table = Path(__file__).parent / "golden" / "default" / "correlations.tsv"
+        seq = correlation_table_from_tsv(table.read_text())
+        cfg = SimulationConfig(sample_count=50, seed=11)
+        sample = gaussian_sample(seq, 41, cfg)
+        assert sample.sampler == "eigh" and sample.embedding_min < -0.75
+        r = np.array([float(seq.midpoint(n)) for n in range(41)])
+        toep = np.array([[r[abs(i - j)] for j in range(41)] for i in range(41)])
+        eigvals, eigvecs = np.linalg.eigh(toep)
+        factor = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+        z = np.random.Generator(np.random.Philox(key=11, counter=[0, 0, 0, 0]))
+        assert np.array_equal(sample.paths, z.standard_normal((50, 41)) @ factor.T)
+
+    @pytest.mark.parametrize("count", [1, 3, 257])
+    def test_odd_sample_counts(self, count):
+        s = exact_seq({0: 1, 1: Fraction(1, 2), 2: 0, 3: 0, 4: 0})
+        cfg = SimulationConfig(sample_count=count, seed=5)
+        a = gaussian_sample(s, 5, cfg)
+        assert a.sampler == "circulant" and a.paths.shape == (count, 5)
+        assert np.array_equal(a.paths, gaussian_sample(s, 5, cfg).paths)
+
+    def test_circulant_paths_recover_the_covariance(self):
+        # r(n) = (4/5)^n; every lag up to (length - 1) / 2 lies within 5.5
+        # standard errors of a Bartlett-type bound on the estimator's variance
+        length, paths = 257, 4000
+        s = exact_seq({n: Fraction(4, 5) ** n for n in range(length)})
+        sample = gaussian_sample(s, length, SimulationConfig(sample_count=paths, seed=2))
+        assert sample.sampler == "circulant" and not sample.repaired
+        r = np.array([float(s.midpoint(n)) for n in range(length)])
+        padded = np.concatenate((np.zeros(length), r[:0:-1], r, np.zeros(length)))
+        j = np.arange(-length + 1, length) + 2 * length - 1  # lag 0 sits at 2 * length - 1
+        for k in range(length // 2 + 1):
+            var = (padded[j] ** 2 + np.abs(padded[j + k] * padded[j - k])).sum()
+            stderr = np.sqrt(var / (paths * (length - k)))
+            assert abs(sample.sample_covariance(k) - r[k]) <= 5.5 * stderr, k
 
     def test_non_psd_rejected(self):
         # the second sequence's leading blocks are the identity up to order
