@@ -32,7 +32,7 @@ _CONFIDENCE = 0.95  # level of the normal interval around a covariance estimate
 # bytes across the sampler and the estimator, a float array entry 8 bytes
 _POINT_CAP = 10 ** 7        # expected Poisson points in one simulation
 _CELL_CAP = 10 ** 6         # cells of supp f in the sampled tower
-_GAUSSIAN_CAP = 1 << 24     # entries of the Toeplitz matrix and of the paths
+_GAUSSIAN_CAP = 1 << 24     # entries of the Toeplitz factor and of the paths
 
 
 class PSDError(ValueError):
@@ -73,24 +73,13 @@ def _lagged_sums(x: np.ndarray) -> np.ndarray:
     return np.fft.irfft(power, n=nfft)[:length]
 
 
-def _toeplitz(r: np.ndarray) -> np.ndarray:
-    idx = np.arange(r.size)
-    return r[np.abs(np.subtract.outer(idx, idx))]
-
-
 @dataclass
 class GaussianSample:
     paths: np.ndarray          # (sample_count, length)
-    first_row: np.ndarray      # the covariance at lags 0 .. length - 1
     repaired: bool
-    sampler: str               # "circulant" or "eigh"
+    sampler: str               # "circulant" or "schur"
     embedding_min: float       # smallest eigenvalue of the circulant embedding
     _lagged: np.ndarray | None = field(default=None, init=False, repr=False)
-
-    @property
-    def covariance(self) -> np.ndarray:
-        """The Toeplitz matrix of the covariance, built on each read."""
-        return _toeplitz(self.first_row)
 
     def sample_covariance(self, lag: int) -> float:
         """Average of lagged products over both samples and time.
@@ -126,6 +115,31 @@ def _circulant_paths(scale: np.ndarray, length: int, config: SimulationConfig) -
     return paths
 
 
+def _toeplitz_cholesky(r: np.ndarray) -> np.ndarray | int:
+    """The lower Cholesky factor of the Toeplitz matrix with first row ``r``,
+    or the order of its first leading block that is not positive definite.
+
+    The Schur algorithm (Kailath & Sayed 1995), O(L^2): the Schur complement
+    ``S`` has generators with ``S - Z S Z^T = u u^T - v v^T``, ``u`` its next
+    factor column.  Each step shifts ``u`` down a row and zeroes ``v_0`` by
+    a hyperbolic rotation, which exists while the pivot ``u_0^2 (1 - rho^2)``
+    is positive; updating ``v`` from the new ``u`` keeps it stable.
+    """
+    if not r[0] > 0:
+        return 1
+    upper = np.zeros((r.size, r.size))
+    u = upper[0] = r / math.sqrt(r[0])
+    v = u[1:]
+    for k in range(1, r.size):
+        rho = v[0] / u[0]
+        if not abs(rho) < 1:
+            return k + 1
+        s = math.sqrt((1 - rho) * (1 + rho))
+        u = upper[k, k:] = (u[:-1] - rho * v) / s
+        v = (s * v - rho * u)[1:]
+    return upper.T
+
+
 def gaussian_sample(
     cov: CorrelationSequence, length: int, config: SimulationConfig
 ) -> GaussianSample:
@@ -137,11 +151,11 @@ def gaussian_sample(
     none is below ``-1e-9 * max(r_0, 1)``, negative ones are clipped to zero
     and the paths are FFTs of scaled complex noise; the Toeplitz matrix is
     the embedding's leading block, so it is PSD as well and is never built.
-    Otherwise the Toeplitz matrix is factored with ``eigh``: eigenvalues
-    negative by at most that relative slack are projected to zero
-    (truncating a genuine covariance can graze zero), anything worse is an
-    error naming the first offending leading principal minor.  A length
-    whose Toeplitz matrix, or a sample whose paths, would hold more than
+    Otherwise the Schur algorithm factors the Toeplitz matrix, once more
+    with that slack added to ``r_0`` if it is not positive definite
+    (truncating a genuine covariance can graze zero; the sample is then
+    repaired); if that fails too, the error names the first offending
+    leading principal minor.  A Toeplitz factor or path array of more than
     ``2**24`` entries is refused before anything is allocated.
     """
     if length < 1:
@@ -163,31 +177,17 @@ def gaussian_sample(
         eig = np.clip(np.concatenate((lam, lam[-2:0:-1])), 0.0, None)
         return GaussianSample(
             paths=_circulant_paths(np.sqrt(eig / eig.size), length, config),
-            first_row=r, repaired=embedding_min < 0,
-            sampler="circulant", embedding_min=embedding_min,
+            repaired=embedding_min < 0, sampler="circulant", embedding_min=embedding_min,
         )
-    toep = _toeplitz(r)
-    eigvals, eigvecs = np.linalg.eigh(toep)
-    if eigvals[0] < -slack:
-        # bisect for the first leading block with an eigenvalue below -slack:
-        # by Cauchy interlacing that eigenvalue never rises with the order
-        within, minor = 0, length
-        while minor - within > 1:
-            k = (within + minor) // 2
-            try:
-                np.linalg.cholesky(toep[:k, :k] + slack * np.eye(k))
-                within = k
-            except np.linalg.LinAlgError:
-                minor = k
-        raise PSDError(
-            f"covariance not PSD: min eigenvalue {eigvals[0]:.3e}, "
-            f"first offending leading minor of order {minor}"
-        )
-    repaired = bool(eigvals[0] < 0)
-    factor = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+    factor = _toeplitz_cholesky(r)
+    repaired = isinstance(factor, int)
+    if repaired:
+        factor = _toeplitz_cholesky(np.concatenate(([r[0] + slack], r[1:])))
+        if isinstance(factor, int):
+            raise PSDError(f"covariance not PSD: first offending leading minor of order {factor}")
     z = _stream(config.seed, 0).standard_normal((config.sample_count, length))
-    return GaussianSample(paths=z @ factor.T, first_row=r, repaired=repaired,
-                          sampler="eigh", embedding_min=embedding_min)
+    return GaussianSample(paths=z @ factor.T, repaired=repaired,
+                          sampler="schur", embedding_min=embedding_min)
 
 
 @dataclass

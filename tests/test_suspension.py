@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rankpair import (
     CorrelationSequence,
@@ -20,7 +21,41 @@ from rankpair import (
 )
 from rankpair.core import occurrence_set
 from rankpair.serialize import correlation_table_from_tsv
-from rankpair.suspension import CovarianceEstimate
+from rankpair.suspension import CovarianceEstimate, _toeplitz_cholesky
+
+
+def toeplitz(r):
+    r = np.array([float(x) for x in r])
+    return np.array([[r[abs(i - j)] for j in range(r.size)] for i in range(r.size)])
+
+
+def first_failing_order(toep, slack):
+    """The order of the first leading block of ``toep + slack I`` that
+    Cholesky rejects, found by bisection, or None if the whole matrix
+    factors.  Rejection never recovers with the order, as each block's
+    factor contains the factors of the smaller ones."""
+    def factors(k):
+        try:
+            np.linalg.cholesky(toep[:k, :k] + slack * np.eye(k))
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    if factors(len(toep)):
+        return None
+    within, minor = 0, len(toep)
+    while minor - within > 1:
+        k = (within + minor) // 2
+        if factors(k):
+            within = k
+        else:
+            minor = k
+    return minor
+
+
+def golden_table():
+    table = Path(__file__).parent / "golden" / "default" / "correlations.tsv"
+    return correlation_table_from_tsv(table.read_text())
 
 
 def exact_seq(entries):
@@ -77,13 +112,6 @@ class TestGaussian:
         with pytest.raises(ValueError):
             sample.sample_covariance(5)
 
-    def test_toeplitz_matches_loop(self):
-        s = exact_seq({0: 1, 1: Fraction(1, 2), 2: Fraction(1, 4), 3: 0})
-        r = [float(s.midpoint(n)) for n in range(4)]
-        loop = np.array([[r[abs(i - j)] for j in range(4)] for i in range(4)])
-        sample = gaussian_sample(s, 4, SimulationConfig(sample_count=10, seed=0))
-        assert np.array_equal(sample.covariance, loop)
-
     def test_embeddable_sequence_takes_the_circulant_path(self):
         # the embedding (1, 1/4, 0, 0, 0, 0, 0, 1/4) has eigenvalues 1 + cos(2 pi k / 8) / 2
         s = exact_seq({0: 1, 1: Fraction(1, 4), 2: 0, 3: 0, 4: 0})
@@ -92,18 +120,61 @@ class TestGaussian:
         assert sample.embedding_min == pytest.approx(0.5, abs=1e-15)
         assert sample.paths.shape == (10, 5)
 
-    def test_unembeddable_table_takes_eigh_with_unchanged_draws(self):
-        table = Path(__file__).parent / "golden" / "default" / "correlations.tsv"
-        seq = correlation_table_from_tsv(table.read_text())
+    def test_unembeddable_table_takes_the_schur_factor(self):
+        seq = golden_table()
         cfg = SimulationConfig(sample_count=50, seed=11)
         sample = gaussian_sample(seq, 41, cfg)
-        assert sample.sampler == "eigh" and sample.embedding_min < -0.75
-        r = np.array([float(seq.midpoint(n)) for n in range(41)])
-        toep = np.array([[r[abs(i - j)] for j in range(41)] for i in range(41)])
-        eigvals, eigvecs = np.linalg.eigh(toep)
-        factor = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+        assert sample.sampler == "schur" and sample.embedding_min < -0.75
+        assert not sample.repaired
+        toep = toeplitz([float(seq.midpoint(n)) for n in range(41)])
         z = np.random.Generator(np.random.Philox(key=11, counter=[0, 0, 0, 0]))
-        assert np.array_equal(sample.paths, z.standard_normal((50, 41)) @ factor.T)
+        expected = z.standard_normal((50, 41)) @ np.linalg.cholesky(toep).T
+        # the Schur recursion rounds differently from LAPACK's Cholesky
+        np.testing.assert_allclose(sample.paths, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("offset, repaired", [(0.5, True), (2.0, False)])
+    def test_repair_boundary(self, offset, repaired):
+        # shift r_0 of the golden L = 41 table so that the smallest eigenvalue
+        # sits offset * slack below zero: within the slack the sample is
+        # repaired, beyond it the table is rejected
+        seq = golden_table()
+        r = [Fraction(float(seq.midpoint(n))) for n in range(41)]
+        slack = 1e-9  # 1e-9 * max(r_0, 1), and r_0 stays below 1
+        r[0] -= Fraction(np.linalg.eigvalsh(toeplitz(r)).min() + offset * slack)
+        assert r[0] < 1
+        shifted_min = np.linalg.eigvalsh(toeplitz(r)).min()
+        assert shifted_min == pytest.approx(-offset * slack, rel=1e-4)
+        shifted = exact_seq(dict(enumerate(r)))
+        cfg = SimulationConfig(sample_count=10, seed=0)
+        if repaired:
+            sample = gaussian_sample(shifted, 41, cfg)
+            assert sample.sampler == "schur" and sample.repaired
+        else:
+            with pytest.raises(PSDError):
+                gaussian_sample(shifted, 41, cfg)
+
+    @given(st.integers(1, 60), st.floats(0.25, 2),
+           st.dictionaries(st.integers(1, 59), st.floats(-1, 1), max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_schur_factor_matches_cholesky(self, length, r0, lags):
+        r = np.zeros(length)
+        r[0] = r0
+        for lag, value in lags.items():
+            if lag < length:
+                r[lag] = value
+        toep = toeplitz(r)
+        slack = 1e-9 * max(r0, 1.0)
+        jittered = _toeplitz_cholesky(np.concatenate(([r0 + slack], r[1:])))
+        order = jittered if isinstance(jittered, int) else None
+        assert order == first_failing_order(toep, slack)
+        smallest = np.linalg.eigvalsh(toep).min()
+        if smallest > 1e-6:  # positive definite beyond any rounding
+            factor = _toeplitz_cholesky(r)
+            assert not isinstance(factor, int)
+            # both factors are backward stable; their difference scales with
+            # the condition number (measured at most 2.1e-15 / smallest)
+            np.testing.assert_allclose(factor, np.linalg.cholesky(toep),
+                                       rtol=0, atol=1e-13 / smallest)
 
     @pytest.mark.parametrize("count", [1, 3, 257])
     def test_odd_sample_counts(self, count):
