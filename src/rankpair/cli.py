@@ -4,9 +4,10 @@ simulate, lemma3, report.
 Exit codes: 0 on pass, 1 on usage or input errors and on runs that cannot
 finish (tolerance not reached, planning failure, escape cap, memory cap,
 out of memory), 2 on a certificate violation.  Every run writes a manifest
-next to its outputs with enough information (arguments, seed, source
-revision) to reproduce it byte-for-byte; ``simulate`` also records there
-what it sampled (``stats``).  All file writes are atomic.
+``<stem>_manifest.json``, the stem of ``--out`` or else the command, with
+enough information (arguments, seed, source revision) to reproduce it
+byte-for-byte; ``simulate`` also records there what it sampled (``stats``).
+All file writes are atomic.
 
 ``main`` owns the run: it makes the output directory (``--out-dir``,
 default ``.``) and the manifest, hands the command an output handle, and
@@ -479,7 +480,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         out = _Output(args)
         code = args.func(args, out)
-        out.manifest.finish(out.dir / f"{args.command}_manifest.json")
+        stem = Path(getattr(args, "out", args.command)).stem
+        out.manifest.finish(out.dir / f"{stem}_manifest.json")
         return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

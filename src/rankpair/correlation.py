@@ -238,7 +238,7 @@ class BracketTable:
     ``c < 0``.  The top zone of ``m`` is nonzero only once ``|m|`` reaches
     ``height - max(top)``; the lags where some term gets there form the
     envelope.  A lag outside the envelope whose terms all miss the count
-    keys is exactly zero.
+    keys is exactly zero, so :meth:`nonzero` visits only the others.
     """
 
     def __init__(self, prof: PairProfile, f: LevelFunction, g: LevelFunction):
@@ -259,8 +259,7 @@ class BracketTable:
             prof.g.top[-1] - prof.height - min(shifts, default=0) if prof.g.top else -math.inf
         )
 
-    def integers(self, n: int) -> tuple[int, int]:
-        """The bracket of lag ``n`` in units of ``width / D``."""
+    def bracket(self, n: int) -> Interval:
         prof = self.prof
         envelope = n >= self.envelope_from or n <= self.envelope_to
         lo = hi = 0
@@ -274,55 +273,36 @@ class BracketTable:
                     hi += t
                 else:
                     lo += t
-        return lo, hi
-
-    def bracket(self, n: int) -> Interval:
-        lo, hi = self.integers(n)
         if lo == hi == 0:
             return ZERO
         return (lo * self.scale, hi * self.scale)
-
-    def spread(self, n: int) -> int:
-        """Width of the bracket of lag ``n`` in units of ``width / D``."""
-        if self.envelope_to < n < self.envelope_from:
-            return 0
-        return sum(abs(c) * self.prof.top_zone(n + s) for c, s in self.terms)
-
-    def envelope(self, ns: list[int]) -> list[int]:
-        """The lags of the sorted list ``ns`` inside the envelope, farthest
-        from 0 first (top zones grow with ``|m|``)."""
-        i = bisect.bisect_right(ns, self.envelope_to)
-        j = max(i, bisect.bisect_left(ns, self.envelope_from))
-        return ns[j:][::-1] + ns[:i]
-
-    def widest(self, ns: list[int]) -> Fraction:
-        """Width of the widest bracket over the sorted lags ``ns``."""
-        return max((self.spread(n) for n in self.envelope(ns)), default=0) * self.scale
 
     @functools.cached_property
     def keys(self) -> list[int]:
         return sorted(self.prof.counts)
 
-    def first_nonzero(self, lo: int, hi: int) -> Optional[int]:
-        """Smallest lag in ``[lo, hi]`` whose bracket is not exactly zero.
+    def nonzero(self, ns) -> Iterator[tuple[int, Interval]]:
+        """``(n, bracket)`` for each lag of the sorted sequence ``ns`` whose
+        bracket is not exactly zero, in order.
 
         Only lags in the envelope or meeting a count key can be nonzero.
-        They are visited in ascending order, each found by one bisect per
-        term on the sorted count keys, so the cost follows the keys and the
-        envelope, not ``hi - lo``.
+        From each requested lag the next such lag is found by one bisect
+        per term on the sorted count keys, and the walk jumps to the first
+        requested lag at or past it, so the cost follows the keys and the
+        envelope, not the length of ``ns``.  Every lag from ``ns[0]`` to
+        ``ns[-1]`` must be covered by the counted bands.
         """
-        if lo > hi:
-            return None
-        if not all(self.prof.covers(lo + s, hi + s) for _, s in self.terms):
-            raise CoverageError(f"lags [{lo}, {hi}] reach past the counted bands")
-        n = lo
-        while True:
-            n = self._next_candidate(n)
-            if n > hi:
-                return None
-            if self.integers(n) != (0, 0):
-                return n
-            n += 1
+        if ns and not all(self.prof.covers(ns[0] + s, ns[-1] + s) for _, s in self.terms):
+            raise CoverageError(f"lags [{ns[0]}, {ns[-1]}] reach past the counted bands")
+        i = 0
+        while i < len(ns):
+            n = self._next_candidate(ns[i])
+            i = bisect.bisect_left(ns, n, i)
+            if i < len(ns) and ns[i] == n:
+                b = self.bracket(n)
+                if b is not ZERO:
+                    yield n, b
+                i += 1
 
     def _next_candidate(self, n: int):
         best = n if n <= self.envelope_to else max(n, self.envelope_from)
@@ -381,18 +361,23 @@ def correlation_sequence(
     engine pass.
 
     Every bracket is read from the deepest profile, the narrowest since
-    brackets are nested.  A ``tolerance`` that some bracket there exceeds
-    raises :class:`ToleranceNotReached`, carrying the widest; one first met
-    at a shallower depth still yields the deepest brackets, never wider.
+    brackets are nested, and only the lags it does not certify to be zero
+    are visited (:meth:`BracketTable.nonzero`).  A ``tolerance`` that some
+    bracket there exceeds raises :class:`ToleranceNotReached`, carrying the
+    widest; one first met at a shallower depth still yields the deepest
+    brackets, never wider.
     """
     g = g or f
     ns = sorted(set(n_values))
     intervals = [(ns[0], ns[-1])] if ns else []
     for table in bracket_tables(spec, f, intervals, g):
         pass  # only the last, deepest table is read; one is alive at a time
-    if tolerance is not None and table.widest(ns) > tolerance:
-        raise ToleranceNotReached(table.widest(ns))
-    entries = {n: table.bracket(n) for n in ns}
+    nonzero = dict(table.nonzero(ns))
+    gap = max((hi - lo for lo, hi in nonzero.values()), default=Fraction(0))
+    if tolerance is not None and gap > tolerance:
+        raise ToleranceNotReached(gap)
+    entries = dict.fromkeys(ns, ZERO)
+    entries.update(nonzero)
     return CorrelationSequence(entries, f.norm_sq(spec), subject)
 
 

@@ -341,13 +341,14 @@ def check_certificate(spec: RankOneSpec, cert: ConstructionCertificate) -> None:
     """Recompute every claim in place from one engine pass over the lags
     of all claims, which yields one bracket table per depth.
 
-    A zero claim is a range query on the deepest table's count keys and
-    envelope (:meth:`BracketTable.first_nonzero`), so its cost does not
-    grow with the interval's length; rigidity claims read single-lag
-    brackets off the same table.  A polynomial claim also reads the table
-    of the tower its stage is applied to (:func:`verify_polynomial_limit`);
-    one that no stage of the spec realises is recorded as unsatisfied.  A
-    tracked function that lives on no tower of the spec is a ``ValueError``.
+    A zero claim's first violation is the first lag that the deepest
+    table's walk (:meth:`BracketTable.nonzero`) yields over its interval,
+    so its cost follows the count keys and envelope, not the interval's
+    length; rigidity claims read single-lag brackets off the same table.
+    A polynomial claim also reads the table of the tower its stage is
+    applied to (:func:`verify_polynomial_limit`); one that no stage of the
+    spec realises is recorded as unsatisfied.  A tracked function that
+    lives on no tower of the spec is a ``ValueError``.
     """
     f = cert.tracked
     issues = f.issues(spec)
@@ -359,7 +360,8 @@ def check_certificate(spec: RankOneSpec, cert: ConstructionCertificate) -> None:
     table, at = _one_pass(spec, f, f, intervals, claims)
     nsq = f.norm_sq(spec)
     for z in cert.zero_intervals:
-        z.first_violation = table.first_nonzero(*z.checked)
+        lo, hi = z.checked
+        z.first_violation = next((n for n, _ in table.nonzero(range(lo, hi + 1))), None)
         z.verdict = "exact-zero" if z.first_violation is None else "violated"
     for r in cert.rigidity_times:
         r.target = (1 - Fraction(1, r.cuts)) * nsq

@@ -32,7 +32,7 @@ _CONFIDENCE = 0.95  # level of the normal interval around a covariance estimate
 # bytes across the sampler and the estimator, a float array entry 8 bytes
 _POINT_CAP = 10 ** 7        # expected Poisson points in one simulation
 _CELL_CAP = 10 ** 6         # cells of supp f in the sampled tower
-_GAUSSIAN_CAP = 1 << 24     # entries of the Toeplitz factor and of the paths
+_GAUSSIAN_CAP = 1 << 24     # float entries the Gaussian sampler holds at once
 
 
 class PSDError(ValueError):
@@ -60,12 +60,17 @@ def _stream(seed: int, index: int) -> np.random.Generator:
 _FFT_ROWS = 256  # paths per transform, which bounds the complex buffer
 
 
+def _nfft(length: int) -> int:
+    """The FFT size of :func:`_lagged_sums`, at least ``2 * length - 1``."""
+    return 1 << (2 * length - 1).bit_length()
+
+
 def _lagged_sums(x: np.ndarray) -> np.ndarray:
     """``out[k] = sum over paths and t of x[t] * x[t + k]`` for every lag,
     from one zero-padded real FFT per path: the padding to at least
     ``2 * length - 1`` makes the circular autocorrelation a linear one."""
     length = x.shape[1]
-    nfft = 1 << (2 * length - 1).bit_length()
+    nfft = _nfft(length)
     power = np.zeros(nfft // 2 + 1)
     for start in range(0, x.shape[0], _FFT_ROWS):
         spec = np.fft.rfft(x[start : start + _FFT_ROWS], n=nfft, axis=1)
@@ -155,17 +160,11 @@ def gaussian_sample(
     with that slack added to ``r_0`` if it is not positive definite
     (truncating a genuine covariance can graze zero; the sample is then
     repaired); if that fails too, the error names the first offending
-    leading principal minor.  A Toeplitz factor or path array of more than
-    ``2**24`` entries is refused before anything is allocated.
+    leading principal minor.  The floats the chosen sampler holds at once
+    are capped at ``2**24`` before any of its arrays is allocated.
     """
     if length < 1:
         raise ValueError(f"length must be at least 1, got {length}")
-    entries = max(length * length, config.sample_count * length)
-    if entries > _GAUSSIAN_CAP:
-        raise MemoryCapError(
-            f"length {length} with {config.sample_count} paths needs an array of {entries} "
-            f"entries, over the cap {_GAUSSIAN_CAP}"
-        )
     if not cov.covers(0, length - 1):
         raise CoverageError(f"covariance must cover lags [0, {length - 1}]")
     r = np.array([float(cov.midpoint(n)) for n in range(length)])
@@ -173,7 +172,18 @@ def gaussian_sample(
     # the embedding's eigenvalues at frequencies 0 .. m/2; the others mirror them
     lam = np.fft.rfft(np.concatenate((r, r[-2:0:-1]))).real
     embedding_min = float(lam.min())
-    if embedding_min >= -slack:
+    circulant = embedding_min >= -slack
+    path_floats = config.sample_count * length
+    # circulant: the paths, and a block of _FFT_ROWS rows and its transform, each
+    # at most nfft wide; Schur: the factor, the normals and the paths
+    entries = (path_floats + 2 * min(config.sample_count, _FFT_ROWS) * _nfft(length)
+               if circulant else length * length + 2 * path_floats)
+    if entries > _GAUSSIAN_CAP:
+        raise MemoryCapError(
+            f"length {length} with {config.sample_count} paths needs {entries} array entries, "
+            f"over the cap {_GAUSSIAN_CAP}"
+        )
+    if circulant:
         eig = np.clip(np.concatenate((lam, lam[-2:0:-1])), 0.0, None)
         return GaussianSample(
             paths=_circulant_paths(np.sqrt(eig / eig.size), length, config),

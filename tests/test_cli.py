@@ -141,7 +141,8 @@ N_MIN_ABOVE_N_MAX = correlate(GOLDEN_SPEC) + ["--n-min", "6"]
     POISSON + ["--intensity", "1e12", "--samples", "10"],
     ["simulate", "--kind", "poisson", "--spec", "wide-tower.json", "--function", "f.json",
      "--depth", "4"],
-    ["simulate", "--kind", "gaussian", "--table", GOLDEN_TABLE, "--lag-max", "5000"],
+    ["simulate", "--kind", "gaussian", "--table", GOLDEN_TABLE, "--lag-max", "1000",
+     "--samples", "8000"],
     ["schedule", "--growth", "1/0", "--horizon", "10"],
     ["plan", "--growth", "1/0"],
     ["lemma3", "--function", "w.json", "--delta", "1/0"],
@@ -349,17 +350,18 @@ class TestPipeline:
         assert main(["--out-dir", out, "simulate", "--kind", "poisson",
                      "--spec", str(plan_dir / "spec_s.json"),
                      "--function", f, "--depth", "3", "--steps", "0",
-                     "--samples", "2000", "--intensity", "2"]) == 0
-        payload = ser.read_json(plan_dir / "simulation.json")
+                     "--samples", "2000", "--intensity", "2", "--out", "poisson.json"]) == 0
+        payload = ser.read_json(plan_dir / "poisson.json")
         assert payload["ci_contains_exact"]
-        stats = ser.read_json(plan_dir / "simulate_manifest.json")["stats"]
+        assert main(["--out-dir", out, "simulate", "--kind", "gaussian",
+                     "--table", str(plan_dir / "correlations.tsv"),
+                     "--lag-max", "5", "--samples", "200", "--out", "gaussian.json"]) == 0
+        # each run keeps its own manifest in the shared directory
+        stats = ser.read_json(plan_dir / "poisson_manifest.json")["stats"]
         assert stats["configurations"] == 2000 and stats["escape_basis"] == "whole tower"
         assert Fraction(stats["region_measure"]) / stats["region_cells"] == Fraction(1, 8)
         assert Fraction(stats["tower_measure"]) > Fraction(stats["region_measure"])
-        assert main(["--out-dir", out, "simulate", "--kind", "gaussian",
-                     "--table", str(plan_dir / "correlations.tsv"),
-                     "--lag-max", "5", "--samples", "200"]) == 0
-        stats = ser.read_json(plan_dir / "simulate_manifest.json")["stats"]
+        stats = ser.read_json(plan_dir / "gaussian_manifest.json")["stats"]
         assert stats == {"length": 11, "repaired": False, "sampler": "circulant",
                          "embedding_min": stats["embedding_min"]}
         assert stats["embedding_min"] >= 0
@@ -383,9 +385,12 @@ class TestPipeline:
         out = plan_dir / "run"
         assert main(["--out-dir", str(out), command,
                      *(arg.format(plan=plan_dir) for arg in EVERY_COMMAND[command])]) == 0
-        manifest_path = out / f"{command}_manifest.json"
+        [manifest_path] = out.glob("*_manifest.json")
         manifest = ser.read_json(manifest_path)
         assert manifest["command"] == command
+        # named after the --out stem, or after the command where there is no --out
+        stem = Path(manifest["arguments"].get("out", command)).stem
+        assert manifest_path.name == f"{stem}_manifest.json"
         written = {str(path) for path in out.iterdir() if path != manifest_path}
         assert sorted(manifest["outputs"]) == sorted(written)
 

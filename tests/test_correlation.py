@@ -235,7 +235,7 @@ def cross_case(draw):
 
 class TestAgainstBruteForce:
     """The engine's count tables, integer brackets, the tolerance check and
-    the range-query zero check against the full occurrence lists."""
+    the walk over nonzero lags against the full occurrence lists."""
 
     @given(cross_case(), st.lists(st.integers(-15, 15), min_size=1, max_size=6))
     @settings(max_examples=150, deadline=None)
@@ -248,11 +248,13 @@ class TestAgainstBruteForce:
     @given(cross_case(), st.integers(-15, 15), st.integers(0, 12))
     @settings(max_examples=150, deadline=None)
     def test_first_nonzero(self, case, lo, length):
+        """The walk yields every lag whose bracket is not zero, in order,
+        with that bracket."""
         spec, f, g = case
         hi = lo + length
         table = [*bracket_tables(spec, f, [(lo, hi)], g)][-1]
-        nonzero = [n for n in range(lo, hi + 1) if brute_bracket(spec, f, g, n) != (0, 0)]
-        assert table.first_nonzero(lo, hi) == (nonzero[0] if nonzero else None)
+        brackets = ((n, brute_bracket(spec, f, g, n)) for n in range(lo, hi + 1))
+        assert [*table.nonzero(range(lo, hi + 1))] == [(n, b) for n, b in brackets if b != (0, 0)]
 
     @given(cross_case(), st.lists(st.integers(-12, 12), min_size=1, max_size=5),
            st.fractions(min_value=0, max_value=1, max_denominator=8))
@@ -277,26 +279,26 @@ class TestAgainstBruteForce:
     @settings(max_examples=100, deadline=None)
     def test_bands_match_full_window(self, case, runs, tolerance):
         """Counting only the bands that sparse lag runs reach changes no
-        bracket, no zero-claim answer and no tolerance result."""
+        bracket, no nonzero lag of a run and no tolerance result."""
         spec, f, g = case
         intervals = [(lo, lo + length) for lo, length in runs]
         lags = sorted({n for lo, hi in intervals for n in range(lo, hi + 1)})
         reach = max(abs(n) for n in lags)
         full = [*bracket_tables(spec, f, [(-reach, reach)], g)][-1]
         banded = [*bracket_tables(spec, f, intervals, g)][-1]
+        expected = {n: brute_bracket(spec, f, g, n) for n in lags}
         for n in lags:
-            assert banded.bracket(n) == full.bracket(n) == brute_bracket(spec, f, g, n)
+            assert banded.bracket(n) == full.bracket(n) == expected[n]
         for lo, hi in intervals:
-            assert banded.first_nonzero(lo, hi) == full.first_nonzero(lo, hi)
-        widest = banded.widest(lags)
-        assert widest == full.widest(lags)
+            assert [*banded.nonzero(range(lo, hi + 1))] == [*full.nonzero(range(lo, hi + 1))]
+        widest = max(hi - lo for lo, hi in expected.values())
         if widest > tolerance:
             with pytest.raises(ToleranceNotReached) as exc:
                 correlation_sequence(spec, f, lags, g=g, tolerance=tolerance)
             assert exc.value.achieved_gap == widest
         else:
             seq = correlation_sequence(spec, f, lags, g=g, tolerance=tolerance)
-            assert seq.entries == {n: banded.bracket(n) for n in lags}
+            assert seq.entries == expected
 
     @given(st.lists(stage_strategy(max_cuts=4), min_size=1, max_size=3),
            st.integers(1, 3), st.data())
@@ -358,7 +360,7 @@ class TestBandCoverage:
     def test_first_nonzero_just_outside_a_band(self):
         table = [*bracket_tables(self.spec, self.f, [(5, 8)])][-1]
         assert table.prof.bands == [(3, 10)]
-        table.first_nonzero(5, 8)
+        [*table.nonzero(range(5, 9))]
         for lo, hi in ((4, 8), (5, 9)):
             with pytest.raises(CoverageError):
-                table.first_nonzero(lo, hi)
+                [*table.nonzero(range(lo, hi + 1))]
