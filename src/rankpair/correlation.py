@@ -278,8 +278,8 @@ class BracketTable:
         return (lo * self.scale, hi * self.scale)
 
     @functools.cached_property
-    def keys(self) -> list[int]:
-        return sorted(self.prof.counts)
+    def keys(self) -> list:
+        return [*sorted(self.prof.counts), math.inf]  # a sentinel past every key
 
     def nonzero(self, ns) -> Iterator[tuple[int, Interval]]:
         """``(n, bracket)`` for each lag of the sorted sequence ``ns`` whose
@@ -297,7 +297,7 @@ class BracketTable:
         i = 0
         while i < len(ns):
             n = self._next_candidate(ns[i])
-            i = bisect.bisect_left(ns, n, i)
+            i = i if n == ns[i] else bisect.bisect_left(ns, n, i)
             if i < len(ns) and ns[i] == n:
                 b = self.bracket(n)
                 if b is not ZERO:
@@ -305,12 +305,11 @@ class BracketTable:
                 i += 1
 
     def _next_candidate(self, n: int):
-        best = n if n <= self.envelope_to else max(n, self.envelope_from)
-        for _, s in self.terms:
-            i = bisect.bisect_left(self.keys, n + s)
-            if i < len(self.keys):
-                best = min(best, self.keys[i] - s)
-        return best
+        if n <= self.envelope_to or n >= self.envelope_from:
+            return n
+        keys = self.keys
+        return min([self.envelope_from,
+                    *(keys[bisect.bisect_left(keys, n + s)] - s for _, s in self.terms)])
 
 
 def bracket_tables(

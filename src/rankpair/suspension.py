@@ -32,7 +32,7 @@ _CONFIDENCE = 0.95  # level of the normal interval around a covariance estimate
 # bytes across the sampler and the estimator, a float array entry 8 bytes
 _POINT_CAP = 10 ** 7        # expected Poisson points in one simulation
 _CELL_CAP = 10 ** 6         # cells of supp f in the sampled tower
-_GAUSSIAN_CAP = 1 << 24     # float entries the Gaussian sampler holds at once
+_GAUSSIAN_CAP = 1 << 24     # entries of the largest Gaussian sampler array
 
 
 class PSDError(ValueError):
@@ -160,8 +160,8 @@ def gaussian_sample(
     with that slack added to ``r_0`` if it is not positive definite
     (truncating a genuine covariance can graze zero; the sample is then
     repaired); if that fails too, the error names the first offending
-    leading principal minor.  The floats the chosen sampler holds at once
-    are capped at ``2**24`` before any of its arrays is allocated.
+    leading principal minor.  The largest array the chosen sampler holds
+    is capped at ``2**24`` entries before any of its arrays is allocated.
     """
     if length < 1:
         raise ValueError(f"length must be at least 1, got {length}")
@@ -173,15 +173,15 @@ def gaussian_sample(
     lam = np.fft.rfft(np.concatenate((r, r[-2:0:-1]))).real
     embedding_min = float(lam.min())
     circulant = embedding_min >= -slack
-    path_floats = config.sample_count * length
-    # circulant: the paths, and a block of _FFT_ROWS rows and its transform, each
-    # at most nfft wide; Schur: the factor, the normals and the paths
-    entries = (path_floats + 2 * min(config.sample_count, _FFT_ROWS) * _nfft(length)
-               if circulant else length * length + 2 * path_floats)
+    # the largest array the chosen sampler holds: the paths, or a block of
+    # _FFT_ROWS rows and its transform, each nfft wide; or the Schur factor
+    entries = max(config.sample_count * length,
+                  2 * min(config.sample_count, _FFT_ROWS) * _nfft(length)
+                  if circulant else length * length)
     if entries > _GAUSSIAN_CAP:
         raise MemoryCapError(
-            f"length {length} with {config.sample_count} paths needs {entries} array entries, "
-            f"over the cap {_GAUSSIAN_CAP}"
+            f"length {length} with {config.sample_count} paths needs an array of {entries} "
+            f"entries, over the cap {_GAUSSIAN_CAP}"
         )
     if circulant:
         eig = np.clip(np.concatenate((lam, lam[-2:0:-1])), 0.0, None)

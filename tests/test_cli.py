@@ -115,6 +115,8 @@ def correlate(spec, function="f.json"):
 
 
 N_MIN_ABOVE_N_MAX = correlate(GOLDEN_SPEC) + ["--n-min", "6"]
+GAUSSIAN_MATRIX_CAP = ["simulate", "--kind", "gaussian", "--table", GOLDEN_TABLE,
+                       "--lag-max", "1000", "--samples", "9000"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -141,8 +143,7 @@ N_MIN_ABOVE_N_MAX = correlate(GOLDEN_SPEC) + ["--n-min", "6"]
     POISSON + ["--intensity", "1e12", "--samples", "10"],
     ["simulate", "--kind", "poisson", "--spec", "wide-tower.json", "--function", "f.json",
      "--depth", "4"],
-    ["simulate", "--kind", "gaussian", "--table", GOLDEN_TABLE, "--lag-max", "1000",
-     "--samples", "8000"],
+    GAUSSIAN_MATRIX_CAP,
     ["schedule", "--growth", "1/0", "--horizon", "10"],
     ["plan", "--growth", "1/0"],
     ["lemma3", "--function", "w.json", "--delta", "1/0"],
@@ -178,6 +179,8 @@ def test_failure_is_one_line_and_exit_one(tmp_path, monkeypatch, capsys, argv):
      "usage error: argument --growth: invalid rational value: '1/0'"),
     (["simulate", "--kind", "gaussian", "--table", GOLDEN_TABLE, "--lag-max", "-1"],
      "usage error: --lag-max must be at least 0, got -1"),
+    (GAUSSIAN_MATRIX_CAP, "MemoryCapError: length 2001 with 9000 paths needs an array of "
+     "18009000 entries, over the cap 16777216"),
 ])
 def test_flag_errors_name_the_flag(tmp_path, capsys, argv, message):
     assert main(["--out-dir", str(tmp_path), *argv]) == 1

@@ -314,16 +314,18 @@ class TestConfig:
         wide = RankOneSpec(stages=(StageSpec(1000, (0,) * 1000),) * 3)
         with pytest.raises(MemoryCapError, match="cells at depth 4"):
             poisson_sample_and_push(wide, f, 4, 1.0, 0, SimulationConfig(sample_count=10))
-        # each sampler is capped on what it holds: the circulant one its
-        # paths and two FFT blocks, the Schur one its L^2 factor, the
-        # normals and the paths
-        white = exact_seq({**dict.fromkeys(range(4097), 0), 0: 1})
+        # each sampler is capped on its largest array: the paths; on the
+        # circulant path a block of _FFT_ROWS rows and its transform; on the
+        # Schur path the L^2 factor
+        white = exact_seq({**dict.fromkeys(range(16385), 0), 0: 1})
         with pytest.raises(MemoryCapError, match="over the cap"):
-            gaussian_sample(white, 4096, SimulationConfig(sample_count=3100))
+            gaussian_sample(white, 4097, SimulationConfig(sample_count=4096))
         with pytest.raises(MemoryCapError, match="over the cap"):
             gaussian_sample(white, 1, SimulationConfig(sample_count=10 ** 8))
-        unembeddable = exact_seq({**dict.fromkeys(range(2897), 0), 0: 1, 1: Fraction(9, 10)})
         with pytest.raises(MemoryCapError, match="over the cap"):
-            gaussian_sample(unembeddable, 2897, SimulationConfig(sample_count=1500))
+            gaussian_sample(white, 16385, SimulationConfig(sample_count=129))
+        unembeddable = exact_seq({**dict.fromkeys(range(4097), 0), 0: 1, 1: Fraction(9, 10)})
+        with pytest.raises(MemoryCapError, match="over the cap"):
+            gaussian_sample(unembeddable, 4097, SimulationConfig(sample_count=1))
         # the circulant sampler holds no L^2 array, so L^2 past the cap samples
         assert gaussian_sample(white, 4097, SimulationConfig(sample_count=2)).sampler == "circulant"
