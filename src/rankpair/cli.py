@@ -21,6 +21,7 @@ import argparse
 import contextlib
 import importlib
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -38,7 +39,7 @@ from .pairplan import (
 )
 from .schedule import generate_schedule, validate_schedule
 from .walsh import corr_tail_certificate, lemma3_truncate
-from . import serialize as ser
+from . import _LAZY, serialize as ser
 
 EXIT_PASS = 0
 EXIT_USAGE = 1
@@ -49,23 +50,12 @@ class UsageError(Exception):
     pass
 
 
-# numpy-backed names, bound in this module on first use so that the
-# certification commands start without numpy
-_NUMERIC = (
-    "fejer_density",
-    "trig_polynomial_density",
-    "SimulationConfig",
-    "gaussian_sample",
-    "linear_statistic_covariance",
-    "poisson_sample_and_push",
-)
-
-
 def __getattr__(name: str):
-    """PEP 562: bind a numpy-backed name in this module on first use.
-    Commands call these names as ``_here.<name>``, so a binding already set
-    as an attribute, such as a tracing wrapper, is the one that runs."""
-    if name not in _NUMERIC:
+    """PEP 562: bind a numpy-backed name of ``_LAZY`` here on first use, so
+    the certification commands start without numpy.  Commands call these
+    names as ``_here.<name>``, so a binding already set as an attribute,
+    such as a tracing wrapper, is the one that runs."""
+    if not any(name in names for names in _LAZY.values()):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = globals()[name] = getattr(importlib.import_module(__package__), name)
     return value
@@ -325,7 +315,7 @@ def cmd_simulate(args, out: _Output) -> int:
 def cmd_lemma3(args, out: _Output) -> int:
     f = _read(args.function, ser.walsh_from_dict)
     trunc = lemma3_truncate(f, args.delta)
-    residual = corr_tail_certificate(trunc.f_prime, trunc.cutoff, args.horizon)
+    residual = corr_tail_certificate(trunc.f_prime, trunc.cutoff, math.inf)
     out.emit(args.out, {
         "f_prime": ser.walsh_to_dict(trunc.f_prime),
         "cutoff": trunc.cutoff,
@@ -462,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function", required=True)
     p.add_argument("--delta", type=ser.rational, required=True,
                    help="distance guarantee (rational)")
-    p.add_argument("--horizon", type=int, default=10000)
     p.add_argument("--out", default="truncation.json")
     p.set_defaults(func=cmd_lemma3)
 

@@ -114,6 +114,20 @@ def validate_spec(spec: RankOneSpec) -> list[str]:
     return issues
 
 
+def merge_intervals(intervals) -> list[tuple[int, int]]:
+    """The union of closed integer intervals as sorted, disjoint bands, with
+    adjacent ones joined; empty intervals drop out."""
+    bands: list[tuple[int, int]] = []
+    for lo, hi in sorted(intervals):
+        if lo > hi:
+            continue
+        if bands and lo <= bands[-1][1] + 1:
+            bands[-1] = (bands[-1][0], max(hi, bands[-1][1]))
+        else:
+            bands.append((lo, hi))
+    return bands
+
+
 def occurrence_set(spec: RankOneSpec, level_stage: int, depth: int) -> tuple[int, ...]:
     """Exact sorted positions of the stage-``level_stage`` base level at ``depth``.
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .core import LevelFunction, RankOneSpec, StageSpec
+from .core import LevelFunction, RankOneSpec, StageSpec, merge_intervals
 
 Interval = tuple[Fraction, Fraction]
 ZERO: Interval = (Fraction(0), Fraction(0))  # shared by every exactly-zero lag
@@ -82,20 +82,6 @@ Band = tuple[int, int]
 _START, _END = operator.itemgetter(0), operator.itemgetter(1)
 
 
-def _merge(intervals) -> list[Band]:
-    """The union of integer intervals as sorted, disjoint bands, with
-    adjacent ones joined; empty intervals drop out."""
-    bands: list[Band] = []
-    for lo, hi in sorted(intervals):
-        if lo > hi:
-            continue
-        if bands and lo <= bands[-1][1] + 1:
-            bands[-1] = (bands[-1][0], max(hi, bands[-1][1]))
-        else:
-            bands.append((lo, hi))
-    return bands
-
-
 def _lag_bands(intervals, f: LevelFunction, g: LevelFunction) -> list[Band]:
     """The differences that brackets over the lag ``intervals`` read: each
     ``[lo, hi]`` reaches ``[lo + min shift, hi + max shift]``, where a
@@ -104,7 +90,7 @@ def _lag_bands(intervals, f: LevelFunction, g: LevelFunction) -> list[Band]:
     if not shifts:
         return []
     low, high = min(shifts), max(shifts)
-    return _merge((lo + low, hi + high) for lo, hi in intervals)
+    return merge_intervals((lo + low, hi + high) for lo, hi in intervals)
 
 
 @dataclass

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .core import LevelFunction, RankOneSpec, StageSpec, validate_spec
+from .core import LevelFunction, RankOneSpec, StageSpec, merge_intervals, validate_spec
 # correlation_sequence is bound only for the traced pass of perfbench/layers.py to wrap
 from .correlation import BracketTable, bracket_tables, correlation_sequence  # noqa: F401
 from .schedule import IntervalSchedule
@@ -228,12 +228,8 @@ def pair_summary(horizon: int, certs) -> PlanSummary:
     holds and ``n0`` lies within the horizon.  ``n0`` is one past the
     largest lag in ``[1, horizon]`` that no verified zero interval of
     ``certs`` covers (1 when they cover all of it)."""
-    n = horizon
-    # by descending start: once ``n`` drops below a start it stays below
-    for lo, hi in sorted((iv for cert in certs for iv in cert.zero_set()), reverse=True):
-        if lo <= n <= hi:
-            n = lo - 1
-    n0 = max(n, 0) + 1
+    bands = merge_intervals(iv for cert in certs for iv in cert.zero_set())
+    n0 = next((max(lo, 1) for lo, hi in bands if lo <= horizon <= hi), horizon + 1)
     return PlanSummary(horizon, n0, all(cert.ok for cert in certs) and n0 <= horizon)
 
 

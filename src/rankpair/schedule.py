@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .core import merge_intervals
+
 IntInterval = Optional[tuple[int, int]]  # closed [a, b]; None = empty
 
 
@@ -61,14 +63,8 @@ def validate_schedule(s: IntervalSchedule) -> list[str]:
             issues.append(f"I intervals of blocks {k} and {k + 1} do not strictly increase")
         if s.blocks[k - 1].j[1] >= s.blocks[k].j[0]:
             issues.append(f"J intervals of blocks {k} and {k + 1} do not strictly increase")
-    spans = sorted(
-        iv for b in s.blocks for iv in (b.i, b.j) if iv is not None
-    )
-    covered_to = 0
-    for a, b in spans:
-        if a > covered_to + 1:
-            break
-        covered_to = max(covered_to, b)
+    bands = merge_intervals(iv for b in s.blocks for iv in (b.i, b.j))
+    covered_to = next((hi for lo, hi in bands if lo <= 1 <= hi), 0)
     if covered_to < s.horizon:
         issues.append(f"uncovered: {covered_to + 1}")
     return issues

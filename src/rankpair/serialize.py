@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Any
 
 from .core import LevelFunction, RankOneSpec
-from .correlation import CorrelationSequence
+from .correlation import ZERO, CorrelationSequence
 from .pairplan import ConstructionCertificate, PlanSummary, PolynomialSpec
 from .schedule import IntervalSchedule
 from .walsh import WalshPolynomial
@@ -155,8 +155,8 @@ def decode(tp: Any, value: Any, path: str = "") -> Any:
     if tp is Fraction:
         if isinstance(value, str):
             try:
-                return Fraction(value)
-            except (ValueError, ZeroDivisionError):
+                return rational(value)
+            except ValueError:
                 pass
         elif isinstance(value, int) and not isinstance(value, bool):
             return Fraction(value)
@@ -210,8 +210,8 @@ def correlation_table_to_tsv(table: CorrelationSequence) -> str:
         "n\tlower\tupper",
     ]
     for n in sorted(table.entries):
-        lo, hi = table.entries[n]
-        lines.append(f"{n}\t{_ratio(lo)}\t{_ratio(hi)}")
+        lo, hi = bracket = table.entries[n]
+        lines.append(f"{n}\t0/1\t0/1" if bracket is ZERO else f"{n}\t{_ratio(lo)}\t{_ratio(hi)}")
     return "\n".join(lines) + "\n"
 
 
@@ -223,7 +223,8 @@ def rational(text: str) -> Fraction:
 
 
 def correlation_table_from_tsv(text: str) -> CorrelationSequence:
-    """Parse a table; a malformed row raises a ``ValueError`` naming its line."""
+    """Parse a table; a malformed row raises a ``ValueError`` naming its line.
+    A zero row is read as the shared ``ZERO``, as the engine writes it."""
     subject = ""
     norm_sq = Fraction(0)
     entries: dict[int, tuple[Fraction, Fraction]] = {}
@@ -234,6 +235,10 @@ def correlation_table_from_tsv(text: str) -> CorrelationSequence:
             elif line.startswith("# norm_sq\t"):
                 norm_sq = rational(line.split("\t", 1)[1])
             elif line.strip() and not line.startswith("n\t"):
+                n, _, tail = line.partition("\t")
+                if tail == "0/1\t0/1":
+                    entries[int(n)] = ZERO
+                    continue
                 row = line.split("\t")
                 if len(row) != 3:
                     raise ValueError(f"expected 3 tab-separated fields, got {len(row)}")

@@ -92,9 +92,7 @@ def _exp_partial(x: Fraction, cap: int) -> Fraction:
 
 
 def _exp_tail_bound(x_abs: Fraction, cap: int) -> Fraction:
-    # geometric domination of the remaining series terms
-    if x_abs >= cap + 2:
-        raise ValueError("tail bound needs |rho| < cap + 2")
+    # geometric domination of the remaining series terms; needs x_abs < cap + 2
     lead = x_abs ** (cap + 1) / math.factorial(cap + 1)
     return lead / (1 - x_abs / (cap + 2))
 
@@ -104,7 +102,13 @@ def chaos_exp_coefficients(seq: CorrelationSequence, chaos_cap: int) -> ChaosCoe
 
     The k-fold convolution power of the base measure has coefficients
     ``rho(n)^k``, so the order-``K`` truncation of the Fock exponential has
-    coefficients ``sum_{k=1..K} rho(n)^k / k!``.  Requires ``rho(0) = 1``.
+    coefficients ``sum_{k=1..K} rho(n)^k / k!``.
+
+    The input must be an autocorrelation with ``rho(0) = 1``, so that
+    ``|rho(n)| <= 1`` (Cauchy-Schwarz): each bracket is clamped to
+    ``[-1, 1]`` first.  The partial sum ``s_K`` is non-decreasing there,
+    its derivative being the positive partial sum ``e_{K-1}``, so the
+    values at the clamped ends enclose every value inside the bracket.
     """
     if chaos_cap < 1:
         raise ValueError("chaos_cap must be at least 1")
@@ -112,10 +116,9 @@ def chaos_exp_coefficients(seq: CorrelationSequence, chaos_cap: int) -> ChaosCoe
         raise ValueError("input must be normalized: rho(0) must be exactly 1")
     entries = {}
     tails = {}
-    for n, (a, b) in seq.entries.items():
-        lo = _exp_partial(a, chaos_cap)
-        hi = _exp_partial(b, chaos_cap)
-        entries[n] = (min(lo, hi), max(lo, hi))
+    for n, bracket in seq.entries.items():
+        a, b = (min(max(x, Fraction(-1)), Fraction(1)) for x in bracket)
+        entries[n] = (_exp_partial(a, chaos_cap), _exp_partial(b, chaos_cap))
         tails[n] = _exp_tail_bound(max(abs(a), abs(b)), chaos_cap)
     out = CorrelationSequence(
         entries=entries,

@@ -119,38 +119,43 @@ GAUSSIAN_MATRIX_CAP = ["simulate", "--kind", "gaussian", "--table", GOLDEN_TABLE
                        "--lag-max", "1000", "--samples", "9000"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["correlate", "--spec", GOLDEN_SPEC, "--function", "f.json", "--n-max", "100000"],
-    ["simulate", "--kind", "gaussian"],
-    ["simulate", "--kind", "poisson"],
-    POISSON + ["--intensity", "0"],
-    POISSON + ["--steps", "100000"],
-    ["plan", "--generic-cuts", "1"],
-    ["plan", "--horizon", "1000", "--poly", '{"coefficients": {"-1": "1/2"}}'],
-    correlate("spacers-str.json"),
-    correlate("base-height-str.json"),
-    correlate("cuts-float.json"),
-    correlate("top-level-array.json"),
-    ["lemma3", "--function", "indices-int.json", "--delta", "1/10"],
-    correlate(GOLDEN_SPEC, "float-coefficient.json"),
-    correlate(GOLDEN_SPEC, "stage-0.json"),
-    correlate(GOLDEN_SPEC, "stage-9.json"),
-    correlate(GOLDEN_SPEC, "level-past-top.json"),
-    POISSON + ["--depth", "99"],
-    POISSON[:-1] + ["stage-3.json", "--depth", "2"],
-    POISSON[:-1] + ["stage-9.json"],
-    ["verify", "--spec", GOLDEN_SPEC, "--cert", "tracked-stage-9.json"],
-    POISSON + ["--intensity", "1e12", "--samples", "10"],
-    ["simulate", "--kind", "poisson", "--spec", "wide-tower.json", "--function", "f.json",
-     "--depth", "4"],
-    GAUSSIAN_MATRIX_CAP,
-    ["schedule", "--growth", "1/0", "--horizon", "10"],
-    ["plan", "--growth", "1/0"],
-    ["lemma3", "--function", "w.json", "--delta", "1/0"],
-    ["simulate", "--kind", "gaussian", "--table", GOLDEN_TABLE, "--lag-max", "-1"],
-    ["spectrum", "--table", GOLDEN_TABLE, "--exact", "--grid", "0"],
-    ["spectrum", "--table", "empty.tsv", "--exact"],
-    N_MIN_ABOVE_N_MAX,
+@pytest.mark.parametrize("argv, fragment", [
+    (["correlate", "--spec", GOLDEN_SPEC, "--function", "f.json", "--n-max", "100000"],
+     "ToleranceNotReached: spec exhausted"),
+    (["simulate", "--kind", "gaussian"], "--kind gaussian needs --table"),
+    (["simulate", "--kind", "poisson"], "--kind poisson needs --spec and --function"),
+    (POISSON + ["--intensity", "0"], "intensity must be positive"),
+    (POISSON + ["--steps", "100000"], "EscapeCapError: expected escaping fraction"),
+    (["plan", "--generic-cuts", "1"], "generic cuts >= 2, got 1"),
+    (["plan", "--horizon", "1000", "--poly", '{"coefficients": {"-1": "1/2"}}'],
+     "powers must be non-negative"),
+    (correlate("spacers-str.json"), "spacers[0]: expected an integer"),
+    (correlate("base-height-str.json"), "base_height: expected an integer"),
+    (correlate("cuts-float.json"), "cuts: expected an integer, got 2.0"),
+    (correlate("top-level-array.json"), "top level: expected an object"),
+    (["lemma3", "--function", "indices-int.json", "--delta", "1/10"],
+     "indices: expected an array, got 3"),
+    (correlate(GOLDEN_SPEC, "float-coefficient.json"), "coefficients.0: expected a rational"),
+    (correlate(GOLDEN_SPEC, "stage-0.json"), "stage-0.json: stage 0 outside [1, 4]"),
+    (correlate(GOLDEN_SPEC, "stage-9.json"), "stage-9.json: stage 9 outside [1, 4]"),
+    (correlate(GOLDEN_SPEC, "level-past-top.json"), "level 5 outside [0, 1)"),
+    (POISSON + ["--depth", "99"], "depth 99 outside [1, 4]"),
+    (POISSON[:-1] + ["stage-3.json", "--depth", "2"], "stage 3 is deeper than --depth 2"),
+    (POISSON[:-1] + ["stage-9.json"], "stage-9.json: stage 9 outside [1, 4]"),
+    (["verify", "--spec", GOLDEN_SPEC, "--cert", "tracked-stage-9.json"],
+     "tracked function: stage 9 outside [1, 4]"),
+    (POISSON + ["--intensity", "1e12", "--samples", "10"], "expected points, over the cap"),
+    (["simulate", "--kind", "poisson", "--spec", "wide-tower.json", "--function", "f.json",
+      "--depth", "4"], "cells at depth 4, over the cap"),
+    (GAUSSIAN_MATRIX_CAP, "with 9000 paths needs an array of"),
+    (["schedule", "--growth", "1/0", "--horizon", "10"], "--growth: invalid rational value"),
+    (["plan", "--growth", "1/0"], "--growth: invalid rational value"),
+    (["lemma3", "--function", "w.json", "--delta", "1/0"], "--delta: invalid rational value"),
+    (["simulate", "--kind", "gaussian", "--table", GOLDEN_TABLE, "--lag-max", "-1"],
+     "--lag-max must be at least 0"),
+    (["spectrum", "--table", GOLDEN_TABLE, "--exact", "--grid", "0"], "grid must be positive"),
+    (["spectrum", "--table", "empty.tsv", "--exact"], "empty.tsv: the table is empty"),
+    (N_MIN_ABOVE_N_MAX, "--n-min 6 is above --n-max 5"),
 ], ids=["tolerance", "gaussian-no-table", "poisson-no-spec", "intensity-0",
         "escape-cap", "generic-cuts-1", "negative-power",
         "spacers-str", "base-height-str", "cuts-float", "top-level-array", "indices-int",
@@ -160,7 +165,7 @@ GAUSSIAN_MATRIX_CAP = ["simulate", "--kind", "gaussian", "--table", GOLDEN_TABLE
         "schedule-zero-denominator", "plan-zero-denominator", "lemma3-zero-denominator",
         "gaussian-lag-max-minus-1", "spectrum-grid-0", "spectrum-empty-table",
         "n-min-above-n-max"])
-def test_failure_is_one_line_and_exit_one(tmp_path, monkeypatch, capsys, argv):
+def test_failure_is_one_line_and_exit_one(tmp_path, monkeypatch, capsys, argv, fragment):
     monkeypatch.chdir(tmp_path)
     write_indicator(tmp_path)
     for name, content in {**MALFORMED, **MISFIT, **OVERSIZED}.items():
@@ -171,6 +176,7 @@ def test_failure_is_one_line_and_exit_one(tmp_path, monkeypatch, capsys, argv):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert not list(tmp_path.glob("*_manifest.json"))
+    assert fragment in err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -204,6 +210,8 @@ def test_wrong_typed_plan_summary_is_one_line(tmp_path, capsys):
     ("0\t1/1", "expected 3 tab-separated fields, got 2"),
     ("0\t1/1\thalf", "'half' is not a rational"),
     ("0\t1/0\t1/1", "'1/0' is not a rational"),
+    ("0\t0/1\t0/1\textra", "expected 3 tab-separated fields, got 4"),
+    ("0\t0/0\t0/1", "'0/0' is not a rational"),
 ])
 def test_malformed_table_row_names_file_and_line(tmp_path, capsys, row, problem):
     table = tmp_path / "table.tsv"
@@ -246,15 +254,17 @@ def test_commands_spawn_no_process(tmp_path):
 
 def test_exported_names_have_a_user():
     """Every name ``rankpair`` exports resolves, is no submodule, and is
-    imported by ``rankpair.cli`` (or bound there from ``_NUMERIC``), imported
-    by the acceptance tests, or an error class that ``main`` maps to exit 1."""
+    imported by ``rankpair.cli`` or called there as ``_here.<name>``,
+    imported by the acceptance tests, or an error class that ``main`` maps
+    to exit 1."""
     import rankpair
 
     cli_tree = ast.parse(Path(cli.__file__).read_text())
     acceptance = ast.parse(Path(__file__).with_name("test_acceptance.py").read_text())
     used = {alias.name for tree in (cli_tree, acceptance) for node in ast.walk(tree)
             if isinstance(node, ast.ImportFrom) for alias in node.names}
-    used.update(cli._NUMERIC)
+    used.update(node.attr for node in ast.walk(cli_tree) if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "_here")
     main_def = next(node for node in cli_tree.body
                     if isinstance(node, ast.FunctionDef) and node.name == "main")
     exit_one = ()

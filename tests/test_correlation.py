@@ -17,8 +17,8 @@ from rankpair import (
     product_correlation,
 )
 
-from rankpair.core import occurrence_set
-from rankpair.correlation import _merge, _pair_profiles, bracket_tables
+from rankpair.core import merge_intervals, occurrence_set
+from rankpair.correlation import _pair_profiles, bracket_tables
 
 from conftest import oracle_autocorrelation
 from test_core import spec_strategy, stage_strategy
@@ -311,7 +311,7 @@ class TestAgainstBruteForce:
         stage_f = data.draw(st.integers(1, spec.max_depth))
         stage_g = data.draw(st.integers(1, spec.max_depth))
         ends = st.integers(-spec.heights()[-1], spec.heights()[-1])
-        bands = _merge(data.draw(st.lists(st.tuples(ends, ends), max_size=3)))
+        bands = merge_intervals(data.draw(st.lists(st.tuples(ends, ends), max_size=3)))
         assert all(hi + 1 < lo for (_, hi), (lo, _) in zip(bands, bands[1:]))
         depths = []
         for prof in _pair_profiles(spec, stage_f, stage_g, bands):

@@ -186,6 +186,17 @@ class TestZeroThreshold:
         assert pair_summary(100, [a]).n_zero_threshold == 51
         assert pair_summary(100, [self.cert((1, 100))]).n_zero_threshold == 1
 
+    @given(st.lists(st.tuples(st.integers(-5, 40), st.integers(-5, 40)), max_size=6),
+           st.integers(1, 40))
+    def test_matches_the_descending_walk(self, intervals, horizon):
+        """Empty, non-positive, adjacent and overlapping intervals give the
+        ``n0`` of a walk down from the horizon through the intervals."""
+        n = horizon
+        for lo, hi in sorted(intervals, reverse=True):
+            if lo <= n <= hi:
+                n = lo - 1
+        assert pair_summary(horizon, [self.cert(*intervals)]).n_zero_threshold == max(n, 0) + 1
+
 
 class TestPolynomialLimit:
     def build(self, cuts, poly):

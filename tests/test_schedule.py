@@ -47,6 +47,21 @@ class TestValidate:
         # everything between the previous block's J and this block's J is now bare
         assert f"uncovered: {sched.blocks[0].j[1] + 1}" in issues
 
+    @given(st.lists(st.tuples(st.integers(-5, 40), st.integers(-5, 40)), min_size=2,
+                    max_size=8), st.integers(1, 40))
+    def test_coverage_matches_the_sorted_walk(self, spans, horizon):
+        """Empty, non-positive, adjacent and overlapping I and J spans give
+        the first uncovered lag of a walk up through the sorted spans."""
+        blocks = tuple(ScheduleBlock(i=i, j=j) for i, j in zip(spans[::2], spans[1::2]))
+        covered_to = 0
+        for a, b in sorted(spans[:2 * len(blocks)]):
+            if a > covered_to + 1:
+                break
+            covered_to = max(covered_to, b)
+        issues = validate_schedule(IntervalSchedule(horizon=horizon, blocks=blocks))
+        expected = [f"uncovered: {covered_to + 1}"] if covered_to < horizon else []
+        assert [issue for issue in issues if issue.startswith("uncovered")] == expected
+
     def test_ordering_violation_detected(self):
         sched = self.base()
         blocks = list(reversed(sched.blocks))

@@ -15,6 +15,7 @@ from rankpair import (
     plan_pair,
 )
 from rankpair import serialize as ser
+from rankpair.correlation import ZERO
 from rankpair.pairplan import ConstructionCertificate
 from rankpair.schedule import IntervalSchedule
 
@@ -67,6 +68,15 @@ class TestRoundTrips:
         assert back.entries == seq.entries
         assert back.norm_sq == seq.norm_sq
         assert back.subject == "demo"
+
+    def test_golden_correlation_table(self):
+        """Zero rows are read back as the shared ``ZERO`` and written again
+        byte for byte."""
+        text = (Path(__file__).parent / "golden" / "default" / "correlations.tsv").read_text()
+        back = ser.correlation_table_from_tsv(text)
+        assert ser.correlation_table_to_tsv(back) == text
+        zeros = [bracket for bracket in back.entries.values() if bracket == ZERO]
+        assert zeros and all(bracket is ZERO for bracket in zeros)
 
 
 CERT = {"subject": "S", "tracked": {"stage": 1, "coefficients": {"0": "1/1"}},

@@ -134,3 +134,22 @@ class TestChaos:
             chaos_exp_coefficients(seq({0: Fraction(1, 2)}), 5)
         with pytest.raises(ValueError):
             chaos_exp_coefficients(seq({1: Fraction(1, 2)}), 5)
+
+    def test_enclosure_holds_the_minimum_inside_the_bracket(self):
+        # s_2(x) = x + x^2/2 is 0 at both ends of [-2, 0] and -1/2 at -1
+        s = CorrelationSequence({0: (Fraction(1), Fraction(1)),
+                                 1: (Fraction(-2), Fraction(0))}, Fraction(1))
+        lo, hi = chaos_exp_coefficients(s, chaos_cap=2).sequence.entries[1]
+        assert lo <= Fraction(-1, 2) <= hi
+
+    @given(st.fractions(-3, 3, max_denominator=6), st.fractions(-3, 3, max_denominator=6),
+           st.integers(1, 12))
+    def test_enclosure_contains_every_value_in_the_bracket(self, x, y, cap):
+        a, b = sorted((x, y))
+        s = CorrelationSequence({0: (Fraction(1), Fraction(1)), 1: (a, b)}, Fraction(1))
+        lo, hi = chaos_exp_coefficients(s, cap).sequence.entries[1]
+        # a correlation with rho(0) = 1 lies in [-1, 1]
+        a, b = max(a, Fraction(-1)), min(b, Fraction(1))
+        for i in range(17) if a <= b else ():
+            t = a + (b - a) * Fraction(i, 16)
+            assert lo <= sum(t ** k / math.factorial(k) for k in range(1, cap + 1)) <= hi
