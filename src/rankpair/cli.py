@@ -27,18 +27,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .core import EscapeCapError, validate_spec
-from .correlation import ToleranceNotReached, correlation_sequence, summability_report
-from .pairplan import (
-    GenericPolicy,
-    PlanError,
-    PolynomialSpec,
-    check_certificate,
-    pair_summary,
-    plan_pair,
-)
-from .schedule import generate_schedule, validate_schedule
-from .walsh import corr_tail_certificate, lemma3_truncate
+from .core import EscapeCapError, PlanError, ToleranceNotReached, validate_spec
 from . import _LAZY, serialize as ser
 
 EXIT_PASS = 0
@@ -51,10 +40,11 @@ class UsageError(Exception):
 
 
 def __getattr__(name: str):
-    """PEP 562: bind a numpy-backed name of ``_LAZY`` here on first use, so
-    the certification commands start without numpy.  Commands call these
-    names as ``_here.<name>``, so a binding already set as an attribute,
-    such as a tracing wrapper, is the one that runs."""
+    """PEP 562: bind a layer name of the package's ``_LAZY`` here on first
+    use, so that each command imports only the layers it runs (and the
+    certification commands never import numpy).  Commands call these names
+    as ``_here.<name>``, so a binding already set as an attribute, such as
+    a tracing wrapper, is the one that runs."""
     if not any(name in names for names in _LAZY.values()):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = globals()[name] = getattr(importlib.import_module(__package__), name)
@@ -152,8 +142,8 @@ def _load_function(path: str, spec):
 
 
 def cmd_schedule(args, out: _Output) -> int:
-    sched = generate_schedule(growth=args.growth, horizon=args.horizon)
-    issues = validate_schedule(sched)
+    sched = _here.generate_schedule(growth=args.growth, horizon=args.horizon)
+    issues = _here.validate_schedule(sched)
     out.emit(args.out, ser.schedule_to_dict(sched))
     if issues:
         print(f"schedule INVALID: {issues[0]}", file=sys.stderr)
@@ -162,23 +152,23 @@ def cmd_schedule(args, out: _Output) -> int:
     return EXIT_PASS
 
 
-def _policy_from_args(args) -> GenericPolicy:
+def _policy_from_args(args):
     if args.poly == "rigidity":
-        poly = PolynomialSpec.delta(0)
+        poly = _here.PolynomialSpec.delta(0)
     else:
-        poly = ser.decode(PolynomialSpec, json.loads(args.poly), "--poly")
-    return GenericPolicy(generic_cuts=args.generic_cuts, generic_poly=poly)
+        poly = ser.decode(_here.PolynomialSpec, json.loads(args.poly), "--poly")
+    return _here.GenericPolicy(generic_cuts=args.generic_cuts, generic_poly=poly)
 
 
 def cmd_plan(args, out: _Output) -> int:
     if args.schedule:
         sched = _read(args.schedule, ser.schedule_from_dict)
     else:
-        sched = generate_schedule(growth=args.growth, horizon=args.horizon)
-    issues = validate_schedule(sched)
+        sched = _here.generate_schedule(growth=args.growth, horizon=args.horizon)
+    issues = _here.validate_schedule(sched)
     if issues:
         raise UsageError(f"schedule invalid: {issues[0]}")
-    result = plan_pair(sched, _policy_from_args(args))
+    result = _here.plan_pair(sched, _policy_from_args(args))
     out.emit("spec_s.json", ser.spec_to_dict(result.spec_s))
     out.emit("spec_t.json", ser.spec_to_dict(result.spec_t))
     out.emit("cert_s.json", ser.certificate_to_dict(result.cert_s))
@@ -214,7 +204,7 @@ def cmd_correlate(args, out: _Output) -> int:
         raise UsageError(f"--n-min {args.n_min} is above --n-max {args.n_max}")
     spec = _load_spec(args.spec)
     f = _load_function(args.function, spec)
-    seq = correlation_sequence(
+    seq = _here.correlation_sequence(
         spec,
         f,
         range(args.n_min, args.n_max + 1),
@@ -233,7 +223,7 @@ def cmd_spectrum(args, out: _Output) -> int:
         est = _here.trig_polynomial_density(seq, args.grid)
     else:
         est = _here.fejer_density(seq, args.order, args.grid)
-    summ = summability_report(seq, (min(seq.entries), max(seq.entries)))
+    summ = _here.summability_report(seq, (min(seq.entries), max(seq.entries)))
     lines = ["theta\tdensity"]
     for theta, v in zip(est.thetas, est.values):
         lines.append(f"{theta:.12g}\t{v:.12g}")
@@ -296,7 +286,7 @@ def cmd_simulate(args, out: _Output) -> int:
             "tower_measure": width * spec.heights()[args.depth - 1],
             "escape_basis": "whole tower",
         })
-        exact = correlation_sequence(spec, f, [abs(args.steps)]).entry(abs(args.steps))
+        exact = _here.correlation_sequence(spec, f, [abs(args.steps)]).entry(abs(args.steps))
         payload = {
             "kind": "poisson",
             "steps": args.steps,
@@ -314,8 +304,8 @@ def cmd_simulate(args, out: _Output) -> int:
 
 def cmd_lemma3(args, out: _Output) -> int:
     f = _read(args.function, ser.walsh_from_dict)
-    trunc = lemma3_truncate(f, args.delta)
-    residual = corr_tail_certificate(trunc.f_prime, trunc.cutoff, math.inf)
+    trunc = _here.lemma3_truncate(f, args.delta)
+    residual = _here.corr_tail_certificate(trunc.f_prime, trunc.cutoff, math.inf)
     out.emit(args.out, {
         "f_prime": ser.walsh_to_dict(trunc.f_prime),
         "cutoff": trunc.cutoff,
@@ -324,7 +314,12 @@ def cmd_lemma3(args, out: _Output) -> int:
         "distance_below_delta": trunc.distance_below(args.delta),
         "residual_correlation": residual,
     })
-    if residual != 0 or not trunc.distance_below(args.delta):
+    overlap = trunc.overlap_past_cutoff()
+    if overlap is not None:
+        print(f"lemma3 FAILED: shift {overlap} is past the cutoff {trunc.cutoff} but carries "
+              f"an index set of f' onto another", file=sys.stderr)
+        return EXIT_VIOLATION
+    if not trunc.distance_below(args.delta):
         print("lemma3 FAILED: truncation guarantee violated", file=sys.stderr)
         return EXIT_VIOLATION
     print(
@@ -338,7 +333,7 @@ def _recheck(spec, cert) -> Optional[str]:
     """Recompute every claim of ``cert`` from ``spec`` in place; name the
     first claim that does not recompute or does not hold, or return ``None``."""
     claimed = ser.certificate_to_dict(cert)
-    check_certificate(spec, cert)
+    _here.check_certificate(spec, cert)
     recomputed = ser.certificate_to_dict(cert)
     for kind, key, field in (("zero claim on", "interval", "zero_intervals"),
                              ("rigidity claim at", "time", "rigidity_times"),
@@ -370,7 +365,7 @@ def cmd_report(args, out: _Output) -> int:
             f"ok={cert.ok}"
         )
         cert_lines += [f"{cert.subject} unverified: {note}" for note in cert.unverified_notes]
-    summary = pair_summary(plan.horizon, certs)
+    summary = _here.pair_summary(plan.horizon, certs)
     if mismatch is None and plan != summary:
         mismatch = (f"plan.json claims n0 {plan.n_zero_threshold}, sound {plan.sound}; "
                     f"recomputed n0 {summary.n_zero_threshold}, sound {summary.sound}")

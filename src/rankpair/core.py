@@ -151,3 +151,14 @@ def occurrence_set(spec: RankOneSpec, level_stage: int, depth: int) -> tuple[int
 class EscapeCapError(RuntimeError):
     """Too large a share of a push would escape the constructed region."""
 
+
+class PlanError(RuntimeError):
+    """The planner cannot build a sound pair for the schedule and policy."""
+
+
+class ToleranceNotReached(RuntimeError):
+    """The spec ran out of stages before the certified gap met the tolerance."""
+
+    def __init__(self, achieved_gap: Fraction):
+        super().__init__(f"spec exhausted; achieved gap {achieved_gap}")
+        self.achieved_gap = achieved_gap

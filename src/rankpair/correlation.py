@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .core import LevelFunction, RankOneSpec, StageSpec, merge_intervals
+from .core import LevelFunction, RankOneSpec, StageSpec, ToleranceNotReached, merge_intervals
 
 Interval = tuple[Fraction, Fraction]
 ZERO: Interval = (Fraction(0), Fraction(0))  # shared by every exactly-zero lag
@@ -40,14 +40,6 @@ ZERO: Interval = (Fraction(0), Fraction(0))  # shared by every exactly-zero lag
 
 class CoverageError(ValueError):
     """A sequence does not cover the requested index range."""
-
-
-class ToleranceNotReached(RuntimeError):
-    """The spec ran out of stages before the certified gap met the tolerance."""
-
-    def __init__(self, achieved_gap: Fraction):
-        super().__init__(f"spec exhausted; achieved gap {achieved_gap}")
-        self.achieved_gap = achieved_gap
 
 
 @dataclass
@@ -377,6 +369,13 @@ def autocorrelation(
 
 
 def _abs_interval(iv: Interval) -> Interval:
+    """The exact range of ``|x|`` over ``x`` in ``[a, b]``.  If the bracket
+    holds 0, ``|x|`` runs from 0 up to the larger of ``-a`` and ``b``;
+    otherwise ``x`` keeps one sign, ``|x|`` is monotone on the bracket and
+    its extremes are the endpoint magnitudes.  Since ``|x| >= 0``, squaring
+    is monotone on that range, so ``summability_report``'s lag-by-lag sums
+    of these and of their squares enclose every choice of values inside
+    the brackets."""
     a, b = iv
     if a <= 0 <= b:
         return (Fraction(0), max(-a, b))
@@ -415,7 +414,14 @@ def corr_functional(seq: CorrelationSequence, interval: tuple[int, int]) -> Inte
 def product_correlation(
     seq_s: CorrelationSequence, seq_t: CorrelationSequence
 ) -> CorrelationSequence:
-    """Entrywise product: the correlation sequence of the tensor-product system."""
+    """Entrywise product: the correlation sequence of the tensor-product system.
+
+    Each bracket is sound and tight: ``x * y`` is bilinear, so over the
+    rectangle ``[a, b] x [c, d]`` it is monotone in each variable with the
+    other fixed and takes its extremes at the corners.  The min and max of
+    the four endpoint products therefore enclose every product of values
+    inside the two brackets, and both are attained.
+    """
     common = set(seq_s.entries) & set(seq_t.entries)
     if not common:
         raise CoverageError("sequences share no lags")

@@ -17,18 +17,16 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .core import LevelFunction, RankOneSpec, StageSpec, merge_intervals, validate_spec
+from .core import LevelFunction, PlanError, RankOneSpec, StageSpec, merge_intervals, validate_spec
 # correlation_sequence is bound only for the traced pass of perfbench/layers.py to wrap
 from .correlation import BracketTable, bracket_tables, correlation_sequence  # noqa: F401
-from .schedule import IntervalSchedule
+
+if TYPE_CHECKING:
+    from .schedule import IntervalSchedule
 
 BLOCKING_CUTS = 2  # columns of every blocking and closing stage
-
-
-class PlanError(RuntimeError):
-    pass
 
 
 class UnsupportedClaim(ValueError):

@@ -6,28 +6,29 @@ from the dataclass type hints, checks every field's type and names the
 field path of any mismatch.  Coefficient tables and Walsh terms keep their
 own shape and go through their normalising constructors.  All writes are
 atomic, so a crashed run never leaves a half-written artifact behind.
+
+Loading the codec loads no layer module: each artifact's decoder imports
+its dataclass's module on its first call, and the table functions import
+``correlation`` when they run.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import platform
 import tempfile
+import time
 import types
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
-from datetime import datetime, timezone
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
+from importlib import import_module
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .core import LevelFunction, RankOneSpec
-from .correlation import ZERO, CorrelationSequence
-from .pairplan import ConstructionCertificate, PlanSummary, PolynomialSpec
-from .schedule import IntervalSchedule
-from .walsh import WalshPolynomial
+if TYPE_CHECKING:
+    from .correlation import CorrelationSequence
 
 
 def _ratio(x: Fraction) -> str:
@@ -40,24 +41,31 @@ class _WalshTerm:
     coefficient: Fraction
 
 
-# class -> (field types of its file object, to that object, from it)
+# (module, class name) -> (field types of its file object, to that object,
+# from it and the class); keyed by name so that the codec imports no layer
 _SPECIAL = {
-    LevelFunction: (
+    ("rankpair.core", "LevelFunction"): (
         {"stage": int, "coefficients": dict[int, Fraction]},
         lambda f: {"stage": f.stage, "coefficients": dict(f.coefficients)},
-        lambda d: LevelFunction.from_dict(d["stage"], d["coefficients"]),
+        lambda d, cls: cls.from_dict(d["stage"], d["coefficients"]),
     ),
-    PolynomialSpec: (
+    ("rankpair.pairplan", "PolynomialSpec"): (
         {"coefficients": dict[int, Fraction]},
         lambda p: {"coefficients": dict(p.coefficients)},
-        lambda d: PolynomialSpec.from_dict(d["coefficients"]),
+        lambda d, cls: cls.from_dict(d["coefficients"]),
     ),
-    WalshPolynomial: (
+    ("rankpair.walsh", "WalshPolynomial"): (
         {"terms": list[_WalshTerm]},
         lambda p: {"terms": [_WalshTerm(sorted(k), c) for k, c in p.terms]},
-        lambda d: WalshPolynomial.from_terms((t.indices, t.coefficient) for t in d["terms"]),
+        lambda d, cls: cls.from_terms((t.indices, t.coefficient) for t in d["terms"]),
     ),
 }
+
+
+@cache
+def _special(cls: type) -> tuple | None:
+    """A dataclass's entry of ``_SPECIAL``, or ``None``."""
+    return _SPECIAL.get((cls.__module__, cls.__qualname__))
 
 
 def encode(obj: Any) -> Any:
@@ -66,9 +74,10 @@ def encode(obj: Any) -> Any:
         return obj
     if isinstance(obj, Fraction):
         return _ratio(obj)
-    if type(obj) in _SPECIAL:
-        return encode(_SPECIAL[type(obj)][1](obj))
     if is_dataclass(obj) and not isinstance(obj, type):
+        special = _special(type(obj))
+        if special:
+            return encode(special[1](obj))
         return {f.name: encode(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, dict):
         return {str(k): encode(v) for k, v in obj.items()}
@@ -114,15 +123,16 @@ def _at(path: str, name: Any) -> str:
 
 def decode(tp: Any, value: Any, path: str = "") -> Any:
     """Build a ``tp`` from its JSON form ``value``, checking every type."""
-    if tp in _SPECIAL:
-        shape, _, build = _SPECIAL[tp]
+    if is_dataclass(tp):
+        special = _special(tp)
+        if special is None:
+            return tp(**_object(*_fields(tp), value, path))
+        shape, _, build = special
         parsed = _object(shape, set(shape), value, path)
         try:
-            return build(parsed)
+            return build(parsed, tp)
         except ValueError as exc:
             raise ValueError(f"{path or 'top level'}: {exc}") from None
-    if is_dataclass(tp):
-        return tp(**_object(*_fields(tp), value, path))
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (typing.Union, types.UnionType):
         if value is None and type(None) in args:
@@ -168,15 +178,23 @@ def decode(tp: Any, value: Any, path: str = "") -> Any:
     raise _mismatch(path, _SCALARS[tp], value)
 
 
+def _decoder(module: str, name: str):
+    """``decode`` into ``rankpair.<module>.<name>``, which is imported on
+    the first call rather than when the codec loads."""
+    def from_dict(value: Any, path: str = "") -> Any:
+        return decode(getattr(import_module(f"{__package__}.{module}"), name), value, path)
+    return from_dict
+
+
 # Per-artifact names, one binding each; the benchmark's traced pass wraps them.
 spec_to_dict = certificate_to_dict = schedule_to_dict = encode
 level_function_to_dict = walsh_to_dict = encode
-spec_from_dict = partial(decode, RankOneSpec)
-certificate_from_dict = partial(decode, ConstructionCertificate)
-schedule_from_dict = partial(decode, IntervalSchedule)
-plan_summary_from_dict = partial(decode, PlanSummary)
-level_function_from_dict = partial(decode, LevelFunction)
-walsh_from_dict = partial(decode, WalshPolynomial)
+spec_from_dict = _decoder("core", "RankOneSpec")
+certificate_from_dict = _decoder("pairplan", "ConstructionCertificate")
+schedule_from_dict = _decoder("schedule", "IntervalSchedule")
+plan_summary_from_dict = _decoder("pairplan", "PlanSummary")
+level_function_from_dict = _decoder("core", "LevelFunction")
+walsh_from_dict = _decoder("walsh", "WalshPolynomial")
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -204,6 +222,8 @@ def read_json(path: str | Path) -> Any:
 
 
 def correlation_table_to_tsv(table: CorrelationSequence) -> str:
+    from .correlation import ZERO
+
     lines = [
         f"# subject\t{table.subject}",
         f"# norm_sq\t{_ratio(table.norm_sq)}",
@@ -225,6 +245,8 @@ def rational(text: str) -> Fraction:
 def correlation_table_from_tsv(text: str) -> CorrelationSequence:
     """Parse a table; a malformed row raises a ``ValueError`` naming its line.
     A zero row is read as the shared ``ZERO``, as the engine writes it."""
+    from .correlation import ZERO, CorrelationSequence
+
     subject = ""
     norm_sq = Fraction(0)
     entries: dict[int, tuple[Fraction, Fraction]] = {}
@@ -249,16 +271,24 @@ def correlation_table_from_tsv(text: str) -> CorrelationSequence:
 
 
 def _now() -> str:
-    return datetime.now(timezone.utc).isoformat()
+    """The current UTC time in ISO-8601, to the microsecond."""
+    seconds, nanos = divmod(time.time_ns(), 10**9)
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds))
+    return f"{stamp}.{nanos // 1000:06d}+00:00"
 
 
 def _platform() -> str:
     """``platform.platform()`` without the processor, whose lookup spawns
     ``uname -p`` on Linux; that string drops it when it equals the machine
-    or reads unknown, as it does on common Linux systems."""
-    uname = platform.uname()
-    lib, version = platform.libc_ver()
-    parts = (uname.system, uname.release, uname.machine, "with" if lib else "", lib + version)
+    or reads unknown, as it does on common Linux systems.  Built from
+    ``os.uname()`` and the C library's own version string, which is what
+    ``platform.uname()`` and ``platform.libc_ver()`` read on glibc."""
+    uname = os.uname()
+    try:
+        lib, version = os.confstr("CS_GNU_LIBC_VERSION").split(maxsplit=1)
+    except (AttributeError, OSError, ValueError):  # no glibc
+        lib = version = ""
+    parts = (uname.sysname, uname.release, uname.machine, "with" if lib else "", lib + version)
     return "-".join(part for part in parts if part)
 
 

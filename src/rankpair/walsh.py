@@ -84,12 +84,35 @@ def shift_cutoff(p: WalshPolynomial) -> int:
     return span[1] - span[0] + 1
 
 
+def _minima_by_shape(p: WalshPolynomial) -> list[list[int]]:
+    """The minima of ``p``'s nonempty index sets, grouped by shape, the set
+    minus its minimum.  ``K + m`` has ``K``'s shape, so the shifts that
+    carry one index set of ``p`` onto another are exactly the differences
+    of minima within a group; this is independent of ``shift_cutoff``."""
+    groups: dict[IndexSet, list[int]] = {}
+    for k, _ in p.terms:
+        if k:
+            low = min(k)
+            groups.setdefault(frozenset(i - low for i in k), []).append(low)
+    return list(groups.values())
+
+
 @dataclass
 class Lemma3Truncation:
     f_prime: WalshPolynomial     # raw (unnormalized) truncation
     cutoff: int                  # orthogonality holds exactly past this shift
     kept_norm_sq: Fraction
     tail_frac: Fraction          # dropped mass / total mass, exact
+
+    def overlap_past_cutoff(self) -> int | None:
+        """The smallest shift above ``cutoff`` that carries one index set
+        of ``f_prime`` onto another, or ``None`` when no shift does.  This
+        rechecks the cutoff by shape, not by the spread rule that set it;
+        it costs O(terms) when the cutoff holds."""
+        shifts = [b - a for lows in _minima_by_shape(self.f_prime)
+                  if max(lows) - min(lows) > self.cutoff
+                  for a in lows for b in lows if b - a > self.cutoff]
+        return min(shifts, default=None)
 
     def distance_below(self, delta: Fraction) -> bool:
         """Exact check that the *renormalized* truncation is within ``delta``
@@ -149,11 +172,13 @@ def corr_tail_certificate(
 def correlation_budget(p: WalshPolynomial, lo: int, hi: int) -> Fraction:
     """Exact value of the absolute-correlation sum over shifts ``[lo, hi]``.
 
-    Only shifts up to the index spread can produce overlap, so the sum is
-    finite work regardless of the horizon.
+    Only a shift that carries one index set of ``p`` onto another can give
+    a nonzero term, and the largest such shift is the widest spread of
+    minima within one shape group, so the sum is finite work regardless of
+    the horizon.
     """
-    span = shift_cutoff(p)
+    reach = max((max(lows) - min(lows) for lows in _minima_by_shape(p)), default=0)
     total = Fraction(0)
-    for m in range(lo, min(hi, span) + 1):
+    for m in range(lo, min(hi, reach) + 1):
         total += abs(inner_product(shift_power(p, m), p))
     return total

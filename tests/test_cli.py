@@ -252,6 +252,62 @@ def test_commands_spawn_no_process(tmp_path):
     assert (tmp_path / "schedule_manifest.json").exists()
 
 
+LOADS = {  # the rankpair layers each command imports, beyond cli, core and serialize
+    None: set(),
+    "--help": set(),
+    "schedule": {"schedule"},
+    "plan": {"correlation", "pairplan", "schedule"},
+    "verify": {"correlation", "pairplan"},
+    "correlate": {"correlation"},
+    "report": {"correlation", "pairplan"},
+    "lemma3": {"walsh"},
+    "spectrum": {"correlation", "spectral"},
+    "simulate": {"correlation", "suspension"},
+}
+
+
+@pytest.mark.parametrize("command", list(LOADS))
+def test_each_command_loads_only_its_layers(plan_dir, command):
+    """In a fresh interpreter, ``import rankpair`` loads no submodule, and a
+    command loads only the layers it runs; the certification commands load
+    neither numpy nor ``platform`` or ``datetime``."""
+    write_indicator(plan_dir)
+    ser.write_json(plan_dir / "w.json", ser.walsh_to_dict(
+        WalshPolynomial.from_terms([((0,), Fraction(1, 2))])))
+    argv = ["--out-dir", str(plan_dir / "run"), command,
+            *(arg.format(plan=plan_dir) for arg in EVERY_COMMAND.get(command, []))]
+    run = (f"import rankpair.cli\ntry:\n    rankpair.cli.main({argv!r})\n"
+           "except SystemExit:\n    pass\n") if command else "import rankpair\n"
+    code = run + ("import sys\nprint(sorted(m for m in sys.modules if m.startswith('rankpair.')"
+                  " or m in ('numpy', 'platform', 'datetime')))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                          check=True, capture_output=True, text=True)
+    loaded = set(ast.literal_eval(done.stdout.splitlines()[-1]))
+    layers = {m.removeprefix("rankpair.") for m in loaded if m.startswith("rankpair.")}
+    expected = LOADS[command] | ({"cli", "core", "serialize"} if command else set())
+    assert layers == expected
+    if command not in ("spectrum", "simulate"):
+        assert not loaded & {"numpy", "platform", "datetime"}
+
+
+def test_manifest_platform_and_times(plan_dir):
+    """The manifest's platform string is ``platform.platform()``'s formula
+    without the processor, and its times are UTC ISO-8601."""
+    import platform
+    from datetime import datetime, timedelta
+
+    uname = platform.uname()
+    lib, version = platform.libc_ver()
+    parts = (uname.system, uname.release, uname.machine, "with" if lib else "", lib + version)
+    assert ser._platform() == "-".join(part for part in parts if part)
+    manifest = ser.read_json(plan_dir / "plan_manifest.json")
+    assert manifest["platform"] == ser._platform()
+    started, finished = (datetime.fromisoformat(manifest[k]) for k in ("started_at", "finished_at"))
+    assert started.utcoffset() == finished.utcoffset() == timedelta(0)
+    assert started <= finished <= datetime.now(started.tzinfo)
+
+
 def test_exported_names_have_a_user():
     """Every name ``rankpair`` exports resolves, is no submodule, and is
     imported by ``rankpair.cli`` or called there as ``_here.<name>``,
@@ -285,16 +341,27 @@ def test_commands_run_the_module_binding(tmp_path, monkeypatch):
     """A wrapper set as an attribute of ``rankpair.cli``, as the benchmark's
     traced pass sets one, is the function the commands call."""
     calls = []
-    for name in ("fejer_density", "gaussian_sample"):
+    for name in ("generate_schedule", "plan_pair", "check_certificate", "correlation_sequence",
+                 "summability_report", "fejer_density", "gaussian_sample", "lemma3_truncate"):
         fn = getattr(cli, name)
         monkeypatch.setattr(cli, name,
                             lambda *a, fn=fn, name=name, **kw: calls.append(name) or fn(*a, **kw))
     out = str(tmp_path)
-    assert main(["--out-dir", out, "spectrum", "--table", GOLDEN_TABLE,
-                 "--order", "8", "--grid", "64"]) == 0
-    assert main(["--out-dir", out, "simulate", "--kind", "gaussian", "--table", GOLDEN_TABLE,
-                 "--lag-max", "5", "--samples", "100"]) == 0
-    assert calls == ["fejer_density", "gaussian_sample"]
+    f = write_indicator(tmp_path)
+    ser.write_json(tmp_path / "w.json", ser.walsh_to_dict(
+        WalshPolynomial.from_terms([((0,), Fraction(1, 2))])))
+    for argv in (["schedule", "--horizon", "100"],
+                 ["plan", "--horizon", "100"],
+                 ["verify", "--spec", f"{out}/spec_s.json", "--cert", f"{out}/cert_s.json"],
+                 ["correlate", "--spec", f"{out}/spec_s.json", "--function", f, "--n-max", "10"],
+                 ["spectrum", "--table", GOLDEN_TABLE, "--order", "8", "--grid", "64"],
+                 ["simulate", "--kind", "gaussian", "--table", GOLDEN_TABLE,
+                  "--lag-max", "5", "--samples", "100"],
+                 ["lemma3", "--function", f"{out}/w.json", "--delta", "1/10"]):
+        assert main(["--out-dir", out, *argv]) == 0
+    assert calls == ["generate_schedule", "generate_schedule", "plan_pair", "check_certificate",
+                     "correlation_sequence", "fejer_density", "summability_report",
+                     "gaussian_sample", "lemma3_truncate"]
 
 
 class TestCorrelate:
@@ -389,6 +456,25 @@ class TestPipeline:
         payload = ser.read_json(tmp_path / "truncation.json")
         assert payload["cutoff"] == 4
         assert payload["residual_correlation"] == "0/1"
+
+    def test_lemma3_rechecks_the_cutoff(self, tmp_path, monkeypatch, capsys):
+        """A cutoff rule that returns half the spread is caught by the
+        recheck, which names the first shift past it that overlaps."""
+        from rankpair import walsh
+
+        monkeypatch.setattr(walsh, "shift_cutoff",
+                            lambda p: (p.index_span()[1] - p.index_span()[0] + 1) // 2)
+        w = tmp_path / "w.json"
+        ser.write_json(w, ser.walsh_to_dict(WalshPolynomial.from_terms(
+            [((i,), Fraction(1, 2)) for i in range(4)]
+        )))
+        assert main(["--out-dir", str(tmp_path), "lemma3",
+                     "--function", str(w), "--delta", "1/10"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "lemma3 FAILED: shift 3 is past the cutoff 2 but carries an index set of f' onto another"
+        ]
+        payload = ser.read_json(tmp_path / "truncation.json")
+        assert (payload["cutoff"], payload["residual_correlation"]) == (2, "1/4")
 
     @pytest.mark.parametrize("command", list(EVERY_COMMAND))
     def test_manifests_written(self, plan_dir, command):

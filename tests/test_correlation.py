@@ -15,6 +15,7 @@ from rankpair import (
     corr_functional,
     correlation_sequence,
     product_correlation,
+    summability_report,
 )
 
 from rankpair.core import merge_intervals, occurrence_set
@@ -157,6 +158,14 @@ class TestCorrelationSequence:
         assert seq.norm_sq == f.norm_sq(small_spec)
 
 
+@st.composite
+def bracket_and_point(draw):
+    """A rational bracket ``[a, b]`` and a value inside it, endpoints included."""
+    a, b = sorted(draw(st.lists(st.fractions(-3, 3, max_denominator=6), min_size=2, max_size=2)))
+    t = draw(st.fractions(0, 1, max_denominator=6))
+    return (a, b), a + t * (b - a)
+
+
 class TestFunctionals:
     def test_corr_functional_sums_absolute_values(self):
         seq = CorrelationSequence(
@@ -189,6 +198,22 @@ class TestFunctionals:
             entries={5: (Fraction(-7), Fraction(9))}, norm_sq=Fraction(1)
         )
         assert product_correlation(a, b).entries[5] == (0, 0)
+
+    @given(st.lists(st.tuples(bracket_and_point(), bracket_and_point()), min_size=1, max_size=4))
+    @settings(max_examples=100)
+    def test_derived_brackets_hold_every_point_inside(self, rows):
+        """Values sampled inside the input brackets map inside the output
+        brackets: the product's, and the absolute and squared sums'."""
+        s = CorrelationSequence({n: iv for n, ((iv, _), _) in enumerate(rows)}, Fraction(1))
+        t = CorrelationSequence({n: iv for n, (_, (iv, _)) in enumerate(rows)}, Fraction(1))
+        prod = product_correlation(s, t)
+        for n, ((_, x), (_, y)) in enumerate(rows):
+            lo, hi = prod.entries[n]
+            assert lo <= x * y <= hi
+        xs = [x for (_, x), _ in rows]
+        report = summability_report(s, (0, len(rows) - 1))
+        assert report.l1[0] <= sum(abs(x) for x in xs) <= report.l1[1]
+        assert report.l2[0] <= sum(x * x for x in xs) <= report.l2[1]
 
 
 def brute_bracket(spec, f, g, n):

@@ -10,7 +10,7 @@ from rankpair import (
     lemma3_truncate,
     shift_power,
 )
-from rankpair.walsh import correlation_budget, shift_cutoff
+from rankpair.walsh import Lemma3Truncation, correlation_budget, shift_cutoff
 
 
 def walsh_strategy(max_index=30, max_terms=5):
@@ -90,17 +90,30 @@ class TestTruncation:
                 WalshPolynomial.from_terms([((), 1), ((0,), 1)]), Fraction(1, 2)
             )
 
-    @given(walsh_strategy(), st.fractions(min_value="1/50", max_value="1/2",
-                                          max_denominator=50))
-    @settings(max_examples=60)
+    @given(st.one_of(walsh_strategy(), walsh_strategy(max_index=5)),
+           st.fractions(min_value="1/50", max_value="1/2", max_denominator=50))
+    @settings(max_examples=100)
     def test_residual_correlation_is_exactly_zero(self, f, delta):
+        """Small indices make shifts that carry one index set onto another
+        common, so a cutoff below the largest of them fails here."""
         f = WalshPolynomial(tuple(
             (k, c) for k, c in f.terms if k != frozenset()
         ))
         if not f.terms:
             return
         trunc = lemma3_truncate(f, delta)
+        assert trunc.overlap_past_cutoff() is None
         assert corr_tail_certificate(trunc.f_prime, trunc.cutoff, 10 ** 4) == 0
+
+    @given(walsh_strategy(max_index=6), st.integers(0, 14))
+    @settings(max_examples=100)
+    def test_overlap_past_cutoff_matches_every_shift(self, p, cutoff):
+        """Indices lie in [-6, 6], so no shift above 12 carries a set onto another."""
+        sets = {k for k, _ in p.terms}
+        every = next((m for m in range(cutoff + 1, 13)
+                      if any(frozenset(i + m for i in k) in sets for k in sets)), None)
+        trunc = Lemma3Truncation(p, cutoff, p.norm_sq(), Fraction(0))
+        assert trunc.overlap_past_cutoff() == every
 
 
 class TestBudget:
@@ -108,3 +121,10 @@ class TestBudget:
         p = WalshPolynomial.from_terms([((0,), 1), ((1,), 1)])
         # (shift p, p) at m=1 picks up the overlap of index 1
         assert correlation_budget(p, 1, 100) == 1
+
+    @given(walsh_strategy(max_index=6), st.integers(-3, 14), st.integers(0, 14))
+    @settings(max_examples=60)
+    def test_budget_sums_every_shift(self, p, lo, hi):
+        every = sum((abs(inner_product(shift_power(p, m), p)) for m in range(lo, hi + 1)),
+                    Fraction(0))
+        assert correlation_budget(p, lo, hi) == every
