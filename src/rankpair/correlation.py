@@ -50,10 +50,6 @@ class _SetWindow:
     top: list[int]
     maxpos: int
 
-    @classmethod
-    def initial(cls) -> "_SetWindow":
-        return cls(bot=[0], top=[0], maxpos=0)
-
     def step(self, st: StageSpec, h: int, h_new: int, window: int) -> "_SetWindow":
         offs = st.offsets(h)
         bot = []
@@ -72,53 +68,6 @@ class _SetWindow:
 
 Band = tuple[int, int]
 _START, _END = operator.itemgetter(0), operator.itemgetter(1)
-
-
-def _lag_bands(intervals, f: LevelFunction, g: LevelFunction) -> list[Band]:
-    """The differences that brackets over the lag ``intervals`` read: each
-    ``[lo, hi]`` reaches ``[lo + min shift, hi + max shift]``, where a
-    shift is ``lf - lg`` for a level ``lf`` of ``f`` and ``lg`` of ``g``."""
-    shifts = [lf - lg for lf in f.levels for lg in g.levels]
-    if not shifts:
-        return []
-    low, high = min(shifts), max(shifts)
-    return merge_intervals((lo + low, hi + high) for lo, hi in intervals)
-
-
-@dataclass
-class PairProfile:
-    """Exact difference-count state for a pair of tracked base levels.
-
-    ``counts`` holds every pair count at a difference inside ``bands`` and
-    nothing else; a difference outside them was never counted, so reading
-    it raises :class:`CoverageError` rather than answer zero.
-    """
-
-    depth: int
-    height: int
-    width: Fraction
-    bands: list[Band]
-    counts: Counter  # signed difference -> exact pair count
-    f: _SetWindow
-    g: _SetWindow
-
-    def covers(self, lo: int, hi: int) -> bool:
-        """Whether every difference in ``[lo, hi]`` was counted."""
-        i = bisect.bisect_right(self.bands, lo, key=_START) - 1
-        return i >= 0 and hi <= self.bands[i][1]
-
-    def pair_count(self, m: int) -> int:
-        if not self.covers(m, m):
-            raise CoverageError(f"difference {m} outside the counted bands")
-        return self.counts[m]
-
-    def top_zone(self, m: int) -> int:
-        """Occurrences that a difference-``m`` pair could still pick up at
-        deeper stages: those within ``|m|`` of the tower top."""
-        if m == 0:
-            return 0
-        win = self.f if m > 0 else self.g
-        return len(win.top) - bisect.bisect_left(win.top, self.height - abs(m))
 
 
 def _count_shifted(counts: Counter, base: int, values, sign: int, reach) -> bool:
@@ -160,93 +109,75 @@ def _count_cross(counts: Counter, offs, top, bot, bands: list[Band], sign: int) 
                     break
 
 
-def _pair_profiles(
-    spec: RankOneSpec, stage_f: int, stage_g: int, bands: list[Band]
-) -> Iterator[PairProfile]:
-    """Yield the profile at every depth from ``max(stage_f, stage_g)`` down,
-    counting pairs only at the differences inside the sorted, disjoint
-    ``bands``.  A count at depth ``d + 1`` is ``cuts`` times its depth-``d``
-    count plus the cross-copy pairs at the same difference, so leaving out
-    the other differences changes none of these.  The bottom and top
-    windows reach as far as the farthest band."""
-    window = max((abs(x) for band in bands for x in band), default=0)
-    heights = spec.heights()
-    widths = spec.widths()
-    d0 = max(stage_f, stage_g)
-    wf = wg = _SetWindow.initial()
-    for d in range(stage_f, d0):
-        wf = wf.step(spec.stages[d - 1], heights[d - 1], heights[d], window)
-    for d in range(stage_g, d0):
-        wg = wg.step(spec.stages[d - 1], heights[d - 1], heights[d], window)
-    # one of the two windows is still the base position 0
-    counts = Counter()
-    for a in wf.bot:
-        _count_shifted(counts, -a, wg.bot, 1, bands)
-    prof = PairProfile(
-        depth=d0, height=heights[d0 - 1], width=widths[d0 - 1],
-        bands=bands, counts=counts, f=wf, g=wg,
-    )
-    yield prof
-    for d in range(d0, spec.max_depth):
-        st = spec.stages[d - 1]
-        h, h_new = heights[d - 1], heights[d]
-        offs = st.offsets(h)
-        # scaled in place: a copied dict comprehension would be a third live table
-        counts = Counter()
-        dict.update(counts, zip(prof.counts, map(st.cuts.__mul__, prof.counts.values())))
-        _count_cross(counts, offs, prof.f.top, prof.g.bot, bands, 1)
-        _count_cross(counts, offs, prof.g.top, prof.f.bot, bands, -1)
-        prof = PairProfile(
-            depth=d + 1, height=h_new, width=widths[d],
-            bands=bands, counts=counts,
-            f=prof.f.step(st, h, h_new, window),
-            g=prof.g.step(st, h, h_new, window),
-        )
-        yield prof
-
-
+@dataclass
 class BracketTable:
-    """Brackets for ``(f, T^n g)`` off one profile, in integer arithmetic.
+    """The pair counts of one depth and the brackets for ``(f, T^n g)`` off
+    them, in integer arithmetic.
+
+    ``counts`` holds every pair count at a difference inside ``bands`` and
+    nothing else; a difference outside them was never counted, so reading
+    it raises :class:`CoverageError` rather than answer zero.  ``f`` and
+    ``g`` are the occurrence windows of the two base levels.
 
     With ``D`` the common denominator of the coefficient products
-    ``c = cf * cg``, every bracket is ``width / D`` times a pair of
-    integers: each term ``(lf, lg)`` adds ``c * D`` times the pair count at
-    ``m = n + lf - lg`` to both ends, and ``c * D`` times the top-zone count
-    at ``m`` to the upper end when ``c > 0``, to the lower end when
-    ``c < 0``.  The top zone of ``m`` is nonzero only once ``|m|`` reaches
-    ``height - max(top)``; the lags where some term gets there form the
-    envelope.  A lag outside the envelope whose terms all miss the count
-    keys is exactly zero, so :meth:`nonzero` visits only the others.
+    ``c = cf * cg``, every bracket is ``scale = width / D`` times a pair of
+    integers: each term ``(c * D, lf - lg)`` adds ``c * D`` times the pair
+    count at ``m = n + lf - lg`` to both ends, and ``c * D`` times the
+    top-zone count at ``m`` to the upper end when ``c > 0``, to the lower
+    end when ``c < 0``.  The top zone of ``m`` is nonzero only once ``|m|``
+    reaches ``height - max(top)``; the lags where some term gets there form
+    the envelope.  A lag outside the envelope whose terms all miss the
+    count keys is exactly zero, so :meth:`nonzero` visits only the others,
+    and its walk costs what the count keys and the envelope cost.
     """
 
-    def __init__(self, prof: PairProfile, f: LevelFunction, g: LevelFunction):
-        products = [
-            (cf * cg, lf - lg) for lf, cf in f.coefficients for lg, cg in g.coefficients
-        ]
-        denom = math.lcm(*(c.denominator for c, _ in products))
-        self.terms = [(c.numerator * (denom // c.denominator), s) for c, s in products]
-        self.scale = prof.width / denom
-        self.prof = prof
+    depth: int
+    height: int
+    scale: Fraction
+    terms: list[tuple[int, int]]
+    bands: list[Band]
+    counts: Counter  # signed difference -> exact pair count
+    f: _SetWindow
+    g: _SetWindow
+
+    def __post_init__(self):
         shifts = [s for _, s in self.terms]
         # lags from ``envelope_from`` up reach f's top zone with some term,
         # lags up to ``envelope_to`` reach g's
         self.envelope_from = (
-            prof.height - prof.f.top[-1] - max(shifts, default=0) if prof.f.top else math.inf
+            self.height - self.f.top[-1] - max(shifts, default=0) if self.f.top else math.inf
         )
         self.envelope_to = (
-            prof.g.top[-1] - prof.height - min(shifts, default=0) if prof.g.top else -math.inf
+            self.g.top[-1] - self.height - min(shifts, default=0) if self.g.top else -math.inf
         )
 
+    def covers(self, lo: int, hi: int) -> bool:
+        """Whether every difference in ``[lo, hi]`` was counted."""
+        i = bisect.bisect_right(self.bands, lo, key=_START) - 1
+        return i >= 0 and hi <= self.bands[i][1]
+
+    def pair_count(self, m: int) -> int:
+        if not self.covers(m, m):
+            raise CoverageError(f"difference {m} outside the counted bands")
+        return self.counts[m]
+
+    def top_zone(self, m: int) -> int:
+        """Occurrences that a difference-``m`` pair could still pick up at
+        deeper stages: those within ``|m|`` of the tower top."""
+        if m == 0:
+            return 0
+        win = self.f if m > 0 else self.g
+        return len(win.top) - bisect.bisect_left(win.top, self.height - abs(m))
+
     def bracket(self, n: int) -> Interval:
-        prof = self.prof
         envelope = n >= self.envelope_from or n <= self.envelope_to
         lo = hi = 0
         for c, s in self.terms:
-            k = c * prof.pair_count(n + s)
+            k = c * self.pair_count(n + s)
             lo += k
             hi += k
             if envelope:
-                t = c * prof.top_zone(n + s)
+                t = c * self.top_zone(n + s)
                 if c > 0:
                     hi += t
                 else:
@@ -257,7 +188,7 @@ class BracketTable:
 
     @functools.cached_property
     def keys(self) -> list:
-        return [*sorted(self.prof.counts), math.inf]  # a sentinel past every key
+        return [*sorted(self.counts), math.inf]  # a sentinel past every key
 
     def nonzero(self, ns) -> Iterator[tuple[int, Interval]]:
         """``(n, bracket)`` for each lag of the sorted sequence ``ns`` whose
@@ -270,7 +201,7 @@ class BracketTable:
         envelope, not the length of ``ns``.  Every lag from ``ns[0]`` to
         ``ns[-1]`` must be covered by the counted bands.
         """
-        if ns and not all(self.prof.covers(ns[0] + s, ns[-1] + s) for _, s in self.terms):
+        if ns and not all(self.covers(ns[0] + s, ns[-1] + s) for _, s in self.terms):
             raise CoverageError(f"lags [{ns[0]}, {ns[-1]}] reach past the counted bands")
         i = 0
         while i < len(ns):
@@ -293,11 +224,51 @@ class BracketTable:
 def bracket_tables(
     spec: RankOneSpec, f: LevelFunction, intervals, g: Optional[LevelFunction] = None
 ) -> Iterator[BracketTable]:
-    """Brackets for lags in the ``(lo, hi)`` ``intervals`` off one engine
-    pass, one table per depth from ``max(f.stage, g.stage)`` down."""
+    """One engine pass for ``(f, T^n g)`` over the lags in the ``(lo, hi)``
+    ``intervals``: the table at every depth from ``max(f.stage, g.stage)``
+    down, shallowest first.
+
+    Lags in ``[lo, hi]`` read the differences ``[lo + min shift, hi + max
+    shift]``, whose union is the bands; only those are counted.  A count
+    at depth ``d + 1`` is ``cuts`` times its depth-``d`` count plus the
+    cross-copy pairs at the same difference, so leaving out the other
+    differences changes none of these.  The bottom and top windows reach
+    as far as the farthest band end.
+    """
     g = g or f
-    for prof in _pair_profiles(spec, f.stage, g.stage, _lag_bands(intervals, f, g)):
-        yield BracketTable(prof, f, g)
+    products = [(cf * cg, lf - lg) for lf, cf in f.coefficients for lg, cg in g.coefficients]
+    denom = math.lcm(*(c.denominator for c, _ in products))
+    terms = [(c.numerator * (denom // c.denominator), s) for c, s in products]
+    shifts = [s for _, s in terms]
+    low, high = min(shifts, default=0), max(shifts, default=0)
+    bands = merge_intervals((lo + low, hi + high) for lo, hi in intervals) if terms else []
+    window = max((abs(x) for band in bands for x in band), default=0)
+    heights = spec.heights()
+    widths = spec.widths()
+    d0 = max(f.stage, g.stage)
+    wf = wg = _SetWindow(bot=[0], top=[0], maxpos=0)
+    for d in range(f.stage, d0):
+        wf = wf.step(spec.stages[d - 1], heights[d - 1], heights[d], window)
+    for d in range(g.stage, d0):
+        wg = wg.step(spec.stages[d - 1], heights[d - 1], heights[d], window)
+    # one of the two windows is still the base position 0
+    counts = Counter()
+    for a in wf.bot:
+        _count_shifted(counts, -a, wg.bot, 1, bands)
+    for d in range(d0, spec.max_depth + 1):
+        yield BracketTable(d, heights[d - 1], widths[d - 1] / denom, terms, bands, counts, wf, wg)
+        if d == spec.max_depth:
+            break
+        st = spec.stages[d - 1]
+        h, h_new = heights[d - 1], heights[d]
+        offs = st.offsets(h)
+        # scaled in place: a copied dict comprehension would be a third live table
+        deeper = Counter()
+        dict.update(deeper, zip(counts, map(st.cuts.__mul__, counts.values())))
+        _count_cross(deeper, offs, wf.top, wg.bot, bands, 1)
+        _count_cross(deeper, offs, wg.top, wf.bot, bands, -1)
+        counts = deeper
+        wf, wg = wf.step(st, h, h_new, window), wg.step(st, h, h_new, window)
 
 
 @dataclass
@@ -337,7 +308,7 @@ def correlation_sequence(
     """Certified brackets for ``(f, T^n g)`` over a set of lags, off a single
     engine pass.
 
-    Every bracket is read from the deepest profile, the narrowest since
+    Every bracket is read from the deepest table, the narrowest since
     brackets are nested, and only the lags it does not certify to be zero
     are visited (:meth:`BracketTable.nonzero`).  A ``tolerance`` that some
     bracket there exceeds raises :class:`ToleranceNotReached`, carrying the

@@ -179,8 +179,8 @@ class PolynomialClaim:
     time: int
     cuts: int
     poly: PolynomialSpec
-    deviation: Fraction = Fraction(0)
-    bound: Fraction = Fraction(0)
+    deviation: Fraction = Fraction(0)  # certified upper bound on the deviation
+    bound: Fraction = Fraction(0)      # |f||g| (2/cuts + rounding mass); exact when f = g
     satisfied: bool = False
 
 
@@ -340,9 +340,10 @@ def check_certificate(spec: RankOneSpec, cert: ConstructionCertificate) -> None:
     so its cost follows the count keys and envelope, not the interval's
     length; rigidity claims read single-lag brackets off the same table.
     A polynomial claim also reads the table of the tower its stage is
-    applied to (:func:`verify_polynomial_limit`); one that no stage of the
-    spec realises is recorded as unsatisfied.  A tracked function that
-    lives on no tower of the spec is a ``ValueError``.
+    applied to (:func:`verify_polynomial_limit`) and takes its ``cuts``
+    from that stage; one that no stage of the spec realises is recorded as
+    unsatisfied.  A tracked function that lives on no tower of the spec is
+    a ``ValueError``.
     """
     f = cert.tracked
     issues = f.issues(spec)
@@ -363,13 +364,9 @@ def check_certificate(spec: RankOneSpec, cert: ConstructionCertificate) -> None:
         r.satisfied = r.lower_bound >= r.target
     for p in cert.polynomial_claims:
         try:
-            res = _polynomial_verdict(spec, table, at.get(p.time), p.time, p.poly, f, f)
+            _polynomial_verdict(spec, table, at.get(p.time), p, f, f)
         except UnsupportedClaim:
             p.satisfied = False
-            continue
-        p.deviation = res.deviation
-        p.bound = res.bound
-        p.satisfied = res.satisfied
 
 
 def plan_pair(
@@ -411,13 +408,6 @@ def plan_pair(
     )
 
 
-@dataclass
-class PolyVerification:
-    deviation: Fraction     # certified upper bound on the deviation
-    bound: Fraction         # |f||g| (2/cuts + rounding mass); exact when f = g
-    satisfied: bool
-
-
 def _one_pass(spec: RankOneSpec, f, g, intervals, claims) -> tuple[BracketTable, dict]:
     """One engine pass over the lag ``intervals`` and those of the ``(time,
     poly)`` claims: the deepest table, and by height the tables they read."""
@@ -426,8 +416,8 @@ def _one_pass(spec: RankOneSpec, f, g, intervals, claims) -> tuple[BracketTable,
     times = {t for t, _ in claims}
     at = {}
     for table in bracket_tables(spec, f, intervals, g):
-        if table.prof.height in times:
-            at[table.prof.height] = table
+        if table.height in times:
+            at[table.height] = table
     return table, at
 
 
@@ -437,27 +427,32 @@ def verify_polynomial_limit(
     poly: PolynomialSpec,
     f: LevelFunction,
     g: LevelFunction,
-) -> PolyVerification:
+) -> PolynomialClaim:
     """Certify that the stage applied at height ``time`` copies the polynomial.
 
     The reference correlations are those of the construction *before* the
     stage (the stage itself is what installs the overlap pattern, so the
     finished transformation's small-lag correlations already include it),
-    which is the profile of the tower of height ``time``.  One engine pass
+    which is the table of the tower of height ``time``.  One engine pass
     compares the full-depth value of ``(f, T^time g)`` off the deepest
     table with the polynomial average of the exact values at ``-z`` off
-    that tower's table.
+    that tower's table.  The claim returned takes its ``cuts`` from the
+    stage.
     """
     final, at = _one_pass(spec, f, g, [], [(time, poly)])
-    return _polynomial_verdict(spec, final, at.get(time), time, poly, f, g)
+    claim = PolynomialClaim(time=time, cuts=0, poly=poly)
+    _polynomial_verdict(spec, final, at.get(time), claim, f, g)
+    return claim
 
 
 def _polynomial_verdict(
-    spec, final: BracketTable, pre: Optional[BracketTable], time, poly, f, g
-) -> PolyVerification:
+    spec, final: BracketTable, pre: Optional[BracketTable], claim: PolynomialClaim, f, g
+) -> None:
+    """Fill in ``claim`` from the deepest table and that of its tower."""
+    time, poly = claim.time, claim.poly
     if pre is None or pre is final:  # the deepest tower has no stage applied to it
         raise UnsupportedClaim(f"time {time} is not a stage height of the spec")
-    stage = spec.stages[pre.prof.depth - 1]
+    stage = spec.stages[pre.depth - 1]
     realized = Counter(stage.spacers)
     if any(realized[z] < m for z, m in apportion(poly, stage.cuts).items()):
         raise UnsupportedClaim(f"stage at height {time} does not realise the polynomial histogram")
@@ -465,11 +460,11 @@ def _polynomial_verdict(
     lhs_lo, lhs_hi = final.bracket(time)
     # pre-stage values are finite-tower quantities: take the exact pair count
     rhs = sum((a * pre.bracket(-z)[0] for z, a in poly.coefficients), Fraction(0))
-    deviation = max(abs(lhs_lo - rhs), abs(lhs_hi - rhs))
+    claim.cuts = stage.cuts
+    claim.deviation = max(abs(lhs_lo - rhs), abs(lhs_hi - rhs))
     slack = Fraction(2, stage.cuts) + rounding_mass(poly, stage.cuts)
     nf2 = f.norm_sq(spec)
     ng2 = g.norm_sq(spec)
     # compare deviation <= sqrt(nf2 * ng2) * slack via squares (exact)
-    satisfied = deviation * deviation <= nf2 * ng2 * slack * slack
-    bound = nf2 * slack if f == g else (nf2 * ng2 * slack * slack)
-    return PolyVerification(deviation=deviation, bound=bound, satisfied=satisfied)
+    claim.satisfied = claim.deviation ** 2 <= nf2 * ng2 * slack * slack
+    claim.bound = nf2 * slack if f == g else (nf2 * ng2 * slack * slack)

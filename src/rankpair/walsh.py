@@ -115,17 +115,22 @@ class Lemma3Truncation:
         return min(shifts, default=None)
 
     def distance_below(self, delta: Fraction) -> bool:
-        """Exact check that the *renormalized* truncation is within ``delta``
-        of the (normalized) input: squared distance is 2 - 2 sqrt(1 - t),
-        compared against delta^2 through an equivalent rational inequality."""
-        delta = Fraction(delta)
-        if delta <= 0:
-            return False
-        d2 = delta * delta
-        if d2 >= 2:
-            return True
-        target = 1 - d2 / 2
-        return (1 - self.tail_frac) > target * target
+        return _distance_below(self.tail_frac, delta)
+
+
+def _distance_below(tail_frac: Fraction, delta: Fraction) -> bool:
+    """Exact check that a *renormalized* truncation that drops the share
+    ``t = tail_frac`` of the mass is within ``delta`` of the (normalized)
+    input: squared distance is 2 - 2 sqrt(1 - t), compared against delta^2
+    through an equivalent rational inequality."""
+    delta = Fraction(delta)
+    if delta <= 0:
+        return False
+    d2 = delta * delta
+    if d2 >= 2:
+        return True
+    target = 1 - d2 / 2
+    return (1 - tail_frac) > target * target
 
 
 def lemma3_truncate(f: WalshPolynomial, delta: Fraction) -> Lemma3Truncation:
@@ -144,21 +149,14 @@ def lemma3_truncate(f: WalshPolynomial, delta: Fraction) -> Lemma3Truncation:
         raise ValueError("input is zero")
     total = f.norm_sq()
     ordered = sorted(f.terms, key=lambda t: (max(abs(i) for i in t[0]), sorted(t[0])))
-    kept: list[tuple[IndexSet, Fraction]] = []
     kept_sq = Fraction(0)
-    for k, c in ordered:  # the full prefix always reaches distance 0
-        kept.append((k, c))
+    for size, (_, c) in enumerate(ordered, start=1):  # the full prefix always reaches distance 0
         kept_sq += c * c
-        trunc = Lemma3Truncation(
-            f_prime=WalshPolynomial(tuple(kept)),
-            cutoff=0,
-            kept_norm_sq=kept_sq,
-            tail_frac=(total - kept_sq) / total,
-        )
-        if trunc.distance_below(delta):
+        tail_frac = (total - kept_sq) / total
+        if _distance_below(tail_frac, delta):
             break
-    trunc.cutoff = shift_cutoff(trunc.f_prime)
-    return trunc
+    f_prime = WalshPolynomial(tuple(ordered[:size]))
+    return Lemma3Truncation(f_prime, shift_cutoff(f_prime), kept_sq, tail_frac)
 
 
 def corr_tail_certificate(

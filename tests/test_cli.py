@@ -57,6 +57,21 @@ class TestExitCodes:
             f"verdict exact-zero -> violated, first_violation None -> {first}"
         ]
 
+    def test_tampered_polynomial_cuts_is_two(self, tmp_path, capsys):
+        # the stage applied at height 34 of the golden poly plan has 4 cuts
+        plan = shutil.copytree(Path(__file__).parent / "golden" / "poly", tmp_path / "poly")
+        cert = ser.read_json(plan / "cert_s.json")
+        assert cert["polynomial_claims"][0]["cuts"] == 4
+        cert["polynomial_claims"][0]["cuts"] = 2
+        ser.write_json(plan / "cert_s.json", cert)
+        code = main(["--out-dir", str(tmp_path), "verify",
+                     "--spec", str(plan / "spec_s.json"),
+                     "--cert", str(plan / "cert_s.json")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "verify FAILED: S polynomial claim at 34 does not recompute: cuts 2 -> 4"
+        ]
+
     def test_unsupported_polynomial_claim_is_two(self, tmp_path, capsys):
         # a lowered blocking spacer breaks the zero claim on [1, 16] at n=16
         # and moves every later stage height off the polynomial claim's time

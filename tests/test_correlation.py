@@ -19,7 +19,7 @@ from rankpair import (
 )
 
 from rankpair.core import merge_intervals, occurrence_set
-from rankpair.correlation import _pair_profiles, bracket_tables
+from rankpair.correlation import bracket_tables
 
 from conftest import oracle_autocorrelation
 from test_core import spec_strategy, stage_strategy
@@ -338,13 +338,16 @@ class TestAgainstBruteForce:
         ends = st.integers(-spec.heights()[-1], spec.heights()[-1])
         bands = merge_intervals(data.draw(st.lists(st.tuples(ends, ends), max_size=3)))
         assert all(hi + 1 < lo for (_, hi), (lo, _) in zip(bands, bands[1:]))
+        # level-0 indicators: the only shift is 0, so the bands are the intervals
+        f, g = LevelFunction.indicator(stage_f), LevelFunction.indicator(stage_g)
         depths = []
-        for prof in _pair_profiles(spec, stage_f, stage_g, bands):
-            f = occurrence_set(spec, stage_f, prof.depth)
-            g = occurrence_set(spec, stage_g, prof.depth)
-            assert prof.counts == Counter(
-                b - a for a in f for b in g if any(lo <= b - a <= hi for lo, hi in bands))
-            depths.append(prof.depth)
+        for table in bracket_tables(spec, f, bands, g):
+            assert table.bands == bands
+            occ_f = occurrence_set(spec, stage_f, table.depth)
+            occ_g = occurrence_set(spec, stage_g, table.depth)
+            assert table.counts == Counter(
+                b - a for a in occ_f for b in occ_g if any(lo <= b - a <= hi for lo, hi in bands))
+            depths.append(table.depth)
         assert depths == list(range(max(stage_f, stage_g), spec.max_depth + 1))
 
 
@@ -357,7 +360,7 @@ class TestAgainstBruteForce:
         intervals = [(n, n) for n in lags]
         depths = []
         for table in bracket_tables(spec, f, intervals, g):
-            d = table.prof.depth
+            d = table.depth
             cut = RankOneSpec(stages=spec.stages[: d - 1], base_height=spec.base_height)
             for n in lags:
                 assert table.bracket(n) == brute_bracket(cut, f, g, n)
@@ -374,17 +377,17 @@ class TestBandCoverage:
     f = LevelFunction.from_dict(2, {0: Fraction(1), 2: Fraction(-1)})
 
     def test_pair_count_just_outside_a_band(self):
-        prof = [*bracket_tables(self.spec, self.f, [(0, 2), (20, 22)])][-1].prof
-        assert prof.bands == [(-2, 4), (18, 24)]
+        table = [*bracket_tables(self.spec, self.f, [(0, 2), (20, 22)])][-1]
+        assert table.bands == [(-2, 4), (18, 24)]
         for m in (-2, 4, 18, 24):
-            prof.pair_count(m)
+            table.pair_count(m)
         for m in (-3, 5, 17, 25):
             with pytest.raises(CoverageError):
-                prof.pair_count(m)
+                table.pair_count(m)
 
     def test_first_nonzero_just_outside_a_band(self):
         table = [*bracket_tables(self.spec, self.f, [(5, 8)])][-1]
-        assert table.prof.bands == [(3, 10)]
+        assert table.bands == [(3, 10)]
         [*table.nonzero(range(5, 9))]
         for lo, hi in ((4, 8), (5, 9)):
             with pytest.raises(CoverageError):

@@ -19,7 +19,7 @@ from rankpair import (
     plan_pair,
     verify_polynomial_limit,
 )
-from rankpair import correlation
+from rankpair import pairplan
 from rankpair import serialize as ser
 from rankpair.core import occurrence_set
 from rankpair.pairplan import (
@@ -291,13 +291,13 @@ class TestOnePass:
     @pytest.fixture
     def passes(self, monkeypatch):
         calls = []
-        engine = correlation._pair_profiles
+        engine = pairplan.bracket_tables
 
         def counted(*args):
             calls.append(args)
             return engine(*args)
 
-        monkeypatch.setattr(correlation, "_pair_profiles", counted)
+        monkeypatch.setattr(pairplan, "bracket_tables", counted)
         return calls
 
     @staticmethod
@@ -322,7 +322,7 @@ class TestOnePass:
             passes.clear()
             res = verify_polynomial_limit(spec, p.time, p.poly, cert.tracked, cert.tracked)
             assert len(passes) == 1
-            assert (res.deviation, res.bound, res.satisfied) == (p.deviation, p.bound, True)
+            assert res == p and res.satisfied
 
     @given(polynomial_case())
     @settings(max_examples=100, deadline=None)

@@ -45,11 +45,12 @@ class TestAlgebra:
     def test_shift_preserves_norm(self, p, m):
         assert shift_power(p, m).norm_sq() == p.norm_sq()
 
-    @given(walsh_strategy())
-    @settings(max_examples=50)
+    @given(st.one_of(walsh_strategy(), walsh_strategy(max_index=5)))
+    @settings(max_examples=100)
     def test_shifts_beyond_spread_are_orthogonal(self, p):
+        # small indices make two index sets of one shape common
         cutoff = shift_cutoff(p)
-        for m in (cutoff + 1, cutoff + 2, cutoff + 17):
+        for m in range(cutoff + 1, cutoff + 18):
             assert inner_product(shift_power(p, m), p) == 0
             assert inner_product(shift_power(p, -m), p) == 0
 
