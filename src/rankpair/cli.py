@@ -24,8 +24,8 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import zip_longest
 from pathlib import Path
-from typing import Optional
 
 from .core import EscapeCapError, PlanError, ToleranceNotReached, validate_spec
 from . import _LAZY, serialize as ser
@@ -33,6 +33,7 @@ from . import _LAZY, serialize as ser
 EXIT_PASS = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
+_LAG_CAP = 1 << 21  # lags one correlate run may ask for: each holds a table entry
 
 
 class UsageError(Exception):
@@ -124,7 +125,7 @@ def _read_table(path):
     return seq
 
 
-def _load_spec(path: str):
+def _load_spec(path):
     spec = _read(path, ser.spec_from_dict)
     issues = validate_spec(spec)
     if issues:
@@ -185,9 +186,7 @@ def cmd_plan(args, out: _Output) -> int:
 
 
 def cmd_verify(args, out: _Output) -> int:
-    spec = _load_spec(args.spec)
-    cert = _read(args.cert, ser.certificate_from_dict)
-    problem = _recheck(spec, cert)
+    cert, problem = _recheck(args.spec, args.cert)
     out.emit("verify_report.json", {
         "ok": problem is None,
         "recomputed": ser.certificate_to_dict(cert),
@@ -202,6 +201,8 @@ def cmd_verify(args, out: _Output) -> int:
 def cmd_correlate(args, out: _Output) -> int:
     if args.n_min > args.n_max:
         raise UsageError(f"--n-min {args.n_min} is above --n-max {args.n_max}")
+    if args.n_max - args.n_min >= _LAG_CAP:
+        raise UsageError(f"{args.n_max - args.n_min + 1} lags asked for, over the cap {_LAG_CAP}")
     spec = _load_spec(args.spec)
     f = _load_function(args.function, spec)
     seq = _here.correlation_sequence(
@@ -329,9 +330,12 @@ def cmd_lemma3(args, out: _Output) -> int:
     return EXIT_PASS
 
 
-def _recheck(spec, cert) -> Optional[str]:
-    """Recompute every claim of ``cert`` from ``spec`` in place; name the
-    first claim that does not recompute or does not hold, or return ``None``."""
+def _recheck(spec_path, cert_path):
+    """Load a certificate and recompute its claims and ledger in place from
+    its spec; return it with the first claim or ledger entry that does not
+    recompute or does not hold, or with ``None``."""
+    spec = _load_spec(spec_path)
+    cert = _read(cert_path, ser.certificate_from_dict)
     claimed = ser.certificate_to_dict(cert)
     _here.check_certificate(spec, cert)
     recomputed = ser.certificate_to_dict(cert)
@@ -342,10 +346,14 @@ def _recheck(spec, cert) -> Optional[str]:
             name = f"{cert.subject} {kind} {old[key]}"
             changed = [f"{k} {old[k]} -> {new[k]}" for k in old if old[k] != new[k]]
             if changed:
-                return f"{name} does not recompute: {', '.join(changed)}"
+                return cert, f"{name} does not recompute: {', '.join(changed)}"
             if new.get("verdict") == "violated" or new.get("satisfied") is False:
-                return f"{name} does not hold"
-    return None
+                return cert, f"{name} does not hold"
+    ledgers = zip_longest(claimed["min_distance_ledger"], recomputed["min_distance_ledger"])
+    for i, (old, new) in enumerate(ledgers, 1):
+        if old != new:
+            return cert, f"{cert.subject} ledger at stage {i} does not recompute: {old} -> {new}"
+    return cert, None
 
 
 def cmd_report(args, out: _Output) -> int:
@@ -353,10 +361,8 @@ def cmd_report(args, out: _Output) -> int:
     plan = _read(plan_dir / "plan.json", ser.plan_summary_from_dict)
     certs, cert_lines, mismatch = [], [], None
     for side in "st":
-        spec = _load_spec(str(plan_dir / f"spec_{side}.json"))
-        cert = _read(plan_dir / f"cert_{side}.json", ser.certificate_from_dict)
-        problem = _recheck(spec, cert)  # every side is rechecked, even after a mismatch
-        mismatch = mismatch or problem
+        cert, problem = _recheck(plan_dir / f"spec_{side}.json", plan_dir / f"cert_{side}.json")
+        mismatch = mismatch or problem  # every side is rechecked, even after a mismatch
         certs.append(cert)
         cert_lines.append(
             f"{cert.subject}: {len(cert.zero_intervals)} zero intervals, "

@@ -180,7 +180,7 @@ class PolynomialClaim:
     cuts: int
     poly: PolynomialSpec
     deviation: Fraction = Fraction(0)  # certified upper bound on the deviation
-    bound: Fraction = Fraction(0)      # |f||g| (2/cuts + rounding mass); exact when f = g
+    bound: Fraction = Fraction(0)      # |f||g| (2/cuts + rounding mass) if f = g, else its square
     satisfied: bool = False
 
 
@@ -256,17 +256,14 @@ def _plan_side(blocks, horizon: int, policy: GenericPolicy, subject: str):
     stages: list[StageSpec] = []
     height = 1
     maxpos = 0  # exact largest occurrence position == largest pair difference
-    rigidity: list[RigidityClaim] = []
-    polyclaims: list[PolynomialClaim] = []
-    ledger: list[tuple[int, int]] = []
-    skipped: list[tuple[int, int]] = []
-    claims: list[ZeroIntervalClaim] = []
+    cert = ConstructionCertificate(subject=subject, tracked=LevelFunction.indicator(1))
 
-    def apply(stage: StageSpec):
+    def add(stage: StageSpec):
         nonlocal height, maxpos
         offs = stage.offsets(height)
         maxpos = offs[-1] + maxpos
         height = stage.cuts * height + sum(stage.spacers)
+        stages.append(stage)
 
     for budget, forbidden in blocks:
         if budget is not None:
@@ -276,59 +273,35 @@ def _plan_side(blocks, horizon: int, policy: GenericPolicy, subject: str):
                     policy.generic_cuts, max_position=maxpos,
                 )
             except PlanError:
-                skipped.append(budget)
+                cert.skipped_budgets.append(budget)
             else:
-                time = height
-                ledger.append((len(stages) + 1, height + min(stage.spacers)))
+                # check_certificate fills in the cuts from the stage
                 if policy.generic_poly.is_rigidity():
-                    rigidity.append(
-                        RigidityClaim(time=time, cuts=policy.generic_cuts)
-                    )
+                    cert.rigidity_times.append(RigidityClaim(time=height, cuts=0))
                 else:
-                    polyclaims.append(
-                        PolynomialClaim(
-                            time=time,
-                            cuts=policy.generic_cuts,
-                            poly=policy.generic_poly,
-                        )
+                    cert.polynomial_claims.append(
+                        PolynomialClaim(time=height, cuts=0, poly=policy.generic_poly)
                     )
-                apply(stage)
-                stages.append(stage)
+                add(stage)
         lo, hi = forbidden
         if maxpos >= lo:
             raise PlanError(
                 f"{subject}: existing differences reach {maxpos}, overlapping "
                 f"forbidden interval [{lo}, {hi}] (construction ordering violated)"
             )
-        stage = design_blocking_stage(height, forbidden, max_position=maxpos)
-        ledger.append((len(stages) + 1, height + min(stage.spacers)))
-        claims.append(
+        cert.zero_intervals.append(
             ZeroIntervalClaim(
                 interval=forbidden, checked=(lo, min(hi, horizon))
             )
         )
-        apply(stage)
-        stages.append(stage)
+        add(design_blocking_stage(height, forbidden, max_position=maxpos))
 
     # closing stage: grow the top gap past the horizon so every zero claim
     # can be certified with tolerance 0 from the finite spec
     if height - maxpos <= horizon:
-        stage = StageSpec(cuts=BLOCKING_CUTS, spacers=(horizon + 1,) * BLOCKING_CUTS)
-        ledger.append((len(stages) + 1, height + horizon + 1))
-        apply(stage)
-        stages.append(stage)
+        add(StageSpec(cuts=BLOCKING_CUTS, spacers=(horizon + 1,) * BLOCKING_CUTS))
 
-    spec = RankOneSpec(stages=tuple(stages))
-    cert = ConstructionCertificate(
-        subject=subject,
-        tracked=LevelFunction.indicator(1),
-        zero_intervals=claims,
-        rigidity_times=rigidity,
-        polynomial_claims=polyclaims,
-        min_distance_ledger=ledger,
-        skipped_budgets=skipped,
-    )
-    return spec, cert
+    return RankOneSpec(stages=tuple(stages)), cert
 
 
 def check_certificate(spec: RankOneSpec, cert: ConstructionCertificate) -> None:
@@ -340,10 +313,10 @@ def check_certificate(spec: RankOneSpec, cert: ConstructionCertificate) -> None:
     so its cost follows the count keys and envelope, not the interval's
     length; rigidity claims read single-lag brackets off the same table.
     A polynomial claim also reads the table of the tower its stage is
-    applied to (:func:`verify_polynomial_limit`) and takes its ``cuts``
-    from that stage; one that no stage of the spec realises is recorded as
-    unsatisfied.  A tracked function that lives on no tower of the spec is
-    a ``ValueError``.
+    applied to (:func:`verify_polynomial_limit`).  Generic claims take
+    their ``cuts`` from the stage applied at their time, and fail where
+    no stage realises them; the ledger is derived from the spec.  A
+    tracked function that lives on no tower of the spec is a ``ValueError``.
     """
     f = cert.tracked
     issues = f.issues(spec)
@@ -359,14 +332,24 @@ def check_certificate(spec: RankOneSpec, cert: ConstructionCertificate) -> None:
         z.first_violation = next((n for n, _ in table.nonzero(range(lo, hi + 1))), None)
         z.verdict = "exact-zero" if z.first_violation is None else "violated"
     for r in cert.rigidity_times:
-        r.target = (1 - Fraction(1, r.cuts)) * nsq
+        stage = _stage_at(spec, r.time)
         r.lower_bound = table.bracket(r.time)[0]
-        r.satisfied = r.lower_bound >= r.target
+        if stage is not None:  # else no stage is applied at r.time, and the claim fails
+            r.cuts = stage.cuts
+            r.target = (1 - Fraction(1, r.cuts)) * nsq
+        r.satisfied = stage is not None and r.lower_bound >= r.target
     for p in cert.polynomial_claims:
         try:
             _polynomial_verdict(spec, table, at.get(p.time), p, f, f)
         except UnsupportedClaim:
             p.satisfied = False
+    towers = zip(spec.heights(), spec.stages)
+    cert.min_distance_ledger = [(i, h + min(st.spacers)) for i, (h, st) in enumerate(towers, 1)]
+
+
+def _stage_at(spec: RankOneSpec, time: int) -> Optional[StageSpec]:
+    """The stage applied to the tower of height ``time``, if one is."""
+    return dict(zip(spec.heights(), spec.stages)).get(time)
 
 
 def plan_pair(
@@ -450,9 +433,9 @@ def _polynomial_verdict(
 ) -> None:
     """Fill in ``claim`` from the deepest table and that of its tower."""
     time, poly = claim.time, claim.poly
-    if pre is None or pre is final:  # the deepest tower has no stage applied to it
+    stage = _stage_at(spec, time)
+    if stage is None or pre is None:
         raise UnsupportedClaim(f"time {time} is not a stage height of the spec")
-    stage = spec.stages[pre.depth - 1]
     realized = Counter(stage.spacers)
     if any(realized[z] < m for z, m in apportion(poly, stage.cuts).items()):
         raise UnsupportedClaim(f"stage at height {time} does not realise the polynomial histogram")

@@ -3,7 +3,8 @@
 The oracle rebuilds each tower as a literal list of cell labels (plain
 list concatenation, no offset recursion) and brackets correlations from
 pairwise differences plus escape counts read off the same list.  It shares
-no code path with the windowed pair-count engine it is used to check.
+no code path with the windowed pair-count engine it is used to check, nor
+with ``occurrence_set``.
 """
 
 from collections import Counter
@@ -26,37 +27,49 @@ def tower_labels(spec: RankOneSpec, stage: int) -> list[int]:
     return labels
 
 
+def base_positions(spec: RankOneSpec, stage: int) -> list[int]:
+    """Positions of the stage-``stage`` base level in the deepest tower,
+    read off its labels: the start of each copy of the stage-``stage``
+    tower."""
+    return [q for q, lab in enumerate(tower_labels(spec, stage)) if lab == 0]
+
+
+def oracle_bracket(
+    spec: RankOneSpec, f: LevelFunction, g: LevelFunction, n: int
+) -> tuple[Fraction, Fraction]:
+    """Bracket for ``(f, T^n g)`` by full enumeration at the deepest tower.
+
+    For each level ``lf`` of ``f`` and ``lg`` of ``g``, the lower value
+    counts the copies ``a`` of ``f``'s tower and ``b`` of ``g``'s with
+    ``b - a = m = n + lf - lg``.  The uncertainty adds the copies whose
+    partner at distance ``|m|`` would start past the last label (copies of
+    ``f`` for ``m > 0``, of ``g`` for ``m < 0``): those partners lie
+    outside the constructed region, and deeper stages may still supply
+    them.  A negative coefficient swaps the ends of its term.
+    """
+    height = spec.heights()[-1]
+    width = spec.widths()[-1]
+    base_f, base_g = base_positions(spec, f.stage), base_positions(spec, g.stage)
+    diffs = Counter(b - a for a in base_f for b in base_g)
+    lo = hi = Fraction(0)
+    for lf, cf in f.coefficients:
+        for lg, cg in g.coefficients:
+            m = n + lf - lg
+            lower = diffs[m] * width
+            starts = base_f if m > 0 else base_g if m < 0 else []
+            escapes = sum(1 for a in starts if a + abs(m) >= height)
+            upper = lower + escapes * width
+            coeff = cf * cg
+            lo += coeff * (lower if coeff >= 0 else upper)
+            hi += coeff * (upper if coeff >= 0 else lower)
+    return (lo, hi)
+
+
 def oracle_autocorrelation(
     spec: RankOneSpec, f: LevelFunction, n: int
 ) -> tuple[Fraction, Fraction]:
-    """Bracket for ``(f, T^n f)`` by full enumeration at the deepest tower.
-
-    The lower value counts realized pairs; the uncertainty adds, for every
-    needed level-difference ``m``, the occurrences ``a`` whose image
-    ``a + |m|`` runs past the last label, so escapes the constructed region
-    and may still land on anything.
-    """
-    depth = spec.max_depth
-    labels = tower_labels(spec, f.stage)
-    base = [q for q, lab in enumerate(labels) if lab == 0]
-    diffs = Counter(b - a for a in base for b in base)
-    width = spec.widths()[depth - 1]
-    lo = Fraction(0)
-    hi = Fraction(0)
-    for lf, cf in f.coefficients:
-        for lg, cg in f.coefficients:
-            m = n + lf - lg
-            coeff = cf * cg
-            lower = diffs[m] * width
-            escapes = sum(1 for a in base if a + abs(m) >= len(labels))
-            upper = lower + (escapes if m != 0 else 0) * width
-            if coeff >= 0:
-                lo += coeff * lower
-                hi += coeff * upper
-            else:
-                lo += coeff * upper
-                hi += coeff * lower
-    return (lo, hi)
+    """Bracket for ``(f, T^n f)``: :func:`oracle_bracket` with ``g = f``."""
+    return oracle_bracket(spec, f, f, n)
 
 
 @pytest.fixture

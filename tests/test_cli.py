@@ -57,20 +57,35 @@ class TestExitCodes:
             f"verdict exact-zero -> violated, first_violation None -> {first}"
         ]
 
-    def test_tampered_polynomial_cuts_is_two(self, tmp_path, capsys):
-        # the stage applied at height 34 of the golden poly plan has 4 cuts
-        plan = shutil.copytree(Path(__file__).parent / "golden" / "poly", tmp_path / "poly")
+    @pytest.mark.parametrize("plan, tamper, line", [
+        # the stage applied at height 34 of both golden plans has 4 cuts
+        ("poly", lambda cert: cert["polynomial_claims"][0].update(cuts=2),
+         "S polynomial claim at 34 does not recompute: cuts 2 -> 4"),
+        ("default", lambda cert: cert["rigidity_times"][0].update(cuts=2, target="1/2"),
+         "S rigidity claim at 34 does not recompute: cuts 2 -> 4, target 1/2 -> 3/4"),
+        # a claimed cuts of 0 is a wrong claim, not a division by zero
+        ("default", lambda cert: cert["rigidity_times"][0].update(cuts=0),
+         "S rigidity claim at 34 does not recompute: cuts 0 -> 4"),
+        # S's stages are applied at heights 1, 34 and 136, none at 17
+        ("default", lambda cert: cert["rigidity_times"].append(
+            {"time": 17, "cuts": 4, "lower_bound": "7/8", "target": "3/4", "satisfied": True}),
+         "S rigidity claim at 17 does not recompute: satisfied True -> False"),
+        ("default", lambda cert: cert.update(min_distance_ledger=[[1, 5], [2, 34], [3, 65656]]),
+         "S ledger at stage 1 does not recompute: [1, 5] -> [1, 17]"),
+    ], ids=["polynomial-cuts", "rigidity-cuts", "rigidity-cuts-0", "rigidity-without-stage",
+            "ledger"])
+    def test_tampered_field_is_two(self, tmp_path, capsys, plan, tamper, line):
+        """A certificate field that the spec determines is recomputed, and
+        verify names the first one that differs."""
+        plan = shutil.copytree(Path(__file__).parent / "golden" / plan, tmp_path / plan)
         cert = ser.read_json(plan / "cert_s.json")
-        assert cert["polynomial_claims"][0]["cuts"] == 4
-        cert["polynomial_claims"][0]["cuts"] = 2
+        tamper(cert)
         ser.write_json(plan / "cert_s.json", cert)
         code = main(["--out-dir", str(tmp_path), "verify",
                      "--spec", str(plan / "spec_s.json"),
                      "--cert", str(plan / "cert_s.json")])
         assert code == 2
-        assert capsys.readouterr().err.splitlines() == [
-            "verify FAILED: S polynomial claim at 34 does not recompute: cuts 2 -> 4"
-        ]
+        assert capsys.readouterr().err.splitlines() == [f"verify FAILED: {line}"]
 
     def test_unsupported_polynomial_claim_is_two(self, tmp_path, capsys):
         # a lowered blocking spacer breaks the zero claim on [1, 16] at n=16
@@ -130,6 +145,10 @@ def correlate(spec, function="f.json"):
 
 
 N_MIN_ABOVE_N_MAX = correlate(GOLDEN_SPEC) + ["--n-min", "6"]
+# 2**21 + 1 lags, on a plan that covers them all: the cap refuses the run before it
+# allocates a table entry for every lag
+LAG_CAP = ["correlate", "--spec", "h1e9/spec_s.json", "--function", "f.json",
+           "--n-min", "0", "--n-max", str(2 ** 21)]
 GAUSSIAN_MATRIX_CAP = ["simulate", "--kind", "gaussian", "--table", GOLDEN_TABLE,
                        "--lag-max", "1000", "--samples", "9000"]
 
@@ -171,6 +190,7 @@ GAUSSIAN_MATRIX_CAP = ["simulate", "--kind", "gaussian", "--table", GOLDEN_TABLE
     (["spectrum", "--table", GOLDEN_TABLE, "--exact", "--grid", "0"], "grid must be positive"),
     (["spectrum", "--table", "empty.tsv", "--exact"], "empty.tsv: the table is empty"),
     (N_MIN_ABOVE_N_MAX, "--n-min 6 is above --n-max 5"),
+    (LAG_CAP, "usage error: 2097153 lags asked for, over the cap 2097152"),
 ], ids=["tolerance", "gaussian-no-table", "poisson-no-spec", "intensity-0",
         "escape-cap", "generic-cuts-1", "negative-power",
         "spacers-str", "base-height-str", "cuts-float", "top-level-array", "indices-int",
@@ -179,7 +199,7 @@ GAUSSIAN_MATRIX_CAP = ["simulate", "--kind", "gaussian", "--table", GOLDEN_TABLE
         "tracked-stage-9", "poisson-point-cap", "poisson-cell-cap", "gaussian-matrix-cap",
         "schedule-zero-denominator", "plan-zero-denominator", "lemma3-zero-denominator",
         "gaussian-lag-max-minus-1", "spectrum-grid-0", "spectrum-empty-table",
-        "n-min-above-n-max"])
+        "n-min-above-n-max", "lag-cap"])
 def test_failure_is_one_line_and_exit_one(tmp_path, monkeypatch, capsys, argv, fragment):
     monkeypatch.chdir(tmp_path)
     write_indicator(tmp_path)
@@ -187,6 +207,8 @@ def test_failure_is_one_line_and_exit_one(tmp_path, monkeypatch, capsys, argv, f
         (tmp_path / name).write_text(json.dumps(content))
     ser.write_json(tmp_path / "w.json", WalshPolynomial.from_terms([([1], 1)]))
     (tmp_path / "empty.tsv").write_text(EMPTY_TABLE)
+    if argv is LAG_CAP:
+        assert main(["--out-dir", "h1e9", "plan", "--horizon", str(10 ** 9)]) == 0
     assert main(["--out-dir", str(tmp_path), *argv]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err

@@ -21,7 +21,7 @@ from rankpair import (
 from rankpair.core import merge_intervals, occurrence_set
 from rankpair.correlation import bracket_tables
 
-from conftest import oracle_autocorrelation
+from conftest import base_positions, oracle_autocorrelation, oracle_bracket
 from test_core import spec_strategy, stage_strategy
 
 
@@ -216,28 +216,6 @@ class TestFunctionals:
         assert report.l2[0] <= sum(x * x for x in xs) <= report.l2[1]
 
 
-def brute_bracket(spec, f, g, n):
-    """Bracket of ``(f, T^n g)`` at the deepest tower, from the full
-    occurrence lists: pair counts at each needed difference ``m``, widened
-    by the occurrences within ``|m|`` of the top (of f for ``m > 0``, of g
-    for ``m < 0``), whose pairs deeper stages may still complete."""
-    depth = spec.max_depth
-    occ_f = occurrence_set(spec, f.stage, depth)
-    occ_g = occurrence_set(spec, g.stage, depth)
-    h, w = spec.heights()[depth - 1], spec.widths()[depth - 1]
-    lo = hi = Fraction(0)
-    for lf, cf in f.coefficients:
-        for lg, cg in g.coefficients:
-            m = n + lf - lg
-            pairs = sum(1 for a in occ_f for b in occ_g if b - a == m)
-            top = occ_f if m > 0 else occ_g if m < 0 else ()
-            zone = sum(1 for a in top if a >= h - abs(m))
-            c = cf * cg
-            lo += c * (pairs + (zone if c < 0 else 0)) * w
-            hi += c * (pairs + (zone if c > 0 else 0)) * w
-    return (lo, hi)
-
-
 @st.composite
 def cross_case(draw):
     """A spec with base height 1-3 and two signed multi-level functions,
@@ -260,7 +238,7 @@ def cross_case(draw):
 
 class TestAgainstBruteForce:
     """The engine's count tables, integer brackets, the tolerance check and
-    the walk over nonzero lags against the full occurrence lists."""
+    the walk over nonzero lags against the label-list oracle of conftest."""
 
     @given(cross_case(), st.lists(st.integers(-15, 15), min_size=1, max_size=6))
     @settings(max_examples=150, deadline=None)
@@ -268,7 +246,7 @@ class TestAgainstBruteForce:
         spec, f, g = case
         seq = correlation_sequence(spec, f, lags, g=g)
         for n in lags:
-            assert seq.entries[n] == brute_bracket(spec, f, g, n)
+            assert seq.entries[n] == oracle_bracket(spec, f, g, n)
 
     @given(cross_case(), st.integers(-15, 15), st.integers(0, 12))
     @settings(max_examples=150, deadline=None)
@@ -278,7 +256,7 @@ class TestAgainstBruteForce:
         spec, f, g = case
         hi = lo + length
         table = [*bracket_tables(spec, f, [(lo, hi)], g)][-1]
-        brackets = ((n, brute_bracket(spec, f, g, n)) for n in range(lo, hi + 1))
+        brackets = ((n, oracle_bracket(spec, f, g, n)) for n in range(lo, hi + 1))
         assert [*table.nonzero(range(lo, hi + 1))] == [(n, b) for n, b in brackets if b != (0, 0)]
 
     @given(cross_case(), st.lists(st.integers(-12, 12), min_size=1, max_size=5),
@@ -288,7 +266,7 @@ class TestAgainstBruteForce:
         """Within the tolerance the brackets are the deepest ones; past it
         the error carries the widest of them."""
         spec, f, g = case
-        expected = {n: brute_bracket(spec, f, g, n) for n in lags}
+        expected = {n: oracle_bracket(spec, f, g, n) for n in lags}
         widest = max(hi - lo for lo, hi in expected.values())
         if widest <= tolerance:
             seq = correlation_sequence(spec, f, lags, g=g, tolerance=tolerance)
@@ -311,7 +289,7 @@ class TestAgainstBruteForce:
         reach = max(abs(n) for n in lags)
         full = [*bracket_tables(spec, f, [(-reach, reach)], g)][-1]
         banded = [*bracket_tables(spec, f, intervals, g)][-1]
-        expected = {n: brute_bracket(spec, f, g, n) for n in lags}
+        expected = {n: oracle_bracket(spec, f, g, n) for n in lags}
         for n in lags:
             assert banded.bracket(n) == full.bracket(n) == expected[n]
         for lo, hi in intervals:
@@ -329,9 +307,10 @@ class TestAgainstBruteForce:
            st.integers(1, 3), st.data())
     @settings(max_examples=150, deadline=None)
     def test_count_tables(self, stages, base, data):
-        """Every depth's count table holds the pair differences of the full
-        occurrence lists inside the bands and nothing else; band ends run
-        up to the tower height, so the cross-copy cut-off is exercised."""
+        """Every depth's count table holds the pair differences of the base
+        positions that the labels of the spec cut to that depth give, inside
+        the bands and nothing else; band ends run up to the tower height,
+        so the cross-copy cut-off is exercised."""
         spec = RankOneSpec(stages=tuple(stages), base_height=base)
         stage_f = data.draw(st.integers(1, spec.max_depth))
         stage_g = data.draw(st.integers(1, spec.max_depth))
@@ -343,8 +322,8 @@ class TestAgainstBruteForce:
         depths = []
         for table in bracket_tables(spec, f, bands, g):
             assert table.bands == bands
-            occ_f = occurrence_set(spec, stage_f, table.depth)
-            occ_g = occurrence_set(spec, stage_g, table.depth)
+            cut = RankOneSpec(stages=spec.stages[: table.depth - 1], base_height=base)
+            occ_f, occ_g = base_positions(cut, stage_f), base_positions(cut, stage_g)
             assert table.counts == Counter(
                 b - a for a in occ_f for b in occ_g if any(lo <= b - a <= hi for lo, hi in bands))
             depths.append(table.depth)
@@ -363,7 +342,7 @@ class TestAgainstBruteForce:
             d = table.depth
             cut = RankOneSpec(stages=spec.stages[: d - 1], base_height=spec.base_height)
             for n in lags:
-                assert table.bracket(n) == brute_bracket(cut, f, g, n)
+                assert table.bracket(n) == oracle_bracket(cut, f, g, n)
             depths.append(d)
         assert depths == list(range(max(f.stage, g.stage), spec.max_depth + 1))
 
