@@ -281,7 +281,7 @@ def cmd_simulate(args, out: _Output) -> int:
         width = spec.widths()[args.depth - 1]
         out.stats.update({
             "configurations": pairs.n_configs,
-            "points": int(pairs.levels.size),
+            "points": int(pairs.cells.size),
             "region_cells": int(pairs.region.size),
             "region_measure": width * int(pairs.region.size),
             "tower_measure": width * spec.heights()[args.depth - 1],

@@ -5,8 +5,11 @@ given correlation sequence.  The Poisson sampler throws configurations on
 the only cells its statistics read, ``A = supp f ∪ T^-n supp f``, and
 pushes every point ``n`` levels along the orbit, so linear statistics
 reproduce the base correlations through the first chaos (Campbell's
-formula).  Both samplers refuse, before allocating, a run whose arrays
-would exceed a fixed cap.
+formula).  A Poisson point is held as an int32 index into ``A``, about
+4 bytes of peak memory; it is scored through tables of ``f`` on ``A`` and
+``A + n``, a chunk of whole configurations at a time, so the scoring
+buffers do not grow with the point count.  Both samplers refuse, before
+allocating, a run whose arrays would exceed a fixed cap.
 
 Randomness uses counter-based Philox streams: stream 0 drives Gaussian
 paths, stream 1 Poisson configuration sizes, stream 2 point positions.
@@ -28,11 +31,13 @@ from .correlation import CorrelationSequence, CoverageError
 _PSD_SLACK = 1e-9
 _ESCAPE_CAP = 0.5   # largest expected escaping fraction a Poisson push accepts
 _CONFIDENCE = 0.95  # level of the normal interval around a covariance estimate
-# memory caps, checked before allocating: a Poisson point costs about 50
-# bytes across the sampler and the estimator, a float array entry 8 bytes
+# memory caps, checked before allocating: a Poisson point costs about 4
+# bytes (its int32 cell) beside a scoring buffer bounded by _CHUNK, a float
+# array entry 8 bytes
 _POINT_CAP = 10 ** 7        # expected Poisson points in one simulation
 _CELL_CAP = 10 ** 6         # cells of supp f in the sampled tower
 _GAUSSIAN_CAP = 1 << 24     # entries of the largest Gaussian sampler array
+_CHUNK = 1 << 20            # Poisson points scored at once, in whole configurations
 
 
 class PSDError(ValueError):
@@ -203,18 +208,27 @@ def gaussian_sample(
 @dataclass
 class PoissonPush:
     """Paired Poisson configurations on ``A = supp f ∪ T^-steps supp f`` and
-    their push-forward."""
+    their push-forward.  Configuration ``i`` is the ``counts[i]`` points
+    that follow those of the configurations before it in ``cells``."""
 
     f: LevelFunction
     steps: int
     support: np.ndarray       # sorted levels of the cells of supp f
     weights: np.ndarray       # value of f on each of those cells
     region: np.ndarray        # sorted levels of the cells of A
-    levels: np.ndarray        # level index of every sampled point, all in A
-    config_index: np.ndarray  # which configuration each point belongs to
-    n_configs: int
+    cells: np.ndarray         # int32 index into region of every sampled point
+    counts: np.ndarray        # points in each configuration
     intensity: float
     escape_fraction: float    # share of the whole tower the push carries out
+
+    @property
+    def n_configs(self) -> int:
+        return int(self.counts.size)
+
+    @property
+    def levels(self) -> np.ndarray:
+        """The level of every sampled point (int64, built on each read)."""
+        return self.region[self.cells]
 
 
 def _support(spec: RankOneSpec, f: LevelFunction, depth: int) -> tuple[np.ndarray, np.ndarray]:
@@ -287,12 +301,10 @@ def poisson_sample_and_push(
             f"{mean_points * config.sample_count:.3g} expected points, over the cap {_POINT_CAP:.0e}"
         )
     counts = _stream(config.seed, 1).poisson(mean_points, config.sample_count)
-    levels = region[_stream(config.seed, 2).integers(0, region.size, int(counts.sum()))]
+    cells = _stream(config.seed, 2).integers(0, region.size, int(counts.sum()), dtype=np.int32)
     return PoissonPush(
-        f=f, steps=steps,
-        support=support, weights=weights, region=region, levels=levels,
-        config_index=np.repeat(np.arange(config.sample_count), counts),
-        n_configs=config.sample_count, intensity=intensity,
+        f=f, steps=steps, support=support, weights=weights, region=region,
+        cells=cells, counts=counts, intensity=intensity,
         escape_fraction=escape_fraction,
     )
 
@@ -313,6 +325,31 @@ class CovarianceEstimate:
         return bool(self.ci[0] <= float(hi) and float(lo) <= self.ci[1])
 
 
+def _linear_statistics(pairs: PoissonPush) -> tuple[np.ndarray, np.ndarray]:
+    """``N(f)`` and ``N(f) o push`` of every configuration.
+
+    ``f`` is tabulated once on ``A`` and once on ``A + steps``, so a point
+    costs two gathers.  Configurations are scored in chunks of whole ones,
+    about ``_CHUNK`` points each (one configuration may exceed it), and
+    each sum adds its points in sampling order, so the result does not
+    depend on the chunking.
+    """
+    tables = [_values_at(pairs.support, pairs.weights, x)
+              for x in (pairs.region, pairs.region + pairs.steps)]
+    sums = np.zeros((2, pairs.n_configs))
+    ends = np.cumsum(pairs.counts)
+    first, start = 0, 0
+    while first < pairs.n_configs:
+        last = max(int(np.searchsorted(ends, start + _CHUNK, side="right")), first + 1)
+        stop = int(ends[last - 1])
+        owner = np.repeat(np.arange(last - first), pairs.counts[first:last])
+        cells = pairs.cells[start:stop]
+        for row, table in zip(sums, tables):
+            row[first:last] = np.bincount(owner, weights=table[cells], minlength=last - first)
+        first, start = last, stop
+    return sums[0], sums[1]
+
+
 def linear_statistic_covariance(pairs: PoissonPush, f: LevelFunction) -> CovarianceEstimate:
     """Estimate ``Cov(N(f), N(f) o push) / intensity`` with a 95 % normal CI.
 
@@ -327,11 +364,7 @@ def linear_statistic_covariance(pairs: PoissonPush, f: LevelFunction) -> Covaria
         raise ValueError("f is not the function the configurations were sampled for")
     if pairs.n_configs < 2:
         raise ValueError("degenerate sample: need at least 2 configurations")
-    n1, n2 = (
-        np.bincount(pairs.config_index, minlength=pairs.n_configs,
-                    weights=_values_at(pairs.support, pairs.weights, levels))
-        for levels in (pairs.levels, pairs.levels + pairs.steps)
-    )
+    n1, n2 = _linear_statistics(pairs)
     prods = (n1 - n1.mean()) * (n2 - n2.mean())
     # Campbell: Cov(N(f), N(f) o push) = intensity * integral of f * pushed f
     scale = 1.0 / pairs.intensity

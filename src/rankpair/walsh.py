@@ -147,14 +147,18 @@ def lemma3_truncate(f: WalshPolynomial, delta: Fraction) -> Lemma3Truncation:
         raise ValueError("input must be zero-mean (no constant term)")
     if not f.terms:
         raise ValueError("input is zero")
-    total = f.norm_sq()
     ordered = sorted(f.terms, key=lambda t: (max(abs(i) for i in t[0]), sorted(t[0])))
+    squares = [c * c for _, c in ordered]
+    total = sum(squares, Fraction(0))
+    # _distance_below(tail_frac, delta) with 1 - tail_frac = kept_sq / total
+    d2 = delta * delta
+    bound = (1 - d2 / 2) ** 2 * total if d2 < 2 else -1
     kept_sq = Fraction(0)
-    for size, (_, c) in enumerate(ordered, start=1):  # the full prefix always reaches distance 0
-        kept_sq += c * c
-        tail_frac = (total - kept_sq) / total
-        if _distance_below(tail_frac, delta):
+    for size, sq in enumerate(squares, start=1):  # the full prefix always reaches distance 0
+        kept_sq += sq
+        if kept_sq > bound:
             break
+    tail_frac = (total - kept_sq) / total
     f_prime = WalshPolynomial(tuple(ordered[:size]))
     return Lemma3Truncation(f_prime, shift_cutoff(f_prime), kept_sq, tail_frac)
 

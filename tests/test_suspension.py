@@ -1,5 +1,6 @@
 from fractions import Fraction
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from rankpair import (
 )
 from rankpair.core import occurrence_set
 from rankpair.serialize import correlation_table_from_tsv
+from rankpair import suspension
 from rankpair.suspension import CovarianceEstimate, _toeplitz_cholesky
 
 
@@ -255,10 +257,43 @@ class TestPoisson:
         cfg = SimulationConfig(sample_count=50, seed=3)
         a = poisson_sample_and_push(spec, f, 3, 2.0, 17, cfg)
         b = poisson_sample_and_push(spec, f, 3, 2.0, 17, cfg)
-        assert np.array_equal(a.levels, b.levels)
-        assert np.array_equal(a.config_index, b.config_index)
+        assert np.array_equal(a.counts, b.counts)
+        assert np.array_equal(a.cells, b.cells)
         assert a.escape_fraction == b.escape_fraction
         assert linear_statistic_covariance(a, f) == linear_statistic_covariance(b, f)
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    @pytest.mark.parametrize("steps", [-40, 0, 3, 60])
+    def test_scoring_matches_per_point_reference(self, spec, monkeypatch, steps, chunk):
+        """Per-cell tables in chunks of whole configurations give exactly
+        what scoring every point by its level gives (intensity 2, so the
+        Campbell scale is 1/2).  Steps 60 pushes cells out of the tower; with
+        chunks of 7 points some configurations exceed a chunk, and empty
+        ones fall between chunks."""
+        if chunk is not None:
+            monkeypatch.setattr(suspension, "_CHUNK", chunk)
+        f = LevelFunction.from_dict(2, {0: Fraction(1), 5: Fraction(-1, 2), 20: Fraction(2)})
+        cfg = SimulationConfig(sample_count=1000, seed=9)
+        pairs = poisson_sample_and_push(spec, f, 3, 2.0, steps, cfg)
+        assert pairs.counts.min() == 0 and pairs.counts.max() > 7
+        assert pairs.cells.dtype == np.int32
+        draw = suspension._stream(cfg.seed, 2).integers(0, pairs.region.size, pairs.cells.size)
+        assert np.array_equal(pairs.cells, draw)
+
+        def per_point(levels):
+            values = suspension._values_at(pairs.support, pairs.weights, levels)
+            owner = np.repeat(np.arange(pairs.n_configs), pairs.counts)
+            return np.bincount(owner, weights=values, minlength=pairs.n_configs)
+
+        n1, n2 = per_point(pairs.levels), per_point(pairs.levels + steps)
+        prods = (n1 - n1.mean()) * (n2 - n2.mean())
+        n = pairs.n_configs
+        est = float(prods.mean()) * n / (n - 1) * 0.5
+        stderr = float(prods.std(ddof=1)) / np.sqrt(n) * 0.5
+        z = NormalDist().inv_cdf(0.975)
+        got = linear_statistic_covariance(pairs, f)
+        assert got.estimate == est and got.stderr == stderr
+        assert got.ci == (est - z * stderr, est + z * stderr)
 
     def test_covariance_matches_exact_correlation(self, spec):
         f = LevelFunction.indicator(1)

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rankpair import (
     WalshPolynomial,
@@ -10,7 +10,7 @@ from rankpair import (
     lemma3_truncate,
     shift_power,
 )
-from rankpair.walsh import Lemma3Truncation, correlation_budget, shift_cutoff
+from rankpair.walsh import Lemma3Truncation, _distance_below, correlation_budget, shift_cutoff
 
 
 def walsh_strategy(max_index=30, max_terms=5):
@@ -84,6 +84,30 @@ class TestTruncation:
         true_dist = (2 - 2 * (1 - t) ** 0.5) ** 0.5
         for delta in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)):
             assert trunc.distance_below(delta) == (true_dist < float(delta))
+
+    @given(walsh_strategy(), st.fractions(min_value="1/60", max_value="3", max_denominator=60))
+    @example(WalshPolynomial.from_terms([((i,), 1) for i in range(4)]), Fraction(1))
+    @example(WalshPolynomial.from_terms([((0,), 7), ((1,), 4), ((2,), 4)]), Fraction(2, 3))
+    @example(WalshPolynomial.from_terms([((0,), 1), ((9,), 5)]), Fraction(3, 2))
+    @settings(max_examples=200)
+    def test_truncation_matches_the_prefix_by_prefix_rule(self, f, delta):
+        """The reference re-decides ``_distance_below`` on every prefix.
+        The first two examples put a prefix's ``kept/total`` exactly at
+        ``(1 - delta^2/2)^2`` (1/4 and 49/81), where that prefix must not
+        stop the truncation; the third has ``delta^2 >= 2``."""
+        if not f.terms:
+            return
+        total = f.norm_sq()
+        ordered = sorted(f.terms, key=lambda t: (max(abs(i) for i in t[0]), sorted(t[0])))
+        kept_sq = Fraction(0)
+        for size, (_, c) in enumerate(ordered, start=1):
+            kept_sq += c * c
+            tail_frac = (total - kept_sq) / total
+            if _distance_below(tail_frac, delta):
+                break
+        f_prime = WalshPolynomial(tuple(ordered[:size]))
+        expected = Lemma3Truncation(f_prime, shift_cutoff(f_prime), kept_sq, tail_frac)
+        assert lemma3_truncate(f, delta) == expected
 
     def test_rejects_nonzero_mean(self):
         with pytest.raises(ValueError):
