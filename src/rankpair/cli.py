@@ -225,10 +225,8 @@ def cmd_spectrum(args, out: _Output) -> int:
     else:
         est = _here.fejer_density(seq, args.order, args.grid)
     summ = _here.summability_report(seq, (min(seq.entries), max(seq.entries)))
-    lines = ["theta\tdensity"]
-    for theta, v in zip(est.thetas, est.values):
-        lines.append(f"{theta:.12g}\t{v:.12g}")
-    out.emit(args.out, "\n".join(lines) + "\n")
+    rows = map("{:.12g}\t{:.12g}".format, est.thetas.tolist(), est.values.tolist())
+    out.emit(args.out, "\n".join(["theta\tdensity", *rows]) + "\n")
     out.emit("spectrum_summary.json", {
         "grid_mean": est.grid_mean(),
         "min_value": est.min_value(),
@@ -259,7 +257,8 @@ def cmd_simulate(args, out: _Output) -> int:
             for lag in range(args.lag_max + 1)
         }
         out.stats.update({"length": length, "repaired": sample.repaired,
-                          "sampler": sample.sampler, "embedding_min": sample.embedding_min})
+                          "sampler": sample.sampler, "embedding_min": sample.embedding_min,
+                          "blocks": sample.blocks, "workers": sample.workers})
         payload = {
             "kind": "gaussian",
             "repaired": sample.repaired,

@@ -11,14 +11,22 @@ formula).  A Poisson point is held as an int32 index into ``A``, about
 buffers do not grow with the point count.  Both samplers refuse, before
 allocating, a run whose arrays would exceed a fixed cap.
 
-Randomness uses counter-based Philox streams: stream 0 drives Gaussian
-paths, stream 1 Poisson configuration sizes, stream 2 point positions.
-Identical configs give bit-identical statistics.
+Randomness uses counter-based Philox streams keyed by the seed: the
+circulant Gaussian sampler draws each block of 128 paths from its own
+stream (counter ``[0, 0, b, 0]`` for block ``b``), the Schur sampler
+draws all its paths from stream 0 (counter ``[0, 0, 0, 0]``, where block
+0 starts), and streams 1 and 2 give Poisson configuration sizes and point
+positions.  Gaussian blocks run on up to two worker threads, and every
+block writes only its own rows and its own slot of the lagged sums,
+which are added in block order; so identical configs give bit-identical
+statistics on any number of CPUs.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from statistics import NormalDist
@@ -58,29 +66,75 @@ class SimulationConfig:
             raise ValueError("sample_count must be at least 1")
 
 
-def _stream(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, index]))
+def _stream(seed: int, index: int, block: int = 0) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, block, index]))
 
 
-_FFT_ROWS = 256  # paths per transform, which bounds the complex buffer
+_BLOCK_ROWS = 128  # Gaussian paths per block: one Philox stream, one lagged-sum slot
+_WORKERS = 2       # Gaussian blocks in flight at once; the memory cap counts their rows
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_blocks(blocks: int, work) -> int:
+    """Call ``work(indices)`` on ``min(_WORKERS, usable CPUs, blocks)``
+    workers, each taking the next block no worker has claimed, and return
+    the worker count.  The calling thread is a worker, so one worker starts
+    no thread.  After the first exception the other workers stop at their
+    next block; it is raised unchanged once every thread has joined."""
+    workers = min(_WORKERS, _usable_cpus(), blocks)
+    claimed = iter(range(blocks))
+    lock = threading.Lock()
+    errors: list[BaseException] = []
+
+    def indices():
+        while not errors:
+            with lock:
+                b = next(claimed, None)
+            if b is None:
+                return
+            yield b
+
+    def run():
+        try:
+            work(indices())
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run) for _ in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    run()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return workers
 
 
 def _nfft(length: int) -> int:
-    """The FFT size of :func:`_lagged_sums`, at least ``2 * length - 1``."""
+    """The FFT size of the lagged sums, at least ``2 * length - 1``."""
     return 1 << (2 * length - 1).bit_length()
 
 
-def _lagged_sums(x: np.ndarray) -> np.ndarray:
-    """``out[k] = sum over paths and t of x[t] * x[t + k]`` for every lag,
-    from one zero-padded real FFT per path: the padding to at least
-    ``2 * length - 1`` makes the circular autocorrelation a linear one."""
-    length = x.shape[1]
-    nfft = _nfft(length)
-    power = np.zeros(nfft // 2 + 1)
-    for start in range(0, x.shape[0], _FFT_ROWS):
-        spec = np.fft.rfft(x[start : start + _FFT_ROWS], n=nfft, axis=1)
-        power += (spec.real ** 2 + spec.imag ** 2).sum(axis=0)
-    return np.fft.irfft(power, n=nfft)[:length]
+def _block_power(rows: np.ndarray, nfft: int) -> np.ndarray:
+    """The summed power of the rows' zero-padded real FFTs.  Its inverse
+    transform is ``sum over rows and t of x[t] * x[t + k]`` for every lag:
+    the padding to at least ``2 * length - 1`` makes the circular
+    autocorrelation a linear one.  The real and imaginary parts are squared
+    in place in the transform, which keeps a block to one temporary."""
+    parts = np.fft.rfft(rows, n=nfft, axis=1).view(np.float64)
+    np.square(parts, out=parts)
+    return parts.sum(axis=0).reshape(-1, 2).sum(axis=1)
+
+
+def _block_rows(b: int) -> slice:
+    return slice(b * _BLOCK_ROWS, (b + 1) * _BLOCK_ROWS)
 
 
 @dataclass
@@ -89,40 +143,40 @@ class GaussianSample:
     repaired: bool
     sampler: str               # "circulant" or "schur"
     embedding_min: float       # smallest eigenvalue of the circulant embedding
-    _lagged: np.ndarray | None = field(default=None, init=False, repr=False)
+    lagged: np.ndarray = field(repr=False)  # sum over paths and t of x[t] * x[t + k], per lag k
+    blocks: int                # blocks of _BLOCK_ROWS paths
+    workers: int               # threads that drew the blocks and their lagged sums
 
     def sample_covariance(self, lag: int) -> float:
-        """Average of lagged products over both samples and time.
-
-        The first call computes the lagged sums of every lag at once and
-        keeps them on the sample.
-        """
+        """Average of lagged products over both samples and time."""
         samples, length = self.paths.shape
         if not 0 <= lag < length:
             raise ValueError(f"lag {lag} outside [0, {length})")
-        if self._lagged is None:
-            self._lagged = _lagged_sums(self.paths)
-        return float(self._lagged[lag]) / (samples * (length - lag))
+        return float(self.lagged[lag]) / (samples * (length - lag))
 
 
-def _circulant_paths(scale: np.ndarray, length: int, config: SimulationConfig) -> np.ndarray:
-    """Paths whose covariance is the circulant with eigenvalues
-    ``scale**2 * scale.size``, truncated to ``length``.  Each row of
-    ``fft(scale * (z1 + i z2))`` gives two independent exact paths, its real
-    part and its imaginary part; blocks of ``_FFT_ROWS`` paths bound the
-    complex buffer."""
-    rng = _stream(config.seed, 0)
-    paths = np.empty((config.sample_count, length))
-    for start in range(0, config.sample_count, _FFT_ROWS):
-        rows = min(_FFT_ROWS, config.sample_count - start)
+def _circulant_blocks(scale: np.ndarray, seed: int, paths: np.ndarray, power: np.ndarray,
+                      indices) -> None:
+    """Draw the rows of ``paths`` of each block in ``indices``, and their
+    lagged-sum power into the block's row of ``power``.  Paths have the
+    covariance of the circulant with eigenvalues ``scale**2 * scale.size``,
+    truncated to their length: each row of ``fft(scale * (z1 + i z2))``
+    gives two independent exact paths, its real part and its imaginary
+    part.  One normal-draw buffer serves every block of the worker."""
+    samples, length = paths.shape
+    nfft = _nfft(length)
+    buffer = np.empty(((min(samples, _BLOCK_ROWS) + 1) // 2, scale.size, 2))
+    for b in indices:
+        rows = paths[_block_rows(b)]
+        half = (rows.shape[0] + 1) // 2
         # pairs of standard normals viewed as z1 + i z2
-        noise = rng.standard_normal(((rows + 1) // 2, scale.size, 2)).view(np.complex128)[..., 0]
+        z = _stream(seed, 0, block=b).standard_normal(out=buffer[:half])
+        noise = z.view(np.complex128)[..., 0]
         noise *= scale
         y = np.fft.fft(noise, axis=1)[:, :length]
-        half = y.shape[0]
-        paths[start : start + half] = y.real
-        paths[start + half : start + rows] = y.imag[: rows - half]
-    return paths
+        rows[:half] = y.real
+        rows[half:] = y.imag[: rows.shape[0] - half]
+        power[b] = _block_power(rows, nfft)
 
 
 def _toeplitz_cholesky(r: np.ndarray) -> np.ndarray | int:
@@ -167,6 +221,11 @@ def gaussian_sample(
     repaired); if that fails too, the error names the first offending
     leading principal minor.  The largest array the chosen sampler holds
     is capped at ``2**24`` entries before any of its arrays is allocated.
+
+    Paths come in blocks of 128.  The circulant sampler draws, transforms
+    and sums each block's lagged products as one step; the Schur sampler
+    sums the lagged products of its paths block by block.  Blocks run on
+    up to two workers, and the sample keeps the lagged sums of every lag.
     """
     if length < 1:
         raise ValueError(f"length must be at least 1, got {length}")
@@ -178,31 +237,48 @@ def gaussian_sample(
     lam = np.fft.rfft(np.concatenate((r, r[-2:0:-1]))).real
     embedding_min = float(lam.min())
     circulant = embedding_min >= -slack
-    # the largest array the chosen sampler holds: the paths, or a block of
-    # _FFT_ROWS rows and its transform, each nfft wide; or the Schur factor
+    nfft = _nfft(length)
+    # the largest array the chosen sampler holds: the paths, or the
+    # _WORKERS blocks in flight and their transforms, each nfft wide; or
+    # the Schur factor
     entries = max(config.sample_count * length,
-                  2 * min(config.sample_count, _FFT_ROWS) * _nfft(length)
+                  2 * min(config.sample_count, _WORKERS * _BLOCK_ROWS) * nfft
                   if circulant else length * length)
     if entries > _GAUSSIAN_CAP:
         raise MemoryCapError(
             f"length {length} with {config.sample_count} paths needs an array of {entries} "
             f"entries, over the cap {_GAUSSIAN_CAP}"
         )
+    blocks = -(-config.sample_count // _BLOCK_ROWS)
+    power = np.empty((blocks, nfft // 2 + 1))  # one lagged-sum slot per block
     if circulant:
         eig = np.clip(np.concatenate((lam, lam[-2:0:-1])), 0.0, None)
-        return GaussianSample(
-            paths=_circulant_paths(np.sqrt(eig / eig.size), length, config),
-            repaired=embedding_min < 0, sampler="circulant", embedding_min=embedding_min,
-        )
-    factor = _toeplitz_cholesky(r)
-    repaired = isinstance(factor, int)
-    if repaired:
-        factor = _toeplitz_cholesky(np.concatenate(([r[0] + slack], r[1:])))
-        if isinstance(factor, int):
-            raise PSDError(f"covariance not PSD: first offending leading minor of order {factor}")
-    z = _stream(config.seed, 0).standard_normal((config.sample_count, length))
-    return GaussianSample(paths=z @ factor.T, repaired=repaired,
-                          sampler="schur", embedding_min=embedding_min)
+        scale = np.sqrt(eig / eig.size)
+        paths = np.empty((config.sample_count, length))
+        workers = _run_blocks(blocks, lambda indices: _circulant_blocks(
+            scale, config.seed, paths, power, indices))
+        repaired = embedding_min < 0
+    else:
+        factor = _toeplitz_cholesky(r)
+        repaired = isinstance(factor, int)
+        if repaired:
+            factor = _toeplitz_cholesky(np.concatenate(([r[0] + slack], r[1:])))
+            if isinstance(factor, int):
+                raise PSDError(f"covariance not PSD: first offending leading minor of order {factor}")
+        z = _stream(config.seed, 0).standard_normal((config.sample_count, length))
+        paths = z @ factor.T
+
+        def work(indices):
+            for b in indices:
+                power[b] = _block_power(paths[_block_rows(b)], nfft)
+
+        workers = _run_blocks(blocks, work)
+    # the slots are added in block order, whichever worker filled them
+    lagged = np.fft.irfft(power.sum(axis=0), n=nfft)[:length]
+    return GaussianSample(paths=paths, repaired=repaired,
+                          sampler="circulant" if circulant else "schur",
+                          embedding_min=embedding_min, lagged=lagged, blocks=blocks,
+                          workers=workers)
 
 
 @dataclass
@@ -294,7 +370,10 @@ def poisson_sample_and_push(
         )
     support, weights = _support(spec, f, depth)
     shifted = support - steps
-    region = np.union1d(support, shifted[(shifted >= 0) & (shifted < h)])
+    # sorted and deduplicated by hand: np.union1d would import numpy.ma
+    region = np.concatenate((support, shifted[(shifted >= 0) & (shifted < h)]))
+    region.sort()
+    region = np.concatenate((region[:1], region[1:][region[1:] != region[:-1]]))
     mean_points = intensity * w * region.size
     if mean_points * config.sample_count > _POINT_CAP:
         raise MemoryCapError(

@@ -328,6 +328,20 @@ def test_each_command_loads_only_its_layers(plan_dir, command):
         assert not loaded & {"numpy", "platform", "datetime"}
 
 
+def test_poisson_simulation_leaves_numpy_ma_unloaded(plan_dir):
+    """In a fresh interpreter, ``simulate --kind poisson`` does not import
+    ``numpy.ma``, which ``np.union1d`` would load through ``np.unique``."""
+    f = write_indicator(plan_dir)
+    argv = ["--out-dir", str(plan_dir / "run"), "simulate", "--kind", "poisson",
+            "--spec", str(plan_dir / "spec_s.json"), "--function", f, "--depth", "3",
+            "--steps", "1", "--samples", "100"]
+    code = (f"import sys, rankpair.cli\ncode = rankpair.cli.main({argv!r})\n"
+            "sys.exit(code or ('numpy.ma' in sys.modules and 'numpy.ma was loaded'))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                   check=True)
+
+
 def test_manifest_platform_and_times(plan_dir):
     """The manifest's platform string is ``platform.platform()``'s formula
     without the processor, and its times are UTC ISO-8601."""
@@ -478,9 +492,13 @@ class TestPipeline:
         assert stats["configurations"] == 2000 and stats["escape_basis"] == "whole tower"
         assert Fraction(stats["region_measure"]) / stats["region_cells"] == Fraction(1, 8)
         assert Fraction(stats["tower_measure"]) > Fraction(stats["region_measure"])
+        from rankpair import suspension
+
         stats = ser.read_json(plan_dir / "gaussian_manifest.json")["stats"]
+        # 200 paths are two blocks of 128, on as many workers as CPUs allow
         assert stats == {"length": 11, "repaired": False, "sampler": "circulant",
-                         "embedding_min": stats["embedding_min"]}
+                         "embedding_min": stats["embedding_min"], "blocks": 2,
+                         "workers": min(2, suspension._usable_cpus())}
         assert stats["embedding_min"] >= 0
 
     def test_lemma3(self, tmp_path):

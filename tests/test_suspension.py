@@ -1,3 +1,5 @@
+import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 from statistics import NormalDist
@@ -210,6 +212,117 @@ class TestGaussian:
                 gaussian_sample(exact_seq(entries), len(entries),
                                 SimulationConfig(sample_count=10, seed=0))
             assert str(exc.value).endswith(f"first offending leading minor of order {order}")
+
+
+def on_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(suspension, "_usable_cpus", lambda: cpus)
+
+
+class TestGaussianBlocks:
+    """Blocks of 128 paths, each from its own Philox stream, on up to two
+    workers; the draws and lagged sums do not depend on the worker count."""
+
+    @pytest.mark.parametrize("count", [1, 127, 128, 129, 257])
+    @pytest.mark.parametrize("table", ["circulant", "schur"])
+    def test_one_and_two_workers_agree_bit_for_bit(self, monkeypatch, count, table):
+        if table == "circulant":
+            seq, length = exact_seq({0: 1, 1: Fraction(1, 2), **dict.fromkeys(range(2, 9), 0)}), 9
+        else:
+            seq, length = golden_table(), 41
+        cfg = SimulationConfig(sample_count=count, seed=4)
+        samples = []
+        for cpus in (1, 2):
+            on_cpus(monkeypatch, cpus)
+            samples.append(gaussian_sample(seq, length, cfg))
+        one, two = samples
+        assert one.sampler == two.sampler == table
+        assert one.blocks == two.blocks == -(-count // 128)
+        assert (one.workers, two.workers) == (1, min(2, one.blocks))
+        assert np.array_equal(one.paths, two.paths)
+        assert [one.sample_covariance(k) for k in range(length)] == \
+            [two.sample_covariance(k) for k in range(length)]
+
+    def test_block_streams(self):
+        # white noise: every eigenvalue of the size-8 embedding is 1, so block
+        # b's rows are the real, then the imaginary parts of fft(z / sqrt(8))
+        # with z drawn from the Philox stream at counter [0, 0, b, 0]
+        white = exact_seq({0: 1, 1: 0, 2: 0, 3: 0, 4: 0})
+        sample = gaussian_sample(white, 5, SimulationConfig(sample_count=200, seed=9))
+        for b, rows in ((0, 128), (1, 72)):
+            gen = np.random.Generator(np.random.Philox(key=9, counter=[0, 0, b, 0]))
+            z = gen.standard_normal((rows // 2, 8, 2)).view(np.complex128)[..., 0]
+            y = np.fft.fft(z * np.sqrt(1 / 8), axis=1)[:, :5]
+            block = sample.paths[128 * b : 128 * b + rows]
+            np.testing.assert_allclose(block, np.concatenate((y.real, y.imag)), rtol=0, atol=1e-15)
+
+    def test_a_block_does_not_depend_on_later_ones(self):
+        s = exact_seq({0: 1, 1: Fraction(1, 2), 2: 0, 3: 0, 4: 0})
+        short = gaussian_sample(s, 5, SimulationConfig(sample_count=256, seed=6))
+        long = gaussian_sample(s, 5, SimulationConfig(sample_count=300, seed=6))
+        assert np.array_equal(short.paths, long.paths[:256])
+
+    def test_every_block_is_drawn_once_under_contention(self, monkeypatch):
+        # eight workers on many tiny blocks, switching threads as often as
+        # the interpreter allows: a block claimed twice shows in the call
+        # count, a block never claimed leaves its rows and slot unwritten
+        s = exact_seq({0: 1, 1: Fraction(1, 2), 2: 0, 3: 0, 4: 0})
+        cfg = SimulationConfig(sample_count=128 * 60 + 5, seed=2)
+        on_cpus(monkeypatch, 1)
+        expected = gaussian_sample(s, 5, cfg)
+        calls = []
+        block_power = suspension._block_power
+        monkeypatch.setattr(suspension, "_block_power",
+                            lambda rows, nfft: calls.append(1) or block_power(rows, nfft))
+        monkeypatch.setattr(suspension, "_WORKERS", 8)
+        on_cpus(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            sample = gaussian_sample(s, 5, cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert (sample.workers, len(calls)) == (8, 61)
+        assert np.array_equal(sample.paths, expected.paths)
+        assert np.array_equal(sample.lagged, expected.lagged)
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        on_cpus(monkeypatch, 1)
+        monkeypatch.setattr(suspension.threading, "Thread", no_thread)
+        s = exact_seq({0: 1, 1: Fraction(1, 2), 2: 0, 3: 0, 4: 0})
+        sample = gaussian_sample(s, 5, SimulationConfig(sample_count=500, seed=1))
+        assert (sample.blocks, sample.workers) == (4, 1)
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_a_block_error_reaches_the_caller(self, monkeypatch, failing):
+        """The exception raised in a block is the one the caller sees, and
+        every thread has joined when it does."""
+        on_cpus(monkeypatch, 2)
+        error = RuntimeError("block failed")
+        block_power = suspension._block_power
+        # each thread waits at its first block until the other has one too,
+        # so both are running when the error is raised
+        both_running = threading.Barrier(2, timeout=10)
+        started = set()
+
+        def failing_power(rows, nfft):
+            me = threading.current_thread()
+            if me not in started:
+                started.add(me)
+                both_running.wait()
+            if (me is not threading.main_thread()) == (failing == "worker"):
+                raise error
+            return block_power(rows, nfft)
+
+        monkeypatch.setattr(suspension, "_block_power", failing_power)
+        baseline = threading.active_count()
+        s = exact_seq({0: 1, 1: Fraction(1, 2), 2: 0, 3: 0, 4: 0})
+        with pytest.raises(RuntimeError) as exc:
+            gaussian_sample(s, 5, SimulationConfig(sample_count=1000, seed=1))
+        assert exc.value is error
+        assert threading.active_count() == baseline
 
 
 class TestPoisson:
