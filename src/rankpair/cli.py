@@ -252,10 +252,9 @@ def cmd_simulate(args, out: _Output) -> int:
         seq = _read_table(args.table)
         length = args.lag_max * 2 + 1
         sample = _here.gaussian_sample(seq, length, config)
-        errors = {
-            lag: abs(sample.sample_covariance(lag) - float(seq.midpoint(lag)))
-            for lag in range(args.lag_max + 1)
-        }
+        exact = sample.covariance.tolist()
+        errors = {lag: abs(sample.sample_covariance(lag) - exact[lag])
+                  for lag in range(args.lag_max + 1)}
         out.stats.update({"length": length, "repaired": sample.repaired,
                           "sampler": sample.sampler, "embedding_min": sample.embedding_min,
                           "blocks": sample.blocks, "workers": sample.workers})

@@ -28,11 +28,11 @@ import functools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .core import LevelFunction, RankOneSpec, StageSpec, ToleranceNotReached, merge_intervals
+from .core import (LevelFunction, RankOneSpec, StageSpec, ToleranceNotReached, merge_intervals,
+                   record)
 
 Interval = tuple[Fraction, Fraction]
 ZERO: Interval = (Fraction(0), Fraction(0))  # shared by every exactly-zero lag
@@ -42,7 +42,7 @@ class CoverageError(ValueError):
     """A sequence does not cover the requested index range."""
 
 
-@dataclass
+@record
 class _SetWindow:
     """Occurrence positions of one base level near the tower bottom and top."""
 
@@ -109,7 +109,7 @@ def _count_cross(counts: Counter, offs, top, bot, bands: list[Band], sign: int) 
                     break
 
 
-@dataclass
+@record
 class BracketTable:
     """The pair counts of one depth and the brackets for ``(f, T^n g)`` off
     them, in integer arithmetic.
@@ -271,7 +271,7 @@ def bracket_tables(
         wf, wg = wf.step(st, h, h_new, window), wg.step(st, h, h_new, window)
 
 
-@dataclass
+@record
 class CorrelationSequence:
     """Table ``n -> (lower, upper)`` of certified correlation brackets;
     ``norm_sq`` is ``||f||^2`` of the first function."""
@@ -353,7 +353,7 @@ def _abs_interval(iv: Interval) -> Interval:
     return (min(abs(a), abs(b)), max(abs(a), abs(b)))
 
 
-@dataclass
+@record
 class SummabilityReport:
     l1: Interval
     l2: Interval

@@ -15,11 +15,11 @@ certificate can be re-checked from the emitted spec alone.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
-from .core import LevelFunction, PlanError, RankOneSpec, StageSpec, merge_intervals, validate_spec
+from .core import (Field, LevelFunction, PlanError, RankOneSpec, StageSpec, merge_intervals,
+                   record, validate_spec)
 # correlation_sequence is bound only for the traced pass of perfbench/layers.py to wrap
 from .correlation import BracketTable, bracket_tables, correlation_sequence  # noqa: F401
 
@@ -33,7 +33,7 @@ class UnsupportedClaim(ValueError):
     """The spec has no stage that realises a polynomial claim."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PolynomialSpec:
     """Finite table ``z -> a_z`` of non-negative powers and coefficients, mass <= 1."""
 
@@ -147,7 +147,7 @@ def design_generic_stage(
     return stage
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GenericPolicy:
     generic_cuts: int = 4
     generic_poly: PolynomialSpec = PolynomialSpec.delta(0)
@@ -157,7 +157,7 @@ class GenericPolicy:
             raise ValueError(f"policy needs generic cuts >= 2, got {self.generic_cuts}")
 
 
-@dataclass
+@record
 class ZeroIntervalClaim:
     interval: tuple[int, int]        # as scheduled
     checked: tuple[int, int]         # clamped to the verification horizon
@@ -165,7 +165,7 @@ class ZeroIntervalClaim:
     first_violation: Optional[int] = None
 
 
-@dataclass
+@record
 class RigidityClaim:
     time: int
     cuts: int
@@ -174,7 +174,7 @@ class RigidityClaim:
     satisfied: bool = False
 
 
-@dataclass
+@record
 class PolynomialClaim:
     time: int
     cuts: int
@@ -184,16 +184,16 @@ class PolynomialClaim:
     satisfied: bool = False
 
 
-@dataclass
+@record
 class ConstructionCertificate:
     subject: str
     tracked: LevelFunction
-    zero_intervals: list[ZeroIntervalClaim] = field(default_factory=list)
-    rigidity_times: list[RigidityClaim] = field(default_factory=list)
-    polynomial_claims: list[PolynomialClaim] = field(default_factory=list)
-    min_distance_ledger: list[tuple[int, int]] = field(default_factory=list)
-    skipped_budgets: list[tuple[int, int]] = field(default_factory=list)
-    unverified_notes: list[str] = field(
+    zero_intervals: list[ZeroIntervalClaim] = Field(default_factory=list)
+    rigidity_times: list[RigidityClaim] = Field(default_factory=list)
+    polynomial_claims: list[PolynomialClaim] = Field(default_factory=list)
+    min_distance_ledger: list[tuple[int, int]] = Field(default_factory=list)
+    skipped_budgets: list[tuple[int, int]] = Field(default_factory=list)
+    unverified_notes: list[str] = Field(
         default_factory=lambda: [
             "simple spectrum of the factor and of its symmetric powers is not "
             "finitely checkable and is recorded here as unverified metadata"
@@ -212,7 +212,7 @@ class ConstructionCertificate:
         return [z.checked for z in self.zero_intervals if z.verdict == "exact-zero"]
 
 
-@dataclass
+@record
 class PlanSummary:
     """The pair-level verdict of a plan, as ``plan.json`` holds it."""
 
@@ -231,7 +231,7 @@ def pair_summary(horizon: int, certs) -> PlanSummary:
     return PlanSummary(horizon, n0, all(cert.ok for cert in certs) and n0 <= horizon)
 
 
-@dataclass
+@record
 class PlanResult:
     spec_s: RankOneSpec
     spec_t: RankOneSpec

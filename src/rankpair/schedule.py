@@ -10,11 +10,10 @@ intervals may be empty: minimal examples have nowhere to put them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import merge_intervals
+from .core import merge_intervals, record
 
 IntInterval = Optional[tuple[int, int]]  # closed [a, b]; None = empty
 
@@ -31,7 +30,7 @@ def _valid(iv: IntInterval) -> bool:
     return iv is None or (iv[0] >= 1 and iv[0] <= iv[1])
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ScheduleBlock:
     i: tuple[int, int]
     j: tuple[int, int]
@@ -39,7 +38,7 @@ class ScheduleBlock:
     j_tilde: IntInterval = None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IntervalSchedule:
     horizon: int
     blocks: tuple[ScheduleBlock, ...]

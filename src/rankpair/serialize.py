@@ -1,14 +1,14 @@
 """JSON / TSV round-trips for every on-disk artifact, through one codec.
 
-``encode`` writes dataclasses as objects in field order, tuples as arrays
+``encode`` writes records as objects in field order, tuples as arrays
 and rationals as exact ``"num/den"`` strings; ``decode`` reads them back
-from the dataclass type hints, checks every field's type and names the
+from the record's type hints, checks every field's type and names the
 field path of any mismatch.  Coefficient tables and Walsh terms keep their
 own shape and go through their normalising constructors.  All writes are
 atomic, so a crashed run never leaves a half-written artifact behind.
 
 Loading the codec loads no layer module: each artifact's decoder imports
-its dataclass's module on its first call, and the table functions import
+its record's module on its first call, and the table functions import
 ``correlation`` when they run.
 """
 
@@ -20,12 +20,13 @@ import tempfile
 import time
 import types
 import typing
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from functools import cache
 from importlib import import_module
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
+
+from .core import Field, record
 
 if TYPE_CHECKING:
     from .correlation import CorrelationSequence
@@ -35,7 +36,7 @@ def _ratio(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-@dataclass
+@record
 class _WalshTerm:
     indices: list[int]
     coefficient: Fraction
@@ -64,7 +65,7 @@ _SPECIAL = {
 
 @cache
 def _special(cls: type) -> tuple | None:
-    """A dataclass's entry of ``_SPECIAL``, or ``None``."""
+    """A record's entry of ``_SPECIAL``, or ``None``."""
     return _SPECIAL.get((cls.__module__, cls.__qualname__))
 
 
@@ -74,11 +75,12 @@ def encode(obj: Any) -> Any:
         return obj
     if isinstance(obj, Fraction):
         return _ratio(obj)
-    if is_dataclass(obj) and not isinstance(obj, type):
+    fields = getattr(type(obj), "__record_fields__", None)
+    if fields is not None:
         special = _special(type(obj))
         if special:
             return encode(special[1](obj))
-        return {f.name: encode(getattr(obj, f.name)) for f in fields(obj)}
+        return {f.name: encode(getattr(obj, f.name)) for f in fields}
     if isinstance(obj, dict):
         return {str(k): encode(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -88,11 +90,10 @@ def encode(obj: Any) -> Any:
 
 @cache
 def _fields(cls) -> tuple[dict[str, Any], set[str]]:
-    """A dataclass's resolved field types, and the fields without a default."""
+    """A record's resolved field types, and the fields without a default."""
     hints = typing.get_type_hints(cls)
-    init = [f for f in fields(cls) if f.init]
-    required = {f.name for f in init if f.default is MISSING and f.default_factory is MISSING}
-    return {f.name: hints[f.name] for f in init}, required
+    fields = cls.__record_fields__
+    return {f.name: hints[f.name] for f in fields}, {f.name for f in fields if f.required}
 
 
 def _object(hints: dict[str, Any], required: set[str], value: Any, path: str) -> dict:
@@ -123,7 +124,7 @@ def _at(path: str, name: Any) -> str:
 
 def decode(tp: Any, value: Any, path: str = "") -> Any:
     """Build a ``tp`` from its JSON form ``value``, checking every type."""
-    if is_dataclass(tp):
+    if hasattr(tp, "__record_fields__"):
         special = _special(tp)
         if special is None:
             return tp(**_object(*_fields(tp), value, path))
@@ -292,13 +293,13 @@ def _platform() -> str:
     return "-".join(part for part in parts if part)
 
 
-@dataclass
+@record
 class RunManifest:
     command: str
     arguments: dict[str, Any]
-    outputs: list[str] = field(default_factory=list)
-    stats: dict[str, Any] = field(default_factory=dict)  # what the run did, by command
-    started_at: str = field(default_factory=_now)
+    outputs: list[str] = Field(default_factory=list)
+    stats: dict[str, Any] = Field(default_factory=dict)  # what the run did, by command
+    started_at: str = Field(default_factory=_now)
     finished_at: str = ""
     platform: str = _platform()
 

@@ -9,15 +9,15 @@ suspension layer.  Certificates never depend on this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from .core import record
 from .correlation import CorrelationSequence, CoverageError
 
 
-@dataclass
+@record
 class DensityEstimate:
     """Spectral density values on a uniform angle grid."""
 
@@ -74,7 +74,7 @@ def trig_polynomial_density(seq: CorrelationSequence, grid: int) -> DensityEstim
     return _cosine_density(seq, ((n, 1.0) for n in seq.support() if n > 0), grid, True)
 
 
-@dataclass
+@record
 class ChaosCoefficients:
     """Truncated Fock-space coefficient sequence with certified tails."""
 

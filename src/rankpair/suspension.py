@@ -27,13 +27,12 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass, field
 from fractions import Fraction
 from statistics import NormalDist
 
 import numpy as np
 
-from .core import EscapeCapError, LevelFunction, RankOneSpec, occurrence_set
+from .core import EscapeCapError, Field, LevelFunction, RankOneSpec, occurrence_set, record
 from .correlation import CorrelationSequence, CoverageError
 
 _PSD_SLACK = 1e-9
@@ -56,7 +55,7 @@ class MemoryCapError(MemoryError):
     """A simulation would allocate more than its fixed cap allows."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SimulationConfig:
     sample_count: int = 100_000
     seed: int = 0
@@ -137,13 +136,14 @@ def _block_rows(b: int) -> slice:
     return slice(b * _BLOCK_ROWS, (b + 1) * _BLOCK_ROWS)
 
 
-@dataclass
+@record
 class GaussianSample:
     paths: np.ndarray          # (sample_count, length)
     repaired: bool
     sampler: str               # "circulant" or "schur"
     embedding_min: float       # smallest eigenvalue of the circulant embedding
-    lagged: np.ndarray = field(repr=False)  # sum over paths and t of x[t] * x[t + k], per lag k
+    lagged: np.ndarray = Field(repr=False)  # sum over paths and t of x[t] * x[t + k], per lag k
+    covariance: np.ndarray = Field(repr=False)  # the table's midpoint at each lag, as a float
     blocks: int                # blocks of _BLOCK_ROWS paths
     workers: int               # threads that drew the blocks and their lagged sums
 
@@ -277,11 +277,11 @@ def gaussian_sample(
     lagged = np.fft.irfft(power.sum(axis=0), n=nfft)[:length]
     return GaussianSample(paths=paths, repaired=repaired,
                           sampler="circulant" if circulant else "schur",
-                          embedding_min=embedding_min, lagged=lagged, blocks=blocks,
-                          workers=workers)
+                          embedding_min=embedding_min, lagged=lagged, covariance=r,
+                          blocks=blocks, workers=workers)
 
 
-@dataclass
+@record
 class PoissonPush:
     """Paired Poisson configurations on ``A = supp f ∪ T^-steps supp f`` and
     their push-forward.  Configuration ``i`` is the ``counts[i]`` points
@@ -388,7 +388,7 @@ def poisson_sample_and_push(
     )
 
 
-@dataclass
+@record
 class CovarianceEstimate:
     estimate: float
     ci: tuple[float, float]

@@ -16,14 +16,15 @@ norm; all orthogonality claims are scale-invariant and the distance-to-
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
+
+from .core import record
 
 IndexSet = frozenset[int]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class WalshPolynomial:
     """Finite rational combination of coordinate-product basis elements."""
 
@@ -97,7 +98,7 @@ def _minima_by_shape(p: WalshPolynomial) -> list[list[int]]:
     return list(groups.values())
 
 
-@dataclass
+@record
 class Lemma3Truncation:
     f_prime: WalshPolynomial     # raw (unnormalized) truncation
     cutoff: int                  # orthogonality holds exactly past this shift

@@ -301,13 +301,15 @@ LOADS = {  # the rankpair layers each command imports, beyond cli, core and seri
     "spectrum": {"correlation", "spectral"},
     "simulate": {"correlation", "suspension"},
 }
+# modules no command but spectrum and simulate loads
+FORBIDDEN = {"numpy", "platform", "datetime", "dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize("command", list(LOADS))
 def test_each_command_loads_only_its_layers(plan_dir, command):
     """In a fresh interpreter, ``import rankpair`` loads no submodule, and a
     command loads only the layers it runs; the certification commands load
-    neither numpy nor ``platform`` or ``datetime``."""
+    neither numpy, ``platform``, ``datetime``, ``dataclasses`` nor ``inspect``."""
     write_indicator(plan_dir)
     ser.write_json(plan_dir / "w.json", ser.walsh_to_dict(
         WalshPolynomial.from_terms([((0,), Fraction(1, 2))])))
@@ -316,7 +318,7 @@ def test_each_command_loads_only_its_layers(plan_dir, command):
     run = (f"import rankpair.cli\ntry:\n    rankpair.cli.main({argv!r})\n"
            "except SystemExit:\n    pass\n") if command else "import rankpair\n"
     code = run + ("import sys\nprint(sorted(m for m in sys.modules if m.startswith('rankpair.')"
-                  " or m in ('numpy', 'platform', 'datetime')))")
+                  f" or m in {sorted(FORBIDDEN)!r}))")
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
                           check=True, capture_output=True, text=True)
@@ -325,7 +327,7 @@ def test_each_command_loads_only_its_layers(plan_dir, command):
     expected = LOADS[command] | ({"cli", "core", "serialize"} if command else set())
     assert layers == expected
     if command not in ("spectrum", "simulate"):
-        assert not loaded & {"numpy", "platform", "datetime"}
+        assert not loaded & FORBIDDEN
 
 
 def test_poisson_simulation_leaves_numpy_ma_unloaded(plan_dir):

@@ -106,3 +106,82 @@ class TestLevelFunction:
         for stage in (0, -1, small_spec.max_depth + 1):
             assert LevelFunction.indicator(stage).issues(small_spec) == [
                 f"stage {stage} outside [1, {small_spec.max_depth}]"]
+
+
+class TestRecords:
+    """The record classes behave as the codec, the planner and the CLI
+    expect: frozen ones are immutable hashable values, mutable ones are
+    unhashable, and construction checks its arguments."""
+
+    def test_frozen_record_refuses_assignment_and_deletion(self):
+        stage = StageSpec(2, (1, 1))
+        with pytest.raises(AttributeError):
+            stage.cuts = 3
+        with pytest.raises(AttributeError):
+            del stage.spacers
+        assert stage == StageSpec(2, (1, 1))
+
+    def test_hashing(self):
+        from rankpair.correlation import CorrelationSequence
+
+        assert hash(StageSpec(2, (1, 1))) == hash(StageSpec(2, (1, 1)))
+        assert len({StageSpec(2, (1, 1)), StageSpec(2, (1, 1)), StageSpec(2, (0, 1))}) == 2
+        with pytest.raises(TypeError):
+            hash(CorrelationSequence(entries={}, norm_sq=Fraction(1)))
+
+    def test_equality_needs_the_same_class(self):
+        from rankpair.pairplan import PolynomialSpec
+        from rankpair.walsh import WalshPolynomial
+
+        terms = ((0, Fraction(1)),)
+        assert PolynomialSpec(terms) == PolynomialSpec(terms)
+        assert PolynomialSpec(terms) != WalshPolynomial(terms)
+
+    def test_default_factory_gives_each_record_its_own_list(self):
+        from rankpair.pairplan import ConstructionCertificate
+
+        a = ConstructionCertificate("a", LevelFunction.indicator(1))
+        b = ConstructionCertificate("b", LevelFunction.indicator(1))
+        a.skipped_budgets.append((1, 2))
+        a.unverified_notes.append("extra")
+        assert b.skipped_budgets == []
+        assert len(b.unverified_notes) == 1
+        assert a.zero_intervals is not b.zero_intervals
+
+    def test_keyword_only_field(self):
+        stages = (StageSpec(2, (1, 1)),)
+        assert RankOneSpec(stages=stages).base_height == 1
+        assert RankOneSpec(3, stages=stages).base_height == 3
+        with pytest.raises(TypeError):
+            RankOneSpec(1, stages)
+
+    def test_post_init_runs(self):
+        from rankpair.suspension import SimulationConfig
+
+        with pytest.raises(ValueError, match="sample_count"):
+            SimulationConfig(sample_count=0)
+        assert SimulationConfig(sample_count=5).seed == 0
+
+    def test_repr_leaves_out_hidden_fields(self):
+        from rankpair.correlation import CorrelationSequence
+        from rankpair.suspension import SimulationConfig, gaussian_sample
+
+        white = CorrelationSequence(
+            entries={0: (Fraction(1), Fraction(1)), 1: (Fraction(0), Fraction(0))},
+            norm_sq=Fraction(1))
+        text = repr(gaussian_sample(white, 2, SimulationConfig(sample_count=4)))
+        assert text.startswith("GaussianSample(paths=")
+        assert "sampler='circulant'" in text
+        assert "lagged" not in text
+        assert "covariance" not in text
+        assert repr(StageSpec(2, (1, 1))) == "StageSpec(cuts=2, spacers=(1, 1))"
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((2,), {}),                                 # missing
+        ((2, (1, 1)), {"cuts": 2}),                 # duplicated
+        ((2, (1, 1)), {"width": 1}),                # unknown
+        ((2, (1, 1), 3), {}),                       # one positional too many
+    ], ids=["missing", "duplicated", "unknown", "extra"])
+    def test_bad_arguments_raise_type_error(self, args, kwargs):
+        with pytest.raises(TypeError):
+            StageSpec(*args, **kwargs)

@@ -463,8 +463,8 @@ class TestConfig:
         with pytest.raises(MemoryCapError, match="cells at depth 4"):
             poisson_sample_and_push(wide, f, 4, 1.0, 0, SimulationConfig(sample_count=10))
         # each sampler is capped on its largest array: the paths; on the
-        # circulant path a block of _FFT_ROWS rows and its transform; on the
-        # Schur path the L^2 factor
+        # circulant path the _WORKERS * _BLOCK_ROWS rows in flight and their
+        # transforms; on the Schur path the L^2 factor
         white = exact_seq({**dict.fromkeys(range(16385), 0), 0: 1})
         with pytest.raises(MemoryCapError, match="over the cap"):
             gaussian_sample(white, 4097, SimulationConfig(sample_count=4096))
