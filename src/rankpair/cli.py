@@ -145,7 +145,7 @@ def _load_function(path: str, spec):
 def cmd_schedule(args, out: _Output) -> int:
     sched = _here.generate_schedule(growth=args.growth, horizon=args.horizon)
     issues = _here.validate_schedule(sched)
-    out.emit(args.out, ser.schedule_to_dict(sched))
+    out.emit(args.out, sched)
     if issues:
         print(f"schedule INVALID: {issues[0]}", file=sys.stderr)
         return EXIT_VIOLATION
@@ -170,10 +170,10 @@ def cmd_plan(args, out: _Output) -> int:
     if issues:
         raise UsageError(f"schedule invalid: {issues[0]}")
     result = _here.plan_pair(sched, _policy_from_args(args))
-    out.emit("spec_s.json", ser.spec_to_dict(result.spec_s))
-    out.emit("spec_t.json", ser.spec_to_dict(result.spec_t))
-    out.emit("cert_s.json", ser.certificate_to_dict(result.cert_s))
-    out.emit("cert_t.json", ser.certificate_to_dict(result.cert_t))
+    out.emit("spec_s.json", result.spec_s)
+    out.emit("spec_t.json", result.spec_t)
+    out.emit("cert_s.json", result.cert_s)
+    out.emit("cert_t.json", result.cert_t)
     out.emit("plan.json", result.summary)
     if not result.pair_sound():
         print("plan FAILED: certificate violation", file=sys.stderr)
@@ -187,10 +187,7 @@ def cmd_plan(args, out: _Output) -> int:
 
 def cmd_verify(args, out: _Output) -> int:
     cert, problem = _recheck(args.spec, args.cert)
-    out.emit("verify_report.json", {
-        "ok": problem is None,
-        "recomputed": ser.certificate_to_dict(cert),
-    })
+    out.emit("verify_report.json", {"ok": problem is None, "recomputed": cert})
     if problem:
         print(f"verify FAILED: {problem}", file=sys.stderr)
         return EXIT_VIOLATION
@@ -306,7 +303,7 @@ def cmd_lemma3(args, out: _Output) -> int:
     trunc = _here.lemma3_truncate(f, args.delta)
     residual = _here.corr_tail_certificate(trunc.f_prime, trunc.cutoff, math.inf)
     out.emit(args.out, {
-        "f_prime": ser.walsh_to_dict(trunc.f_prime),
+        "f_prime": trunc.f_prime,
         "cutoff": trunc.cutoff,
         "kept_norm_sq": trunc.kept_norm_sq,
         "tail_frac": trunc.tail_frac,

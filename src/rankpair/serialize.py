@@ -57,7 +57,7 @@ _SPECIAL = {
     ),
     ("rankpair.walsh", "WalshPolynomial"): (
         {"terms": list[_WalshTerm]},
-        lambda p: {"terms": [_WalshTerm(sorted(k), c) for k, c in p.terms]},
+        lambda p: {"terms": [{"indices": sorted(k), "coefficient": c} for k, c in p.terms]},
         lambda d, cls: cls.from_terms((t.indices, t.coefficient) for t in d["terms"]),
     ),
 }

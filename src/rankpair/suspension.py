@@ -11,19 +11,18 @@ formula).  A Poisson point is held as an int32 index into ``A``, about
 buffers do not grow with the point count.  Both samplers refuse, before
 allocating, a run whose arrays would exceed a fixed cap.
 
-Randomness uses counter-based Philox streams keyed by the seed: the
-circulant Gaussian sampler draws each block of 128 paths from its own
-stream (counter ``[0, 0, b, 0]`` for block ``b``), the Schur sampler
-draws all its paths from stream 0 (counter ``[0, 0, 0, 0]``, where block
-0 starts), and streams 1 and 2 give Poisson configuration sizes and point
-positions.  Gaussian blocks run on up to two worker threads, and every
-block writes only its own rows and its own slot of the lagged sums,
-which are added in block order; so identical configs give bit-identical
-statistics on any number of CPUs.
+Randomness uses counter-based Philox streams keyed by the seed: both
+Gaussian samplers draw each block of 128 paths from its own stream
+(counter ``[0, 0, b, 0]`` for block ``b``), and streams 1 and 2 give
+Poisson configuration sizes and point positions.  Gaussian blocks run on
+up to two worker threads, and every block writes only its own rows and
+its own slot of the lagged sums, which are added in block order; so
+identical configs give bit-identical statistics on any number of CPUs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -81,34 +80,24 @@ def _usable_cpus() -> int:
 
 
 def _run_blocks(blocks: int, work) -> int:
-    """Call ``work(indices)`` on ``min(_WORKERS, usable CPUs, blocks)``
-    workers, each taking the next block no worker has claimed, and return
-    the worker count.  The calling thread is a worker, so one worker starts
-    no thread.  After the first exception the other workers stop at their
-    next block; it is raised unchanged once every thread has joined."""
+    """Call ``work(range(w, blocks, workers))`` on each of
+    ``workers = min(_WORKERS, usable CPUs, blocks)`` workers ``w``, and
+    return the worker count.  The calling thread is worker 0, so one worker
+    starts no thread.  The first exception a worker raises is raised
+    unchanged once every thread has joined."""
     workers = min(_WORKERS, _usable_cpus(), blocks)
-    claimed = iter(range(blocks))
-    lock = threading.Lock()
     errors: list[BaseException] = []
 
-    def indices():
-        while not errors:
-            with lock:
-                b = next(claimed, None)
-            if b is None:
-                return
-            yield b
-
-    def run():
+    def run(w):
         try:
-            work(indices())
+            work(range(w, blocks, workers))
         except BaseException as exc:
             errors.append(exc)
 
-    threads = [threading.Thread(target=run) for _ in range(1, workers)]
+    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
     for thread in threads:
         thread.start()
-    run()
+    run(0)
     for thread in threads:
         thread.join()
     if errors:
@@ -132,10 +121,6 @@ def _block_power(rows: np.ndarray, nfft: int) -> np.ndarray:
     return parts.sum(axis=0).reshape(-1, 2).sum(axis=1)
 
 
-def _block_rows(b: int) -> slice:
-    return slice(b * _BLOCK_ROWS, (b + 1) * _BLOCK_ROWS)
-
-
 @record
 class GaussianSample:
     paths: np.ndarray          # (sample_count, length)
@@ -155,28 +140,20 @@ class GaussianSample:
         return float(self.lagged[lag]) / (samples * (length - lag))
 
 
-def _circulant_blocks(scale: np.ndarray, seed: int, paths: np.ndarray, power: np.ndarray,
-                      indices) -> None:
-    """Draw the rows of ``paths`` of each block in ``indices``, and their
-    lagged-sum power into the block's row of ``power``.  Paths have the
-    covariance of the circulant with eigenvalues ``scale**2 * scale.size``,
-    truncated to their length: each row of ``fft(scale * (z1 + i z2))``
-    gives two independent exact paths, its real part and its imaginary
-    part.  One normal-draw buffer serves every block of the worker."""
-    samples, length = paths.shape
-    nfft = _nfft(length)
-    buffer = np.empty(((min(samples, _BLOCK_ROWS) + 1) // 2, scale.size, 2))
-    for b in indices:
-        rows = paths[_block_rows(b)]
-        half = (rows.shape[0] + 1) // 2
-        # pairs of standard normals viewed as z1 + i z2
-        z = _stream(seed, 0, block=b).standard_normal(out=buffer[:half])
-        noise = z.view(np.complex128)[..., 0]
-        noise *= scale
-        y = np.fft.fft(noise, axis=1)[:, :length]
-        rows[:half] = y.real
-        rows[half:] = y.imag[: rows.shape[0] - half]
-        power[b] = _block_power(rows, nfft)
+def _circulant_rows(scale: np.ndarray, seed: int, b: int, rows: np.ndarray) -> None:
+    """Draw block ``b``'s ``rows``.  Paths have the covariance of the
+    circulant with eigenvalues ``scale**2 * scale.size``, truncated to their
+    length: each row of ``fft(scale * (z1 + i z2))`` gives two independent
+    exact paths, its real part and its imaginary part."""
+    count, length = rows.shape
+    half = (count + 1) // 2
+    # pairs of standard normals viewed as z1 + i z2
+    z = _stream(seed, 0, block=b).standard_normal((half, scale.size, 2))
+    noise = z.view(np.complex128)[..., 0]
+    noise *= scale
+    y = np.fft.fft(noise, axis=1)[:, :length]
+    rows[:half] = y.real
+    rows[half:] = y.imag[: count - half]
 
 
 def _toeplitz_cholesky(r: np.ndarray) -> np.ndarray | int:
@@ -222,10 +199,10 @@ def gaussian_sample(
     leading principal minor.  The largest array the chosen sampler holds
     is capped at ``2**24`` entries before any of its arrays is allocated.
 
-    Paths come in blocks of 128.  The circulant sampler draws, transforms
-    and sums each block's lagged products as one step; the Schur sampler
-    sums the lagged products of its paths block by block.  Blocks run on
-    up to two workers, and the sample keeps the lagged sums of every lag.
+    Paths come in blocks of 128, and one loop serves both samplers: it
+    draws a block's paths from the block's own stream, sums their lagged
+    products, then takes the worker's next block.  Blocks run on up to two
+    workers, and the sample keeps the lagged sums of every lag.
     """
     if length < 1:
         raise ValueError(f"length must be at least 1, got {length}")
@@ -249,15 +226,11 @@ def gaussian_sample(
             f"length {length} with {config.sample_count} paths needs an array of {entries} "
             f"entries, over the cap {_GAUSSIAN_CAP}"
         )
-    blocks = -(-config.sample_count // _BLOCK_ROWS)
-    power = np.empty((blocks, nfft // 2 + 1))  # one lagged-sum slot per block
     if circulant:
         eig = np.clip(np.concatenate((lam, lam[-2:0:-1])), 0.0, None)
         scale = np.sqrt(eig / eig.size)
-        paths = np.empty((config.sample_count, length))
-        workers = _run_blocks(blocks, lambda indices: _circulant_blocks(
-            scale, config.seed, paths, power, indices))
         repaired = embedding_min < 0
+        draw = functools.partial(_circulant_rows, scale, config.seed)
     else:
         factor = _toeplitz_cholesky(r)
         repaired = isinstance(factor, int)
@@ -265,14 +238,22 @@ def gaussian_sample(
             factor = _toeplitz_cholesky(np.concatenate(([r[0] + slack], r[1:])))
             if isinstance(factor, int):
                 raise PSDError(f"covariance not PSD: first offending leading minor of order {factor}")
-        z = _stream(config.seed, 0).standard_normal((config.sample_count, length))
-        paths = z @ factor.T
 
-        def work(indices):
-            for b in indices:
-                power[b] = _block_power(paths[_block_rows(b)], nfft)
+        def draw(b, rows):
+            z = _stream(config.seed, 0, block=b).standard_normal(rows.shape)
+            np.matmul(z, factor.T, out=rows)
 
-        workers = _run_blocks(blocks, work)
+    blocks = -(-config.sample_count // _BLOCK_ROWS)
+    paths = np.empty((config.sample_count, length))
+    power = np.empty((blocks, nfft // 2 + 1))  # one lagged-sum slot per block
+
+    def work(indices):
+        for b in indices:
+            rows = paths[b * _BLOCK_ROWS : (b + 1) * _BLOCK_ROWS]
+            draw(b, rows)
+            power[b] = _block_power(rows, nfft)
+
+    workers = _run_blocks(blocks, work)
     # the slots are added in block order, whichever worker filled them
     lagged = np.fft.irfft(power.sum(axis=0), n=nfft)[:length]
     return GaussianSample(paths=paths, repaired=repaired,

@@ -109,6 +109,35 @@ class TestExitCodes:
         recomputed = ser.read_json(tmp_path / "verify_report.json")["recomputed"]
         assert not recomputed["polynomial_claims"][0]["satisfied"]
 
+    def test_plan_summary_that_does_not_recompute_is_two(self, tmp_path, capsys):
+        plan = shutil.copytree(Path(__file__).parent / "golden" / "default", tmp_path / "plan")
+        summary = ser.read_json(plan / "plan.json")
+        summary["n_zero_threshold"] = 2
+        ser.write_json(plan / "plan.json", summary)
+        assert main(["--out-dir", str(tmp_path), "report", "--plan-dir", str(plan)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "report FAILED: plan.json claims n0 2, sound True; recomputed n0 1, sound True"
+        ]
+
+    def test_recomputed_claim_that_fails_is_two(self, tmp_path, capsys):
+        """A certificate that recomputes field for field but records a
+        violated claim is still a violation: feeding verify's own
+        recomputation back in names the claim that does not hold."""
+        plan = shutil.copytree(Path(__file__).parent / "golden" / "default", tmp_path / "plan")
+        spec = ser.read_json(plan / "spec_s.json")
+        spec["stages"][0]["spacers"] = [1, 1]
+        ser.write_json(plan / "spec_s.json", spec)
+        out = str(tmp_path)
+        verify = ["--out-dir", out, "verify", "--spec", str(plan / "spec_s.json"), "--cert"]
+        assert main([*verify, str(plan / "cert_s.json")]) == 2
+        recomputed = ser.read_json(tmp_path / "verify_report.json")["recomputed"]
+        ser.write_json(tmp_path / "recomputed.json", recomputed)
+        capsys.readouterr()
+        assert main([*verify, str(tmp_path / "recomputed.json")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "verify FAILED: S zero claim on [1, 16] does not hold"
+        ]
+
 
 GOLDEN_SPEC = str(Path(__file__).parent / "golden" / "default" / "spec_s.json")
 GOLDEN_TABLE = str(Path(GOLDEN_SPEC).with_name("correlations.tsv"))
@@ -452,6 +481,26 @@ class TestPipeline:
         assert main(["--out-dir", out, "report", "--plan-dir", out]) == 0
         report = ser.read_json(tmp_path / "report.json")
         assert report["ok"]
+
+    def test_schedule_short_of_the_horizon_gets_a_closing_stage(self, tmp_path):
+        # S's only block ends at 50, below the horizon 100, so the planner
+        # closes S with a stage whose spacers pass the horizon
+        out = str(tmp_path)
+        ser.write_json(tmp_path / "schedule.json", {"horizon": 100, "blocks": [
+            {"i": [1, 50], "j": [1, 100], "i_tilde": None, "j_tilde": None}]})
+        assert main(["--out-dir", out, "plan", "--schedule", str(tmp_path / "schedule.json")]) == 0
+        spec = ser.read_json(tmp_path / "spec_s.json")
+        assert spec["stages"][-1] == {"cuts": 2, "spacers": [101, 101]}
+        assert main(["--out-dir", out, "report", "--plan-dir", out]) == 0
+
+    def test_schedule_with_a_gap_is_a_usage_error(self, tmp_path, capsys):
+        ser.write_json(tmp_path / "schedule.json", {"horizon": 100, "blocks": [
+            {"i": [1, 50], "j": [1, 60], "i_tilde": None, "j_tilde": None}]})
+        assert main(["--out-dir", str(tmp_path), "plan",
+                     "--schedule", str(tmp_path / "schedule.json")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "usage error: schedule invalid: uncovered: 61"
+        ]
 
     def test_report_recomputes_from_specs(self, tmp_path, capsys):
         out = str(tmp_path)

@@ -254,17 +254,34 @@ class TestGaussianBlocks:
             y = np.fft.fft(z * np.sqrt(1 / 8), axis=1)[:, :5]
             block = sample.paths[128 * b : 128 * b + rows]
             np.testing.assert_allclose(block, np.concatenate((y.real, y.imag)), rtol=0, atol=1e-15)
+        # the Schur sampler follows the same rule: block b's rows are the
+        # normals of the stream at counter [0, 0, b, 0] times the factor
+        seq = golden_table()
+        sample = gaussian_sample(seq, 41, SimulationConfig(sample_count=200, seed=9))
+        assert sample.sampler == "schur"
+        factor = np.linalg.cholesky(toeplitz([float(seq.midpoint(n)) for n in range(41)]))
+        for b, rows in ((0, 128), (1, 72)):
+            gen = np.random.Generator(np.random.Philox(key=9, counter=[0, 0, b, 0]))
+            expected = gen.standard_normal((rows, 41)) @ factor.T
+            block = sample.paths[128 * b : 128 * b + rows]
+            # the Schur recursion rounds differently from LAPACK's Cholesky
+            np.testing.assert_allclose(block, expected, rtol=0, atol=1e-12)
 
-    def test_a_block_does_not_depend_on_later_ones(self):
-        s = exact_seq({0: 1, 1: Fraction(1, 2), 2: 0, 3: 0, 4: 0})
-        short = gaussian_sample(s, 5, SimulationConfig(sample_count=256, seed=6))
-        long = gaussian_sample(s, 5, SimulationConfig(sample_count=300, seed=6))
+    @pytest.mark.parametrize("table", ["circulant", "schur"])
+    def test_a_block_does_not_depend_on_later_ones(self, table):
+        if table == "circulant":
+            seq, length = exact_seq({0: 1, 1: Fraction(1, 2), 2: 0, 3: 0, 4: 0}), 5
+        else:
+            seq, length = golden_table(), 41
+        short = gaussian_sample(seq, length, SimulationConfig(sample_count=256, seed=6))
+        long = gaussian_sample(seq, length, SimulationConfig(sample_count=300, seed=6))
+        assert short.sampler == long.sampler == table
         assert np.array_equal(short.paths, long.paths[:256])
 
     def test_every_block_is_drawn_once_under_contention(self, monkeypatch):
         # eight workers on many tiny blocks, switching threads as often as
-        # the interpreter allows: a block claimed twice shows in the call
-        # count, a block never claimed leaves its rows and slot unwritten
+        # the interpreter allows: a block given to two workers shows in the
+        # call count, a block given to none leaves its rows and slot unwritten
         s = exact_seq({0: 1, 1: Fraction(1, 2), 2: 0, 3: 0, 4: 0})
         cfg = SimulationConfig(sample_count=128 * 60 + 5, seed=2)
         on_cpus(monkeypatch, 1)
