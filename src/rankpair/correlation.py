@@ -294,7 +294,7 @@ class CorrelationSequence:
 
     def support(self) -> list[int]:
         """Indices whose value is not certified to be zero."""
-        return sorted(n for n, (a, b) in self.entries.items() if a != 0 or b != 0)
+        return sorted(n for n, b in self.entries.items() if b != ZERO)
 
 
 def correlation_sequence(
@@ -396,8 +396,8 @@ def product_correlation(
     common = set(seq_s.entries) & set(seq_t.entries)
     if not common:
         raise CoverageError("sequences share no lags")
-    entries = {}
-    for n in common:
+    entries = dict.fromkeys(common, ZERO)  # a product with a zero factor is zero
+    for n in common.intersection(seq_s.support(), seq_t.support()):
         a, b = seq_s.entries[n]
         c, d = seq_t.entries[n]
         prods = (a * c, a * d, b * c, b * d)

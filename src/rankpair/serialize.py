@@ -122,6 +122,14 @@ def _at(path: str, name: Any) -> str:
     return f"{path}.{name}" if path else str(name)
 
 
+@cache
+def _parts(tp: Any) -> tuple[Any, tuple]:
+    """``typing.get_origin`` and ``get_args`` of a type; every type that
+    ``decode`` reads is hashable: records, generic aliases, unions and
+    scalars."""
+    return typing.get_origin(tp), typing.get_args(tp)
+
+
 def decode(tp: Any, value: Any, path: str = "") -> Any:
     """Build a ``tp`` from its JSON form ``value``, checking every type."""
     if hasattr(tp, "__record_fields__"):
@@ -134,7 +142,7 @@ def decode(tp: Any, value: Any, path: str = "") -> Any:
             return build(parsed, tp)
         except ValueError as exc:
             raise ValueError(f"{path or 'top level'}: {exc}") from None
-    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    origin, args = _parts(tp)
     if origin in (typing.Union, types.UnionType):
         if value is None and type(None) in args:
             return None
@@ -244,28 +252,35 @@ def rational(text: str) -> Fraction:
 
 
 def correlation_table_from_tsv(text: str) -> CorrelationSequence:
-    """Parse a table; a malformed row raises a ``ValueError`` naming its line.
-    A zero row is read as the shared ``ZERO``, as the engine writes it."""
+    """Parse a table; a malformed row, or a lag repeated with a different
+    bracket, raises a ``ValueError`` naming its line.  A zero row is read as
+    the shared ``ZERO``, as the engine writes it."""
     from .correlation import ZERO, CorrelationSequence
 
     subject = ""
     norm_sq = Fraction(0)
     entries: dict[int, tuple[Fraction, Fraction]] = {}
     for number, line in enumerate(text.splitlines(), 1):
+        head, tab, tail = line.partition("\t")
         try:
-            if line.startswith("# subject\t"):
-                subject = line.split("\t", 1)[1]
-            elif line.startswith("# norm_sq\t"):
-                norm_sq = rational(line.split("\t", 1)[1])
-            elif line.strip() and not line.startswith("n\t"):
-                n, _, tail = line.partition("\t")
-                if tail == "0/1\t0/1":
-                    entries[int(n)] = ZERO
-                    continue
+            if tab and head in ("# subject", "# norm_sq", "n"):
+                if head == "# subject":
+                    subject = tail
+                elif head == "# norm_sq":
+                    norm_sq = rational(tail)
+                continue
+            if tail == "0/1\t0/1":
+                bracket = ZERO
+            elif line.strip():
                 row = line.split("\t")
                 if len(row) != 3:
                     raise ValueError(f"expected 3 tab-separated fields, got {len(row)}")
-                entries[int(row[0])] = (rational(row[1]), rational(row[2]))
+                bracket = (rational(row[1]), rational(row[2]))
+            else:
+                continue
+            old = entries.setdefault(lag := int(head), bracket)
+            if old is not bracket and old != bracket:
+                raise ValueError(f"lag {lag} appears twice with different brackets")
         except ValueError as exc:
             raise ValueError(f"line {number}: {exc}") from None
     return CorrelationSequence(entries=entries, norm_sq=norm_sq, subject=subject)

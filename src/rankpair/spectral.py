@@ -40,18 +40,16 @@ def _cosine_density(seq: CorrelationSequence, weights, grid: int, exact: bool) -
     """``rho(0) + 2 sum_n w_n rho(n) cos(n theta)`` over ``(n, w_n)`` in
     ascending ``n``, with ``rho`` the bracket midpoints.
 
-    Lags with ``rho(n) = 0`` are skipped: their term is a signed zero, and
-    adding a zero to a sum that started from a positive zero or a nonzero
-    value never changes it, so the values are the all-lags values bit for
-    bit."""
+    Callers pass only support lags.  Any other lag's term is a signed zero,
+    as is that of a support lag with midpoint 0, and adding a zero to a sum
+    that started from a positive zero or a nonzero value never changes it,
+    so the values are the all-lags values bit for bit."""
     if grid < 1:
         raise ValueError("grid must be positive")
     thetas = 2.0 * np.pi * np.arange(grid) / grid
     values = np.full(grid, float(seq.midpoint(0)) if 0 in seq.entries else 0.0)
     for n, w in weights:
-        rho = float(seq.midpoint(n))
-        if rho != 0.0:
-            values += 2.0 * (w * rho) * np.cos(n * thetas)
+        values += 2.0 * (w * float(seq.midpoint(n))) * np.cos(n * thetas)
     return DensityEstimate(grid_size=grid, values=values, exact=exact)
 
 
@@ -61,7 +59,8 @@ def fejer_density(seq: CorrelationSequence, order: int, grid: int) -> DensityEst
         raise ValueError("order must be positive")
     if not seq.covers(0, order - 1):
         raise CoverageError(f"sequence must cover [0, {order - 1}]")
-    return _cosine_density(seq, ((n, 1.0 - n / order) for n in range(1, order)), grid, False)
+    support = (n for n in seq.support() if 0 < n < order)
+    return _cosine_density(seq, ((n, 1.0 - n / order) for n in support), grid, False)
 
 
 def trig_polynomial_density(seq: CorrelationSequence, grid: int) -> DensityEstimate:

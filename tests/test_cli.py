@@ -278,12 +278,31 @@ def test_wrong_typed_plan_summary_is_one_line(tmp_path, capsys):
     ("0\t1/0\t1/1", "'1/0' is not a rational"),
     ("0\t0/1\t0/1\textra", "expected 3 tab-separated fields, got 4"),
     ("0\t0/0\t0/1", "'0/0' is not a rational"),
+    # a header is read only up to its tab: without one it is a row
+    ("# subject", "expected 3 tab-separated fields, got 1"),
+    ("n", "expected 3 tab-separated fields, got 1"),
 ])
 def test_malformed_table_row_names_file_and_line(tmp_path, capsys, row, problem):
     table = tmp_path / "table.tsv"
     table.write_text(f"# subject\tf\n# norm_sq\t1/1\nn\tlower\tupper\n{row}\n1\t0/1\t0/1\n")
     assert main(["--out-dir", str(tmp_path), "spectrum", "--table", str(table)]) == 1
     assert capsys.readouterr().err.splitlines() == [f"input error: {table}: line 4: {problem}"]
+
+
+def test_repeated_lag_with_another_bracket_names_its_line(tmp_path, capsys):
+    """A lag may repeat with the same bracket; with another one the table
+    is refused, rather than the last row winning."""
+    table = tmp_path / "table.tsv"
+    rows = "0\t1/1\t1/1\n" + "".join(f"{n}\t0/1\t0/1\n" for n in range(1, 5))
+    rows += "5\t1/4\t1/4\n5\t1/4\t1/4\n"
+    table.write_text(EMPTY_TABLE + rows)
+    assert main(["--out-dir", str(tmp_path), "spectrum", "--table", str(table), "--exact"]) == 0
+    table.write_text(EMPTY_TABLE + rows + "5\t0/1\t0/1\n")
+    capsys.readouterr()
+    assert main(["--out-dir", str(tmp_path), "spectrum", "--table", str(table), "--exact"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"input error: {table}: line 11: lag 5 appears twice with different brackets"
+    ]
 
 
 def test_empty_table_names_the_file(tmp_path, capsys):

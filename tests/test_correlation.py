@@ -19,7 +19,7 @@ from rankpair import (
 )
 
 from rankpair.core import merge_intervals, occurrence_set
-from rankpair.correlation import bracket_tables
+from rankpair.correlation import ZERO, bracket_tables
 
 from conftest import base_positions, oracle_autocorrelation, oracle_bracket
 from test_core import spec_strategy, stage_strategy
@@ -166,6 +166,11 @@ def bracket_and_point(draw):
     return (a, b), a + t * (b - a)
 
 
+# a factor of a product: the shared ZERO, a fresh zero pair, or any bracket
+factor = st.one_of(st.just(ZERO), st.just((Fraction(0), Fraction(0))),
+                   bracket_and_point().map(lambda bracket_point: bracket_point[0]))
+
+
 class TestFunctionals:
     def test_corr_functional_sums_absolute_values(self):
         seq = CorrelationSequence(
@@ -198,6 +203,22 @@ class TestFunctionals:
             entries={5: (Fraction(-7), Fraction(9))}, norm_sq=Fraction(1)
         )
         assert product_correlation(a, b).entries[5] == (0, 0)
+
+    @given(st.lists(st.tuples(factor, factor), min_size=1, max_size=6))
+    def test_product_is_shared_zero_where_a_factor_is_zero(self, rows):
+        """A zero factor, the shared ``ZERO`` or a fresh zero bracket, gives
+        the shared ``ZERO``; any other lag gets the min and max of the four
+        corner products."""
+        s = CorrelationSequence({n: iv for n, (iv, _) in enumerate(rows)}, Fraction(1))
+        t = CorrelationSequence({n: iv for n, (_, iv) in enumerate(rows)}, Fraction(1))
+        prod = product_correlation(s, t)
+        assert sorted(prod.entries) == list(range(len(rows)))
+        for n, ((a, b), (c, d)) in enumerate(rows):
+            if (a, b) == ZERO or (c, d) == ZERO:
+                assert prod.entries[n] is ZERO
+            else:
+                corners = (a * c, a * d, b * c, b * d)
+                assert prod.entries[n] == (min(corners), max(corners))
 
     @given(st.lists(st.tuples(bracket_and_point(), bracket_and_point()), min_size=1, max_size=4))
     @settings(max_examples=100)
