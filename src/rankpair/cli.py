@@ -109,10 +109,15 @@ def _located(path):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _read(path, decoder):
-    """Decode one JSON file; a malformed file is an input error naming it."""
+def _read(path, decoder, issues=lambda value: ()):
+    """Decode one JSON file: a malformed file is an input error naming it,
+    and the first of ``issues(value)`` a usage error naming it."""
     with _located(path):
-        return decoder(ser.read_json(path))
+        value = decoder(ser.read_json(path))
+    problems = issues(value)
+    if problems:
+        raise UsageError(f"{path}: {problems[0]}")
+    return value
 
 
 def _read_table(path):
@@ -123,23 +128,6 @@ def _read_table(path):
         if not seq.entries:
             raise ValueError("the table is empty")
     return seq
-
-
-def _load_spec(path):
-    spec = _read(path, ser.spec_from_dict)
-    issues = validate_spec(spec)
-    if issues:
-        raise UsageError(f"{path}: {issues[0]}")
-    return spec
-
-
-def _load_function(path: str, spec):
-    """A level function, which must live on a tower of ``spec``."""
-    f = _read(path, ser.level_function_from_dict)
-    issues = f.issues(spec)
-    if issues:
-        raise UsageError(f"{path}: {issues[0]}")
-    return f
 
 
 def cmd_schedule(args, out: _Output) -> int:
@@ -200,8 +188,8 @@ def cmd_correlate(args, out: _Output) -> int:
         raise UsageError(f"--n-min {args.n_min} is above --n-max {args.n_max}")
     if args.n_max - args.n_min >= _LAG_CAP:
         raise UsageError(f"{args.n_max - args.n_min + 1} lags asked for, over the cap {_LAG_CAP}")
-    spec = _load_spec(args.spec)
-    f = _load_function(args.function, spec)
+    spec = _read(args.spec, ser.spec_from_dict, validate_spec)
+    f = _read(args.function, ser.level_function_from_dict, lambda f: f.issues(spec))
     seq = _here.correlation_sequence(
         spec,
         f,
@@ -227,7 +215,7 @@ def cmd_spectrum(args, out: _Output) -> int:
     out.emit("spectrum_summary.json", {
         "grid_mean": est.grid_mean(),
         "min_value": est.min_value(),
-        "exact": est.exact,
+        "exact": args.exact,
         "l1": summ.l1,
         "l2": summ.l2,
         "support": summ.support,
@@ -249,8 +237,7 @@ def cmd_simulate(args, out: _Output) -> int:
         seq = _read_table(args.table)
         length = args.lag_max * 2 + 1
         sample = _here.gaussian_sample(seq, length, config)
-        exact = sample.covariance.tolist()
-        errors = {lag: abs(sample.sample_covariance(lag) - exact[lag])
+        errors = {lag: abs(sample.sample_covariance(lag) - float(seq.midpoint(lag)))
                   for lag in range(args.lag_max + 1)}
         out.stats.update({"length": length, "repaired": sample.repaired,
                           "sampler": sample.sampler, "embedding_min": sample.embedding_min,
@@ -264,8 +251,8 @@ def cmd_simulate(args, out: _Output) -> int:
     else:
         if args.spec is None or args.function is None:
             raise UsageError("--kind poisson needs --spec and --function")
-        spec = _load_spec(args.spec)
-        f = _load_function(args.function, spec)
+        spec = _read(args.spec, ser.spec_from_dict, validate_spec)
+        f = _read(args.function, ser.level_function_from_dict, lambda f: f.issues(spec))
         if f.stage > args.depth:
             raise UsageError(f"{args.function}: stage {f.stage} is deeper than "
                              f"--depth {args.depth}")
@@ -289,7 +276,7 @@ def cmd_simulate(args, out: _Output) -> int:
             "estimate": est.estimate,
             "ci": est.ci,
             "stderr": est.stderr,
-            "escape_fraction": est.escape_fraction,
+            "escape_fraction": pairs.escape_fraction,
             "exact_bracket": exact,
             "ci_contains_exact": est.overlaps(*exact),
         }
@@ -329,7 +316,7 @@ def _recheck(spec_path, cert_path):
     """Load a certificate and recompute its claims and ledger in place from
     its spec; return it with the first claim or ledger entry that does not
     recompute or does not hold, or with ``None``."""
-    spec = _load_spec(spec_path)
+    spec = _read(spec_path, ser.spec_from_dict, validate_spec)
     cert = _read(cert_path, ser.certificate_from_dict)
     claimed = ser.certificate_to_dict(cert)
     _here.check_certificate(spec, cert)
@@ -471,7 +458,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, OverflowError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ToleranceNotReached, PlanError, EscapeCapError, MemoryError) as exc:

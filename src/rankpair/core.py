@@ -22,17 +22,14 @@ _MISSING = object()  # no default
 
 
 class Field:
-    """One field of a record: its default or default factory, whether it
-    is keyword-only and whether ``repr`` shows it."""
+    """One field of a record: its default or its default factory."""
 
-    __slots__ = ("name", "default", "default_factory", "kw_only", "repr")
+    __slots__ = ("name", "default", "default_factory")
 
-    def __init__(self, *, default=_MISSING, default_factory=_MISSING, kw_only=False, repr=True):
+    def __init__(self, *, default=_MISSING, default_factory=_MISSING):
         self.name = ""
         self.default = default
         self.default_factory = default_factory
-        self.kw_only = kw_only
-        self.repr = repr
 
     @property
     def required(self) -> bool:
@@ -41,12 +38,13 @@ class Field:
 
 def record(cls=None, /, *, frozen=False):
     """Make ``cls`` a record of the fields its own annotations declare, in
-    declaration order: ``__init__`` takes the fields that are not
-    keyword-only positionally, then calls ``__post_init__`` if the class
-    has one; ``__eq__`` compares records of the same class field by field;
-    ``__repr__`` shows the fields not marked ``repr=False``.  A frozen
-    record refuses assignment and deletion and hashes its fields; a
-    mutable one is unhashable.  ``__record_fields__`` lists the fields.
+    declaration order: ``__init__`` binds each field by position in that
+    order or by name, a required field possibly following a defaulted one,
+    then calls ``__post_init__`` if the class has one; ``__eq__`` compares
+    records of the same class field by field; ``__repr__`` shows every
+    field.  A frozen record refuses assignment and deletion and hashes its
+    fields; a mutable one is unhashable.  ``__record_fields__`` lists the
+    fields.
 
     The methods are closures over the field list: no source is compiled
     for a class, so making one costs microseconds."""
@@ -66,15 +64,13 @@ def record(cls=None, /, *, frozen=False):
     fields = tuple(fields)
     order = tuple(f.name for f in fields)
     names = frozenset(order)
-    positional = tuple(f.name for f in fields if not f.kw_only)
-    shown = tuple(f.name for f in fields if f.repr)
     post_init = getattr(cls, "__post_init__", None)
     qualname = cls.__qualname__
     get = operator.attrgetter(*order)
     key = get if len(order) > 1 else lambda self: (get(self),)
 
     def __init__(self, *args, **kwargs):
-        given = dict(zip(positional, args))
+        given = dict(zip(order, args))
         given.update(kwargs)
         if len(given) < len(args) + len(kwargs) or not names.issuperset(kwargs):
             raise TypeError(f"{qualname}() cannot take {len(args)} positional arguments "
@@ -96,7 +92,7 @@ def record(cls=None, /, *, frozen=False):
         return key(self) == key(other)
 
     def __repr__(self):
-        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in shown)
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in order)
         return f"{qualname}({inner})"
 
     def __hash__(self):
@@ -149,7 +145,7 @@ class RankOneSpec:
     """A finite cutting-and-stacking recipe."""
 
     base_height: int = 1
-    stages: tuple[StageSpec, ...] = Field(kw_only=True)
+    stages: tuple[StageSpec, ...]
 
     @property
     def max_depth(self) -> int:

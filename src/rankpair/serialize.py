@@ -18,7 +18,6 @@ import json
 import os
 import tempfile
 import time
-import types
 import typing
 from fractions import Fraction
 from functools import cache
@@ -143,7 +142,7 @@ def decode(tp: Any, value: Any, path: str = "") -> Any:
         except ValueError as exc:
             raise ValueError(f"{path or 'top level'}: {exc}") from None
     origin, args = _parts(tp)
-    if origin in (typing.Union, types.UnionType):
+    if origin is typing.Union:
         if value is None and type(None) in args:
             return None
         (inner,) = [a for a in args if a is not type(None)]

@@ -21,13 +21,11 @@ from .correlation import CorrelationSequence, CoverageError
 class DensityEstimate:
     """Spectral density values on a uniform angle grid."""
 
-    grid_size: int
     values: np.ndarray
-    exact: bool
 
     @property
     def thetas(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.grid_size) / self.grid_size
+        return 2.0 * np.pi * np.arange(self.values.size) / self.values.size
 
     def grid_mean(self) -> float:
         return float(np.mean(self.values))
@@ -36,7 +34,7 @@ class DensityEstimate:
         return float(np.min(self.values))
 
 
-def _cosine_density(seq: CorrelationSequence, weights, grid: int, exact: bool) -> DensityEstimate:
+def _cosine_density(seq: CorrelationSequence, weights, grid: int) -> DensityEstimate:
     """``rho(0) + 2 sum_n w_n rho(n) cos(n theta)`` over ``(n, w_n)`` in
     ascending ``n``, with ``rho`` the bracket midpoints.
 
@@ -46,11 +44,11 @@ def _cosine_density(seq: CorrelationSequence, weights, grid: int, exact: bool) -
     so the values are the all-lags values bit for bit."""
     if grid < 1:
         raise ValueError("grid must be positive")
-    thetas = 2.0 * np.pi * np.arange(grid) / grid
-    values = np.full(grid, float(seq.midpoint(0)) if 0 in seq.entries else 0.0)
+    est = DensityEstimate(np.full(grid, float(seq.midpoint(0)) if 0 in seq.entries else 0.0))
+    values, thetas = est.values, est.thetas
     for n, w in weights:
         values += 2.0 * (w * float(seq.midpoint(n))) * np.cos(n * thetas)
-    return DensityEstimate(grid_size=grid, values=values, exact=exact)
+    return est
 
 
 def fejer_density(seq: CorrelationSequence, order: int, grid: int) -> DensityEstimate:
@@ -60,7 +58,7 @@ def fejer_density(seq: CorrelationSequence, order: int, grid: int) -> DensityEst
     if not seq.covers(0, order - 1):
         raise CoverageError(f"sequence must cover [0, {order - 1}]")
     support = (n for n in seq.support() if 0 < n < order)
-    return _cosine_density(seq, ((n, 1.0 - n / order) for n in support), grid, False)
+    return _cosine_density(seq, ((n, 1.0 - n / order) for n in support), grid)
 
 
 def trig_polynomial_density(seq: CorrelationSequence, grid: int) -> DensityEstimate:
@@ -70,7 +68,7 @@ def trig_polynomial_density(seq: CorrelationSequence, grid: int) -> DensityEstim
     support window genuinely exhausts the correlations (the planned pairs'
     product sequences on their horizon, for instance).
     """
-    return _cosine_density(seq, ((n, 1.0) for n in seq.support() if n > 0), grid, True)
+    return _cosine_density(seq, ((n, 1.0) for n in seq.support() if n > 0), grid)
 
 
 @record

@@ -31,7 +31,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .core import EscapeCapError, Field, LevelFunction, RankOneSpec, occurrence_set, record
+from .core import EscapeCapError, LevelFunction, RankOneSpec, occurrence_set, record
 from .correlation import CorrelationSequence, CoverageError
 
 _PSD_SLACK = 1e-9
@@ -127,8 +127,7 @@ class GaussianSample:
     repaired: bool
     sampler: str               # "circulant" or "schur"
     embedding_min: float       # smallest eigenvalue of the circulant embedding
-    lagged: np.ndarray = Field(repr=False)  # sum over paths and t of x[t] * x[t + k], per lag k
-    covariance: np.ndarray = Field(repr=False)  # the table's midpoint at each lag, as a float
+    lagged: np.ndarray         # sum over paths and t of x[t] * x[t + k], per lag k
     blocks: int                # blocks of _BLOCK_ROWS paths
     workers: int               # threads that drew the blocks and their lagged sums
 
@@ -258,7 +257,7 @@ def gaussian_sample(
     lagged = np.fft.irfft(power.sum(axis=0), n=nfft)[:length]
     return GaussianSample(paths=paths, repaired=repaired,
                           sampler="circulant" if circulant else "schur",
-                          embedding_min=embedding_min, lagged=lagged, covariance=r,
+                          embedding_min=embedding_min, lagged=lagged,
                           blocks=blocks, workers=workers)
 
 
@@ -374,8 +373,6 @@ class CovarianceEstimate:
     estimate: float
     ci: tuple[float, float]
     stderr: float
-    sample_count: int
-    escape_fraction: float
 
     def contains(self, value: float | Fraction) -> bool:
         return self.ci[0] <= float(value) <= self.ci[1]
@@ -435,6 +432,4 @@ def linear_statistic_covariance(pairs: PoissonPush, f: LevelFunction) -> Covaria
         estimate=est,
         ci=(est - z * stderr, est + z * stderr),
         stderr=stderr,
-        sample_count=pairs.n_configs,
-        escape_fraction=pairs.escape_fraction,
     )

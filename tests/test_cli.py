@@ -167,6 +167,9 @@ OVERSIZED = {  # a spec whose depth-4 tower puts 10^9 occurrences of the stage-1
 
 
 EMPTY_TABLE = "# subject\tf\n# norm_sq\t1/1\nn\tlower\tupper\n"
+# a lag-0 bracket past the largest double: every float conversion of it overflows
+HUGE_TABLE = EMPTY_TABLE + f"0\t{10 ** 400}/1\t{10 ** 400}/1\n1\t0/1\t0/1\n"
+OVERFLOW = "input error: integer division result too large for a float"
 
 
 def correlate(spec, function="f.json"):
@@ -220,6 +223,9 @@ GAUSSIAN_MATRIX_CAP = ["simulate", "--kind", "gaussian", "--table", GOLDEN_TABLE
     (["spectrum", "--table", "empty.tsv", "--exact"], "empty.tsv: the table is empty"),
     (N_MIN_ABOVE_N_MAX, "--n-min 6 is above --n-max 5"),
     (LAG_CAP, "usage error: 2097153 lags asked for, over the cap 2097152"),
+    (["spectrum", "--table", "huge.tsv", "--exact"], OVERFLOW),
+    (["spectrum", "--table", "huge.tsv", "--order", "2"], OVERFLOW),
+    (["simulate", "--kind", "gaussian", "--table", "huge.tsv", "--lag-max", "0"], OVERFLOW),
 ], ids=["tolerance", "gaussian-no-table", "poisson-no-spec", "intensity-0",
         "escape-cap", "generic-cuts-1", "negative-power",
         "spacers-str", "base-height-str", "cuts-float", "top-level-array", "indices-int",
@@ -228,7 +234,8 @@ GAUSSIAN_MATRIX_CAP = ["simulate", "--kind", "gaussian", "--table", GOLDEN_TABLE
         "tracked-stage-9", "poisson-point-cap", "poisson-cell-cap", "gaussian-matrix-cap",
         "schedule-zero-denominator", "plan-zero-denominator", "lemma3-zero-denominator",
         "gaussian-lag-max-minus-1", "spectrum-grid-0", "spectrum-empty-table",
-        "n-min-above-n-max", "lag-cap"])
+        "n-min-above-n-max", "lag-cap", "spectrum-exact-overflow",
+        "spectrum-order-2-overflow", "gaussian-overflow"])
 def test_failure_is_one_line_and_exit_one(tmp_path, monkeypatch, capsys, argv, fragment):
     monkeypatch.chdir(tmp_path)
     write_indicator(tmp_path)
@@ -236,6 +243,7 @@ def test_failure_is_one_line_and_exit_one(tmp_path, monkeypatch, capsys, argv, f
         (tmp_path / name).write_text(json.dumps(content))
     ser.write_json(tmp_path / "w.json", WalshPolynomial.from_terms([([1], 1)]))
     (tmp_path / "empty.tsv").write_text(EMPTY_TABLE)
+    (tmp_path / "huge.tsv").write_text(HUGE_TABLE)
     if argv is LAG_CAP:
         assert main(["--out-dir", "h1e9", "plan", "--horizon", str(10 ** 9)]) == 0
     assert main(["--out-dir", str(tmp_path), *argv]) == 1
@@ -570,6 +578,35 @@ class TestPipeline:
                          "embedding_min": stats["embedding_min"], "blocks": 2,
                          "workers": min(2, suspension._usable_cpus())}
         assert stats["embedding_min"] >= 0
+
+    def test_outputs_restate_what_the_command_holds(self, plan_dir):
+        from rankpair import SimulationConfig, gaussian_sample
+
+        f = write_indicator(plan_dir)
+        out = str(plan_dir)
+        spec_path = str(plan_dir / "spec_s.json")
+        table = str(plan_dir / "correlations.tsv")
+        assert main(["--out-dir", out, "correlate", "--spec", spec_path,
+                     "--function", f, "--n-max", "40"]) == 0
+        for flags, exact in ((["--exact"], True), (["--order", "8"], False)):
+            assert main(["--out-dir", out, "spectrum", "--table", table,
+                         "--grid", "64", *flags]) == 0
+            assert ser.read_json(plan_dir / "spectrum_summary.json")["exact"] is exact
+        h = ser.spec_from_dict(ser.read_json(spec_path)).heights()[2]
+        for steps in (-3, 5):
+            assert main(["--out-dir", out, "simulate", "--kind", "poisson", "--spec", spec_path,
+                         "--function", f, "--depth", "3", "--steps", str(steps),
+                         "--samples", "200", "--out", "poisson.json"]) == 0
+            payload = ser.read_json(plan_dir / "poisson.json")
+            assert payload["escape_fraction"] == min(abs(steps), h) / h
+        assert main(["--out-dir", out, "simulate", "--kind", "gaussian", "--table", table,
+                     "--lag-max", "5", "--samples", "200", "--seed", "3",
+                     "--out", "gaussian.json"]) == 0
+        seq = ser.correlation_table_from_tsv(Path(table).read_text())
+        sample = gaussian_sample(seq, 11, SimulationConfig(sample_count=200, seed=3))
+        errors = {str(lag): abs(sample.sample_covariance(lag) - float(seq.midpoint(lag)))
+                  for lag in range(6)}
+        assert ser.read_json(plan_dir / "gaussian.json")["errors"] == errors
 
     def test_lemma3(self, tmp_path):
         w = tmp_path / "w.json"

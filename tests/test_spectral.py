@@ -24,7 +24,6 @@ def seq(entries, norm_sq=Fraction(1)):
 class TestDensities:
     def test_constant_sequence_gives_flat_density(self):
         est = trig_polynomial_density(seq({0: 1}), 64)
-        assert est.exact
         assert np.allclose(est.values, 1.0)
         assert est.grid_mean() == pytest.approx(1.0)
         assert est.min_value() == pytest.approx(1.0)

@@ -452,7 +452,7 @@ class TestPoisson:
         assert est.estimate == pytest.approx(float(f.norm_sq(spec)), abs=0.05)
 
     def test_overlap_when_bracket_contains_ci(self):
-        est = CovarianceEstimate(0.5, (0.4, 0.6), 0.05, 100, 0.0)
+        est = CovarianceEstimate(0.5, (0.4, 0.6), 0.05)
         assert not est.contains(0) and not est.contains(1)
         assert est.overlaps(Fraction(0), Fraction(1))
         assert not est.overlaps(Fraction(7, 10), Fraction(1))
