@@ -1,179 +1,211 @@
 """Certified correlation brackets for level functions.
 
 Every value ``(f, T^n g)`` reduces to counting position pairs at fixed
-differences between the occurrence sets of two tracked base levels.  The
-engine below carries those pair counts through the stages without ever
-materialising the (potentially astronomically long) occurrence lists.  It
-keeps exact pair counts only on the *lag bands* a query reaches: lags in
-``[lo, hi]`` read the differences ``[lo + min shift, hi + max shift]``,
-where a shift is ``lf - lg`` for a level of each function.  The count at a
-difference ``m`` one stage deeper is ``cuts`` times its count now plus the
-cross-copy pairs at ``m``, so the bands are exact on their own.  Beside the
-counts it keeps the occurrence positions within ``W`` of the bottom and of
-the top of the tower, ``W`` being the farthest band end; that is all that
-cross-copy pairs in the bands can touch.  A difference outside the bands
-was never counted: reading it raises :class:`CoverageError`, never a zero.
-
-Each depth yields a bracket ``[lower, upper]``: ``lower`` counts the pairs
-already inside the tower, and the defect is bounded by the mass of
-occurrences within reach of the tower top.  Deepening the tower never
-widens a bracket, so the intervals are nested and the certified gap can
-only shrink.
+differences between the occurrence sets of two tracked base levels.  With
+``C_d(m)`` the pairs at difference ``m`` in the depth-``d`` tower, a stage
+whose copies start at ``offs`` gives ``C_{d+1}(m) = sum over i, j of
+C_d(m - (offs[j] - offs[i]))`` (the coefficient form of the generalised
+Riesz product of a rank-one map; Choksi & Nadkarni, *Canad. Math. Bull.*
+37, 1994), and ``C_d`` is zero off ``[-maxpos_f(d), maxpos_g(d)]``.  So a
+range query costs about what its nonzero output costs, whatever the
+horizon.  Each depth yields a bracket ``[lower, upper]``: ``lower`` counts
+the pairs inside the tower, the defect is bounded by the occurrences
+within reach of its top, and deepening the tower never widens a bracket.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
 import math
-import operator
 from collections import Counter
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .core import (LevelFunction, RankOneSpec, StageSpec, ToleranceNotReached, merge_intervals,
-                   record)
+from .core import LevelFunction, RankOneSpec, ToleranceNotReached, record
 
 Interval = tuple[Fraction, Fraction]
 ZERO: Interval = (Fraction(0), Fraction(0))  # shared by every exactly-zero lag
+MEMO_CAP = 1 << 20  # pair counts an engine pass holds at once, memo ranges included
 
 
 class CoverageError(ValueError):
     """A sequence does not cover the requested index range."""
 
 
-@record
-class _SetWindow:
-    """Occurrence positions of one base level near the tower bottom and top."""
+class _Pass:
+    """One engine pass over the base levels of stages ``f_stage`` and
+    ``g_stage``: pair counts by difference range and occurrence counts near
+    the tower top, at every depth from the shallower stage ``s``."""
 
-    bot: list[int]
-    top: list[int]
-    maxpos: int
+    def __init__(self, spec: RankOneSpec, f_stage: int, g_stage: int):
+        self.offsets = [st.offsets(h) for st, h in zip(spec.stages, spec.heights())]
+        self.f_stage, self.g_stage = f_stage, g_stage
+        self.reach = {s: self._reach(s) for s in (f_stage, g_stage)}
+        self.s = s = min(f_stage, g_stage)
+        d0 = max(f_stage, g_stage)
+        # depth -> the differences that can have a pair, (-maxpos_f, maxpos_g);
+        # until its stage, a level is the one position 0
+        fmax, gmax = self.reach[f_stage][0], self.reach[g_stage][0]
+        self.support = {d: (-fmax[max(d - f_stage, 0)], gmax[max(d - g_stage, 0)])
+                        for d in range(s, spec.max_depth + 1)}
+        # depth -> (D, how many pairs of columns give D) of the stage that
+        # built it; up to d0 only the shallower level's copies move its pairs
+        sign = -1 if f_stage < g_stage else 1
+        self.deltas = {d: sorted(Counter(b - a for b in offs for a in offs).items() if d > d0
+                                 else ((sign * o, 1) for o in offs))
+                       for d, offs in enumerate(self.offsets[s - 1:], s + 1)}
+        self.memo: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
+        self.held = self.working = 0  # the memo's ranges and counts; the sums under way
 
-    def step(self, st: StageSpec, h: int, h_new: int, window: int) -> "_SetWindow":
-        offs = st.offsets(h)
-        bot = []
-        for off in offs:
-            if off > window:
-                break
-            bot.extend(off + a for a in self.bot if off + a <= window)
-        top = []
-        lo = h_new - window
-        for off in offs:
-            if off + self.maxpos < lo:
+    def _reach(self, s: int) -> tuple[list[int], list[int]]:
+        """The largest position and the number of occurrences of the
+        stage-``s`` base level, by depth from ``s``."""
+        maxpos, count = [0], [1]
+        for offs in self.offsets[s - 1:]:
+            maxpos.append(offs[-1] + maxpos[-1])
+            count.append(count[-1] * len(offs))
+        return maxpos, count
+
+    def _make_room(self, entries: int) -> None:
+        """Make room for ``entries`` more pair counts under :data:`MEMO_CAP`,
+        emptying the memo, a cache, first; the sums under way cannot be."""
+        if self.working + self.held + entries > MEMO_CAP:
+            self.memo.clear()
+            self.held = 0
+            if self.working + entries > MEMO_CAP:
+                raise MemoryError(f"correlation engine: pair counts held over the cap {MEMO_CAP}")
+
+    def pairs(self, d: int, lo: int, hi: int) -> list[tuple[int, int]]:
+        """``(m, C_d(m))`` for each difference ``m`` in ``[lo, hi]`` with a
+        pair at depth ``d``, in order of ``m``.  The sub-queries run off an
+        explicit stack, so any depth fits Python's recursion limit, and
+        are memoised, all depths in one memo."""
+        self.working = 0  # pair counts in the sums under way
+        stack = [(None, self._query(d, lo, hi))]
+        got = None
+        while True:
+            key, query = stack[-1]
+            try:
+                sub = query.send(got)
+            except StopIteration as done:
+                stack.pop()
+                got = done.value
+                if not stack:
+                    return got
+                self._make_room(1 + len(got))
+                self.memo[key] = got
+                self.held += 1 + len(got)
                 continue
-            top.extend(off + a for a in self.top if off + a >= lo)
-        return _SetWindow(bot=bot, top=top, maxpos=offs[-1] + self.maxpos)
+            got = self.memo.get(sub)
+            if got is None:
+                stack.append((sub, self._query(*sub)))
+
+    def _query(self, d: int, lo: int, hi: int):
+        """The query ``(d, lo, hi)`` of :meth:`pairs`: yields each sub-query,
+        is sent its result, and returns its own."""
+        factor = 1
+        while True:
+            low, high = self.support[d]
+            lo, hi = max(lo, low), min(hi, high)
+            if lo > hi:
+                return []
+            if d == self.s:
+                return [(0, factor)]  # the two levels' one pair, inside [lo, hi] after the clip
+            low, high = self.support[d - 1]
+            # the differences D whose branch [lo - D, hi - D] meets the support
+            deltas = self.deltas[d]
+            branches = deltas[bisect.bisect_left(deltas, (lo - high,)):
+                              bisect.bisect_left(deltas, (hi - low + 1,))]
+            if len(branches) != 1 or branches[0][0]:
+                break
+            # the copy-to-itself pairs alone: the same range one depth up
+            factor *= branches[0][1]
+            d -= 1
+        acc: dict[int, int] = {}
+        for delta, mult in branches:
+            below = yield (d - 1, max(lo - delta, low), min(hi - delta, high))
+            self._make_room(len(below))
+            size = len(acc)
+            for m, c in below:
+                acc[m + delta] = acc.get(m + delta, 0) + factor * mult * c
+            self.working += len(acc) - size
+        self.working -= len(acc)
+        return sorted(acc.items())
+
+    def above(self, s: int, d: int, x: int) -> int:
+        """The occurrences of the stage-``s`` base level at positions
+        ``>= x`` of the depth-``d`` tower.  The copies of the tower below
+        that start at ``x`` or later are whole, each adding the product of
+        the cuts below it; the copy before them is the one partial copy."""
+        maxpos, count = self.reach[s]
+        total = 0
+        while x > 0:
+            if d == s or x > maxpos[d - s]:
+                return total
+            offs = self.offsets[d - 2]
+            i = bisect.bisect_left(offs, x)
+            total += (len(offs) - i) * count[d - 1 - s]
+            x -= offs[i - 1]
+            d -= 1
+        return total + count[d - s]
 
 
-Band = tuple[int, int]
-_START, _END = operator.itemgetter(0), operator.itemgetter(1)
-
-
-def _count_shifted(counts: Counter, base: int, values, sign: int, reach) -> bool:
-    """Add to ``counts`` the differences ``sign * (base + v)`` over the sorted
-    ``values`` for which ``base + v`` lies in a band of ``reach`` (the bands
-    of ``sign * m``).  Each band takes two bisects and one
-    ``Counter.update``.  False when ``base + min(values)`` is past every band,
-    so that no larger ``base`` can count anything either."""
-    first = bisect.bisect_left(reach, base + values[0], key=_END)
-    if first == len(reach):
-        return False
-    shift = sign * base
-    add = shift.__add__ if sign > 0 else shift.__sub__
-    last = base + values[-1]
-    for lo, hi in reach[first:]:
-        if lo > last:
-            break
-        i = bisect.bisect_left(values, lo - base)
-        k = bisect.bisect_right(values, hi - base, i)
-        counts.update(map(add, values[i:k]))
-    return True
-
-
-def _count_cross(counts: Counter, offs, top, bot, bands: list[Band], sign: int) -> None:
-    """Add to ``counts`` the pairs that join an occurrence ``t`` of ``top`` in
-    a lower copy to an occurrence ``u`` of ``bot`` in a higher copy (f to g
-    with ``sign`` 1, g to f with ``sign`` -1), at ``sign * (gap - t + u)``,
-    for the differences inside ``bands``.
-
-    Pairs within one copy recur in every copy and are counted by the caller.
-    Both lists are sorted, so the ``u`` of each ``t`` that land in a band
-    are a slice of ``bot``, found by bisection.
-    """
-    reach = bands if sign > 0 else [(-hi, -lo) for lo, hi in reversed(bands)]
-    for i, lower in enumerate(offs):
-        for higher in offs[i + 1 :]:
-            for t in reversed(top):
-                if not _count_shifted(counts, higher - lower - t, bot, sign, reach):
-                    break
+def _next_lag(ns, n: int) -> Optional[int]:
+    """The first lag of the sorted sequence ``ns`` at or past ``n >= ns[0]``,
+    or None.  A ``range`` is stepped by arithmetic, never by ``len``."""
+    if isinstance(ns, range):
+        x = n + (ns.start - n) % ns.step
+        return x if x in ns else None
+    i = bisect.bisect_left(ns, n)
+    return ns[i] if i < len(ns) else None
 
 
 @record
 class BracketTable:
-    """The pair counts of one depth and the brackets for ``(f, T^n g)`` off
-    them, in integer arithmetic.
+    """The brackets for ``(f, T^n g)`` at one depth, off the pass ``engine``.
 
-    ``counts`` holds every pair count at a difference inside ``bands`` and
-    nothing else; a difference outside them was never counted, so reading
-    it raises :class:`CoverageError` rather than answer zero.  ``f`` and
-    ``g`` are the occurrence windows of the two base levels.
-
-    With ``D`` the common denominator of the coefficient products
-    ``c = cf * cg``, every bracket is ``scale = width / D`` times a pair of
-    integers: each term ``(c * D, lf - lg)`` adds ``c * D`` times the pair
-    count at ``m = n + lf - lg`` to both ends, and ``c * D`` times the
-    top-zone count at ``m`` to the upper end when ``c > 0``, to the lower
-    end when ``c < 0``.  The top zone of ``m`` is nonzero only once ``|m|``
-    reaches ``height - max(top)``; the lags where some term gets there form
-    the envelope.  A lag outside the envelope whose terms all miss the
-    count keys is exactly zero, so :meth:`nonzero` visits only the others,
-    and its walk costs what the count keys and the envelope cost.
+    With ``D`` the common denominator of the products ``c = cf * cg``, a
+    bracket is ``scale = width / D`` times two integers: each term ``(c *
+    D, lf - lg)`` adds ``c * D`` times the pair count at ``m = n + lf - lg``
+    to both ends, and times the top-zone count at ``m`` to the end its sign
+    widens.  The lags where some term reaches a nonzero top zone form the
+    envelope; a lag outside it whose terms all miss a pair is exactly zero.
     """
 
     depth: int
     height: int
     scale: Fraction
     terms: list[tuple[int, int]]
-    bands: list[Band]
-    counts: Counter  # signed difference -> exact pair count
-    f: _SetWindow
-    g: _SetWindow
+    engine: _Pass
 
     def __post_init__(self):
-        shifts = [s for _, s in self.terms]
-        # lags from ``envelope_from`` up reach f's top zone with some term,
-        # lags up to ``envelope_to`` reach g's
-        self.envelope_from = (
-            self.height - self.f.top[-1] - max(shifts, default=0) if self.f.top else math.inf
-        )
-        self.envelope_to = (
-            self.g.top[-1] - self.height - min(shifts, default=0) if self.g.top else -math.inf
-        )
-
-    def covers(self, lo: int, hi: int) -> bool:
-        """Whether every difference in ``[lo, hi]`` was counted."""
-        i = bisect.bisect_right(self.bands, lo, key=_START) - 1
-        return i >= 0 and hi <= self.bands[i][1]
+        self.shifts = sorted({s for _, s in self.terms}) or [0]
+        low, high = self.engine.support[self.depth]
+        # lags from envelope_from up reach f's top zone, up to envelope_to g's
+        self.envelope_from = self.height + low - self.shifts[-1]
+        self.envelope_to = high - self.height - self.shifts[0]
 
     def pair_count(self, m: int) -> int:
-        if not self.covers(m, m):
-            raise CoverageError(f"difference {m} outside the counted bands")
-        return self.counts[m]
+        return dict(self.engine.pairs(self.depth, m, m)).get(m, 0)
 
     def top_zone(self, m: int) -> int:
         """Occurrences that a difference-``m`` pair could still pick up at
         deeper stages: those within ``|m|`` of the tower top."""
-        if m == 0:
-            return 0
-        win = self.f if m > 0 else self.g
-        return len(win.top) - bisect.bisect_left(win.top, self.height - abs(m))
+        stage = self.engine.f_stage if m > 0 else self.engine.g_stage
+        return self.engine.above(stage, self.depth, self.height - abs(m))
 
     def bracket(self, n: int) -> Interval:
+        return self._bracket(n, self._counts(n, n))
+
+    def _counts(self, lo: int, hi: int) -> dict[int, int]:
+        """The pair counts that the lags in ``[lo, hi]`` read."""
+        return dict(self.engine.pairs(self.depth, lo + self.shifts[0], hi + self.shifts[-1]))
+
+    def _bracket(self, n: int, counts: dict[int, int]) -> Interval:
         envelope = n >= self.envelope_from or n <= self.envelope_to
         lo = hi = 0
         for c, s in self.terms:
-            k = c * self.pair_count(n + s)
+            k = c * counts.get(n + s, 0)
             lo += k
             hi += k
             if envelope:
@@ -186,89 +218,56 @@ class BracketTable:
             return ZERO
         return (lo * self.scale, hi * self.scale)
 
-    @functools.cached_property
-    def keys(self) -> list:
-        return [*sorted(self.counts), math.inf]  # a sentinel past every key
-
     def nonzero(self, ns) -> Iterator[tuple[int, Interval]]:
-        """``(n, bracket)`` for each lag of the sorted sequence ``ns`` whose
-        bracket is not exactly zero, in order.
+        """``(n, bracket)`` for each lag of the sorted sequence ``ns`` (a
+        list or a ``range`` of any length) whose bracket is not exactly
+        zero, in order, lazily.
 
-        Only lags in the envelope or meeting a count key can be nonzero.
-        From each requested lag the next such lag is found by one bisect
-        per term on the sorted count keys, and the walk jumps to the first
-        requested lag at or past it, so the cost follows the keys and the
-        envelope, not the length of ``ns``.  Every lag from ``ns[0]`` to
-        ``ns[-1]`` must be covered by the counted bands.
+        Each window of lags, from the next lag of ``ns``, reads one range
+        query.  Outside the envelope only the differences with a pair, less
+        each shift, are visited; inside it every lag is, and is nonzero.
+        The width doubles, back to 1 past an envelope end, so stopping
+        early never pays for a wide window; a window that read ``MEMO_CAP
+        / 256`` pair counts or more halves it, so windows stay far below
+        the cap.
         """
-        if ns and not all(self.covers(ns[0] + s, ns[-1] + s) for _, s in self.terms):
-            raise CoverageError(f"lags [{ns[0]}, {ns[-1]}] reach past the counted bands")
-        i = 0
-        while i < len(ns):
-            n = self._next_candidate(ns[i])
-            i = i if n == ns[i] else bisect.bisect_left(ns, n, i)
-            if i < len(ns) and ns[i] == n:
-                b = self.bracket(n)
+        if not ns or not self.terms:
+            return
+        n, last, width = ns[0], ns[-1], 1
+        while n is not None:
+            outside = self.envelope_to < n < self.envelope_from
+            end = (self.envelope_from - 1 if outside
+                   else self.envelope_to if n <= self.envelope_to else last)
+            hi = min(n + width - 1, end, last)
+            counts = self._counts(n, hi)
+            width = (1 if hi == end else 2 * width if len(counts) < MEMO_CAP >> 8
+                     else max(width // 2, 1))
+            if outside:
+                near = sorted({m - s for m in counts for s in self.shifts if n <= m - s <= hi})
+                lags = [x for x in near if _next_lag(ns, x) == x]
+            else:  # n is a lag of ns
+                lags = (range(n, hi + 1, ns.step) if isinstance(ns, range)
+                        else ns[bisect.bisect_left(ns, n):bisect.bisect_right(ns, hi)])
+            for lag in lags:
+                b = self._bracket(lag, counts)
                 if b is not ZERO:
-                    yield n, b
-                i += 1
-
-    def _next_candidate(self, n: int):
-        if n <= self.envelope_to or n >= self.envelope_from:
-            return n
-        keys = self.keys
-        return min([self.envelope_from,
-                    *(keys[bisect.bisect_left(keys, n + s)] - s for _, s in self.terms)])
+                    yield lag, b
+            n = _next_lag(ns, hi + 1)
 
 
 def bracket_tables(
-    spec: RankOneSpec, f: LevelFunction, intervals, g: Optional[LevelFunction] = None
+    spec: RankOneSpec, f: LevelFunction, g: Optional[LevelFunction] = None
 ) -> Iterator[BracketTable]:
-    """One engine pass for ``(f, T^n g)`` over the lags in the ``(lo, hi)``
-    ``intervals``: the table at every depth from ``max(f.stage, g.stage)``
-    down, shallowest first.
-
-    Lags in ``[lo, hi]`` read the differences ``[lo + min shift, hi + max
-    shift]``, whose union is the bands; only those are counted.  A count
-    at depth ``d + 1`` is ``cuts`` times its depth-``d`` count plus the
-    cross-copy pairs at the same difference, so leaving out the other
-    differences changes none of these.  The bottom and top windows reach
-    as far as the farthest band end.
-    """
+    """The table for ``(f, T^n g)`` at every depth from ``max(f.stage,
+    g.stage)`` down, shallowest first, all reading one engine pass."""
     g = g or f
     products = [(cf * cg, lf - lg) for lf, cf in f.coefficients for lg, cg in g.coefficients]
     denom = math.lcm(*(c.denominator for c, _ in products))
-    terms = [(c.numerator * (denom // c.denominator), s) for c, s in products]
-    shifts = [s for _, s in terms]
-    low, high = min(shifts, default=0), max(shifts, default=0)
-    bands = merge_intervals((lo + low, hi + high) for lo, hi in intervals) if terms else []
-    window = max((abs(x) for band in bands for x in band), default=0)
-    heights = spec.heights()
-    widths = spec.widths()
-    d0 = max(f.stage, g.stage)
-    wf = wg = _SetWindow(bot=[0], top=[0], maxpos=0)
-    for d in range(f.stage, d0):
-        wf = wf.step(spec.stages[d - 1], heights[d - 1], heights[d], window)
-    for d in range(g.stage, d0):
-        wg = wg.step(spec.stages[d - 1], heights[d - 1], heights[d], window)
-    # one of the two windows is still the base position 0
-    counts = Counter()
-    for a in wf.bot:
-        _count_shifted(counts, -a, wg.bot, 1, bands)
-    for d in range(d0, spec.max_depth + 1):
-        yield BracketTable(d, heights[d - 1], widths[d - 1] / denom, terms, bands, counts, wf, wg)
-        if d == spec.max_depth:
-            break
-        st = spec.stages[d - 1]
-        h, h_new = heights[d - 1], heights[d]
-        offs = st.offsets(h)
-        # scaled in place: a copied dict comprehension would be a third live table
-        deeper = Counter()
-        dict.update(deeper, zip(counts, map(st.cuts.__mul__, counts.values())))
-        _count_cross(deeper, offs, wf.top, wg.bot, bands, 1)
-        _count_cross(deeper, offs, wg.top, wf.bot, bands, -1)
-        counts = deeper
-        wf, wg = wf.step(st, h, h_new, window), wg.step(st, h, h_new, window)
+    terms = [(c.numerator * (denom // c.denominator), s) for c, s in products if c]
+    engine = _Pass(spec, f.stage, g.stage)
+    heights, widths = spec.heights(), spec.widths()
+    for d in range(max(f.stage, g.stage), spec.max_depth + 1):
+        yield BracketTable(d, heights[d - 1], widths[d - 1] / denom, terms, engine)
 
 
 @record
@@ -317,9 +316,7 @@ def correlation_sequence(
     """
     g = g or f
     ns = sorted(set(n_values))
-    intervals = [(ns[0], ns[-1])] if ns else []
-    for table in bracket_tables(spec, f, intervals, g):
-        pass  # only the last, deepest table is read; one is alive at a time
+    *_, table = bracket_tables(spec, f, g)
     nonzero = dict(table.nonzero(ns))
     gap = max((hi - lo for lo, hi in nonzero.values()), default=Fraction(0))
     if tolerance is not None and gap > tolerance:

@@ -305,13 +305,14 @@ def _plan_side(blocks, horizon: int, policy: GenericPolicy, subject: str):
 
 
 def check_certificate(spec: RankOneSpec, cert: ConstructionCertificate) -> None:
-    """Recompute every claim in place from one engine pass over the lags
-    of all claims, which yields one bracket table per depth.
+    """Recompute every claim in place from one engine pass, which yields
+    one bracket table per depth and serves any lag.
 
     A zero claim's first violation is the first lag that the deepest
-    table's walk (:meth:`BracketTable.nonzero`) yields over its interval,
-    so its cost follows the count keys and envelope, not the interval's
-    length; rigidity claims read single-lag brackets off the same table.
+    table's lazy walk (:meth:`BracketTable.nonzero`) yields over its
+    interval, so its cost follows the pairs that the walk's doubling
+    windows reach, not the interval's length, which may pass ``2**63``;
+    rigidity claims read single-lag brackets off the same table.
     A polynomial claim also reads the table of the tower its stage is
     applied to (:func:`verify_polynomial_limit`).  Generic claims take
     their ``cuts`` from the stage applied at their time, and fail where
@@ -322,10 +323,7 @@ def check_certificate(spec: RankOneSpec, cert: ConstructionCertificate) -> None:
     issues = f.issues(spec)
     if issues:
         raise ValueError(f"{cert.subject} tracked function: {issues[0]}")
-    intervals = [z.checked for z in cert.zero_intervals]
-    intervals += [(r.time, r.time) for r in cert.rigidity_times]
-    claims = [(p.time, p.poly) for p in cert.polynomial_claims]
-    table, at = _one_pass(spec, f, f, intervals, claims)
+    table, at = _one_pass(spec, f, f)
     nsq = f.norm_sq(spec)
     for z in cert.zero_intervals:
         lo, hi = z.checked
@@ -391,17 +389,10 @@ def plan_pair(
     )
 
 
-def _one_pass(spec: RankOneSpec, f, g, intervals, claims) -> tuple[BracketTable, dict]:
-    """One engine pass over the lag ``intervals`` and those of the ``(time,
-    poly)`` claims: the deepest table, and by height the tables they read."""
-    intervals = [*intervals, *((t, t) for t, _ in claims),
-                 *((-z, -z) for _, poly in claims for z, _ in poly.coefficients)]
-    times = {t for t, _ in claims}
-    at = {}
-    for table in bracket_tables(spec, f, intervals, g):
-        if table.height in times:
-            at[table.height] = table
-    return table, at
+def _one_pass(spec: RankOneSpec, f, g) -> tuple[BracketTable, dict]:
+    """One engine pass: the deepest table, and every table by its height."""
+    tables = {table.height: table for table in bracket_tables(spec, f, g)}
+    return tables[max(tables)], tables
 
 
 def verify_polynomial_limit(
@@ -422,7 +413,7 @@ def verify_polynomial_limit(
     that tower's table.  The claim returned takes its ``cuts`` from the
     stage.
     """
-    final, at = _one_pass(spec, f, g, [], [(time, poly)])
+    final, at = _one_pass(spec, f, g)
     claim = PolynomialClaim(time=time, cuts=0, poly=poly)
     _polynomial_verdict(spec, final, at.get(time), claim, f, g)
     return claim

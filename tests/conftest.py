@@ -3,7 +3,7 @@
 The oracle rebuilds each tower as a literal list of cell labels (plain
 list concatenation, no offset recursion) and brackets correlations from
 pairwise differences plus escape counts read off the same list.  It shares
-no code path with the windowed pair-count engine it is used to check, nor
+no code path with the recursive pair-count engine it is used to check, nor
 with ``occurrence_set``.
 """
 

@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from rankpair import LevelFunction, WalshPolynomial, correlation_sequence
+from rankpair import LevelFunction, RankOneSpec, StageSpec, WalshPolynomial, correlation_sequence
 from rankpair import serialize as ser
-from rankpair import cli
+from rankpair import cli, correlation
 from rankpair.cli import main
 
 
@@ -278,6 +278,57 @@ def test_wrong_typed_plan_summary_is_one_line(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         f'input error: {tmp_path / "plan.json"}: horizon: expected an integer, got "300"'
     ]
+
+
+class TestPast2To63:
+    """Horizons past ``2**63 - 1``, where a lag range's length no longer
+    fits a machine integer."""
+
+    HORIZON = 10 ** 19
+
+    @pytest.fixture(scope="class")
+    def plan(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("h1e19")
+        assert main(["--out-dir", str(out), "plan", "--horizon", str(self.HORIZON)]) == 0
+        return out
+
+    def test_plan_verify_and_report_pass(self, plan):
+        for side in "st":
+            assert main(["--out-dir", str(plan / side), "verify",
+                         "--spec", str(plan / f"spec_{side}.json"),
+                         "--cert", str(plan / f"cert_{side}.json")]) == 0
+        assert main(["--out-dir", str(plan), "report", "--plan-dir", str(plan)]) == 0
+
+    def test_widened_zero_claim_names_its_first_violation(self, plan, tmp_path, capsys):
+        cert = ser.read_json(plan / "cert_s.json")
+        claim = cert["zero_intervals"][0]
+        claim["checked"] = [1, self.HORIZON]
+        ser.write_json(tmp_path / "cert_s.json", cert)
+        assert main(["--out-dir", str(tmp_path), "verify", "--spec", str(plan / "spec_s.json"),
+                     "--cert", str(tmp_path / "cert_s.json")]) == 2
+        spec = ser.spec_from_dict(ser.read_json(plan / "spec_s.json"))
+        f = LevelFunction.indicator(1)
+        first = correlation_sequence(spec, f, range(1, 10 ** 4)).support()[0]
+        lo, hi = claim["interval"]
+        assert capsys.readouterr().err.splitlines() == [
+            f"verify FAILED: S zero claim on [{lo}, {hi}] does not recompute: "
+            f"verdict exact-zero -> violated, first_violation None -> {first}"
+        ]
+
+
+def test_engine_memo_cap_is_one_line_and_exit_one(tmp_path, monkeypatch, capsys):
+    """A correlate whose engine sums would pass the cap stops before they
+    grow further: one line naming the cap, no manifest.  Levels 0 and 5
+    make each lag read 11 differences, all with pairs."""
+    monkeypatch.setattr(correlation, "MEMO_CAP", 4)
+    spec, f = tmp_path / "dense.json", tmp_path / "f.json"
+    ser.write_json(spec, ser.spec_to_dict(RankOneSpec(stages=(StageSpec(3, (0, 1, 2)),) * 4)))
+    ser.write_json(f, ser.level_function_to_dict(LevelFunction.from_dict(2, {0: 1, 5: 1})))
+    assert main(["--out-dir", str(tmp_path), "correlate", "--spec", str(spec),
+                 "--function", str(f), "--n-max", "10"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "MemoryError: correlation engine: pair counts held over the cap 4"]
+    assert not list(tmp_path.glob("*_manifest.json"))
 
 
 @pytest.mark.parametrize("row, problem", [

@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -18,7 +19,8 @@ from rankpair import (
     summability_report,
 )
 
-from rankpair.core import merge_intervals, occurrence_set
+from rankpair.core import occurrence_set
+from rankpair import correlation
 from rankpair.correlation import ZERO, bracket_tables
 
 from conftest import base_positions, oracle_autocorrelation, oracle_bracket
@@ -52,7 +54,7 @@ class TestAutocorrelation:
         # stages (2,(1,0)) then (2,(4,0)): depth-3 occurrences of the base
         # level sit at {0, 2, 7, 9} in a height-10 tower of width 1/4, so two
         # pairs at difference 2 give a lower bound of 1/2 and one occurrence
-        # in the top window adds 1/4 of slack
+        # in the top zone adds 1/4 of slack
         spec = RankOneSpec(stages=(StageSpec(2, (1, 0)), StageSpec(2, (4, 0))))
         assert occurrence_set(spec, 1, 3) == (0, 2, 7, 9)
         assert spec.heights()[2] == 10
@@ -128,6 +130,15 @@ class TestCrossCorrelation:
         a = LevelFunction.from_dict(2, {0: Fraction(1)})
         b = LevelFunction.from_dict(2, {1: Fraction(1)})
         assert correlation_sequence(spec, a, [0], g=b).entries[0] == (Fraction(0), Fraction(0))
+
+    def test_zero_function_has_no_terms(self, small_spec):
+        """A function whose coefficients are all zero adds no term, so its
+        walk over any range, however long, ends at once with nothing."""
+        zero = LevelFunction(1, ((0, Fraction(0)),))
+        for table in bracket_tables(small_spec, zero):
+            assert table.terms == []
+            assert table.bracket(0) is ZERO
+            assert [*table.nonzero(range(-10 ** 30, 10 ** 30))] == []
 
     def test_window_guard(self, small_spec):
         f = LevelFunction.indicator(1)
@@ -258,8 +269,9 @@ def cross_case(draw):
 
 
 class TestAgainstBruteForce:
-    """The engine's count tables, integer brackets, the tolerance check and
-    the walk over nonzero lags against the label-list oracle of conftest."""
+    """The engine's pair counts and envelope, integer brackets, the
+    tolerance check and the walk over nonzero lags against the label-list
+    oracle of conftest."""
 
     @given(cross_case(), st.lists(st.integers(-15, 15), min_size=1, max_size=6))
     @settings(max_examples=150, deadline=None)
@@ -276,9 +288,18 @@ class TestAgainstBruteForce:
         with that bracket."""
         spec, f, g = case
         hi = lo + length
-        table = [*bracket_tables(spec, f, [(lo, hi)], g)][-1]
+        table = [*bracket_tables(spec, f, g)][-1]
         brackets = ((n, oracle_bracket(spec, f, g, n)) for n in range(lo, hi + 1))
         assert [*table.nonzero(range(lo, hi + 1))] == [(n, b) for n, b in brackets if b != (0, 0)]
+
+    @given(cross_case(), st.integers(-15, 15), st.integers(0, 24), st.integers(2, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_a_stepped_range_walks_its_own_lags(self, case, lo, length, step):
+        spec, f, g = case
+        lags = range(lo, lo + length + 1, step)
+        table = [*bracket_tables(spec, f, g)][-1]
+        brackets = ((n, oracle_bracket(spec, f, g, n)) for n in lags)
+        assert [*table.nonzero(lags)] == [(n, b) for n, b in brackets if b != (0, 0)]
 
     @given(cross_case(), st.lists(st.integers(-12, 12), min_size=1, max_size=5),
            st.fractions(min_value=0, max_value=1, max_denominator=8))
@@ -297,59 +318,40 @@ class TestAgainstBruteForce:
                 correlation_sequence(spec, f, lags, g=g, tolerance=tolerance)
             assert exc.value.achieved_gap == widest
 
-    @given(cross_case(),
-           st.lists(st.tuples(st.integers(-30, 30), st.integers(0, 3)), min_size=1, max_size=4),
-           st.fractions(min_value=0, max_value=1, max_denominator=8))
+    @given(cross_case())
     @settings(max_examples=100, deadline=None)
-    def test_bands_match_full_window(self, case, runs, tolerance):
-        """Counting only the bands that sparse lag runs reach changes no
-        bracket, no nonzero lag of a run and no tolerance result."""
+    def test_envelope_is_where_a_top_zone_is_nonzero(self, case):
+        """At every depth, a lag reaches a nonzero top zone with some term
+        exactly when it lies at or past an envelope end, ``height -
+        maxpos_f - max shift`` or ``maxpos_g - height - min shift``."""
         spec, f, g = case
-        intervals = [(lo, lo + length) for lo, length in runs]
-        lags = sorted({n for lo, hi in intervals for n in range(lo, hi + 1)})
-        reach = max(abs(n) for n in lags)
-        full = [*bracket_tables(spec, f, [(-reach, reach)], g)][-1]
-        banded = [*bracket_tables(spec, f, intervals, g)][-1]
-        expected = {n: oracle_bracket(spec, f, g, n) for n in lags}
-        for n in lags:
-            assert banded.bracket(n) == full.bracket(n) == expected[n]
-        for lo, hi in intervals:
-            assert [*banded.nonzero(range(lo, hi + 1))] == [*full.nonzero(range(lo, hi + 1))]
-        widest = max(hi - lo for lo, hi in expected.values())
-        if widest > tolerance:
-            with pytest.raises(ToleranceNotReached) as exc:
-                correlation_sequence(spec, f, lags, g=g, tolerance=tolerance)
-            assert exc.value.achieved_gap == widest
-        else:
-            seq = correlation_sequence(spec, f, lags, g=g, tolerance=tolerance)
-            assert seq.entries == expected
+        for table in bracket_tables(spec, f, g):
+            h = table.height
+            for n in range(-h - 3, h + 4):
+                reached = any(table.top_zone(n + s) for s in table.shifts)
+                assert reached == (n >= table.envelope_from or n <= table.envelope_to)
 
     @given(st.lists(stage_strategy(max_cuts=4), min_size=1, max_size=3),
            st.integers(1, 3), st.data())
     @settings(max_examples=150, deadline=None)
-    def test_count_tables(self, stages, base, data):
-        """Every depth's count table holds the pair differences of the base
-        positions that the labels of the spec cut to that depth give, inside
-        the bands and nothing else; band ends run up to the tower height,
-        so the cross-copy cut-off is exercised."""
+    def test_pair_counts(self, stages, base, data):
+        """At every depth, the pair count at each difference in
+        ``[-height, height]`` is that of the base positions the labels of
+        the spec cut to that depth give, for indicators on different
+        stages, so the support's clip is exercised at both ends."""
         spec = RankOneSpec(stages=tuple(stages), base_height=base)
         stage_f = data.draw(st.integers(1, spec.max_depth))
         stage_g = data.draw(st.integers(1, spec.max_depth))
-        ends = st.integers(-spec.heights()[-1], spec.heights()[-1])
-        bands = merge_intervals(data.draw(st.lists(st.tuples(ends, ends), max_size=3)))
-        assert all(hi + 1 < lo for (_, hi), (lo, _) in zip(bands, bands[1:]))
-        # level-0 indicators: the only shift is 0, so the bands are the intervals
         f, g = LevelFunction.indicator(stage_f), LevelFunction.indicator(stage_g)
         depths = []
-        for table in bracket_tables(spec, f, bands, g):
-            assert table.bands == bands
+        for table in bracket_tables(spec, f, g):
             cut = RankOneSpec(stages=spec.stages[: table.depth - 1], base_height=base)
             occ_f, occ_g = base_positions(cut, stage_f), base_positions(cut, stage_g)
-            assert table.counts == Counter(
-                b - a for a in occ_f for b in occ_g if any(lo <= b - a <= hi for lo, hi in bands))
+            expected = Counter(b - a for a in occ_f for b in occ_g)
+            for m in range(-table.height, table.height + 1):
+                assert table.pair_count(m) == expected[m]
             depths.append(table.depth)
         assert depths == list(range(max(stage_f, stage_g), spec.max_depth + 1))
-
 
     @given(cross_case(), st.lists(st.integers(-15, 15), min_size=1, max_size=6))
     @settings(max_examples=100, deadline=None)
@@ -357,9 +359,8 @@ class TestAgainstBruteForce:
         """The table one pass yields at depth ``d`` brackets every lag as the
         spec cut to its first ``d - 1`` stages does at its deepest."""
         spec, f, g = case
-        intervals = [(n, n) for n in lags]
         depths = []
-        for table in bracket_tables(spec, f, intervals, g):
+        for table in bracket_tables(spec, f, g):
             d = table.depth
             cut = RankOneSpec(stages=spec.stages[: d - 1], base_height=spec.base_height)
             for n in lags:
@@ -368,27 +369,170 @@ class TestAgainstBruteForce:
         assert depths == list(range(max(f.stage, g.stage), spec.max_depth + 1))
 
 
+class TestContainment:
+    """A bracket holds the value of every extension of its spec."""
+
+    @given(cross_case(), st.lists(stage_strategy(), max_size=2),
+           st.lists(st.integers(-15, 15), min_size=1, max_size=4), st.integers(0, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_extension_lies_inside_the_deepest_bracket(self, case, more, lags, extra):
+        """Random stages appended to a spec give brackets inside its
+        deepest ones.  A closing stage appended after them, whose spacers
+        reach every difference ``n + lf - lg`` the lags read, makes the
+        two ends of each bracket equal: the extension's exact value, which
+        lies inside both."""
+        spec, f, g = case
+        longer = RankOneSpec(stages=spec.stages + tuple(more), base_height=spec.base_height)
+        reach = max((abs(n + lf - lg) for n in lags for lf in f.levels for lg in g.levels),
+                    default=0)
+        closing = StageSpec(2, (reach + extra,) * 2)
+        closed = RankOneSpec(stages=longer.stages + (closing,), base_height=spec.base_height)
+        for n in lags:
+            lo, hi = correlation_sequence(spec, f, [n], g=g).entries[n]
+            inner_lo, inner_hi = correlation_sequence(longer, f, [n], g=g).entries[n]
+            value, same = correlation_sequence(closed, f, [n], g=g).entries[n]
+            assert value == same
+            assert lo <= inner_lo <= value <= inner_hi <= hi
+
+
+class TestMemoCap:
+    """``MEMO_CAP`` bounds the pair counts a pass holds at once, the memo's
+    ranges and counts and the sums of the queries under way: past it the
+    memo is emptied, and only a query whose own sums pass it stops."""
+
+    spec = RankOneSpec(stages=(StageSpec(3, (0, 1, 2)),) * 4)
+    f = LevelFunction.from_dict(1, {0: Fraction(1)})
+
+    def walk(self):
+        *_, table = bracket_tables(self.spec, self.f)
+        return [*table.nonzero(range(-40, 41))], table.engine
+
+    def test_a_walk_that_stores_past_the_cap_empties_the_memo(self, monkeypatch):
+        """A walk whose memo stores several times the cap in all gives the
+        brackets of an uncapped walk, never holding more than the cap: its
+        count of the memo is the memo's ranges and pair counts, and the
+        sums under way are all released when a query returns."""
+        expected, engine = self.walk()
+        assert len(expected) > 1 and engine.held > 3 * 40
+        peak = 0
+        make_room = correlation._Pass._make_room
+
+        def watched_make_room(engine, entries):
+            nonlocal peak
+            held = len(engine.memo) + sum(map(len, engine.memo.values()))
+            assert engine.held == held
+            peak = max(peak, engine.working + held)
+            make_room(engine, entries)
+            peak = max(peak, engine.working + engine.held + entries)
+
+        monkeypatch.setattr(correlation._Pass, "_make_room", watched_make_room)
+        monkeypatch.setattr(correlation, "MEMO_CAP", 40)
+        walked, engine = self.walk()
+        assert walked == expected
+        assert 0 < peak <= 40 and engine.working == 0
+
+    def test_one_memo_serves_every_query_of_a_pass(self, monkeypatch):
+        """A range that one query counted is read back by the next query,
+        at any depth of the pass, not counted again."""
+        *_, shallow, table = bracket_tables(self.spec, self.f)
+        opened = []
+        query = correlation._Pass._query
+
+        def watched_query(engine, d, lo, hi):
+            opened.append((d, lo, hi))
+            return query(engine, d, lo, hi)
+
+        monkeypatch.setattr(correlation._Pass, "_query", watched_query)
+        first = table.engine.pairs(table.depth, -40, 40)
+        assert len(opened) > 2 and shallow.engine is table.engine
+        sub = opened[1]
+        del opened[:]
+        assert table.engine.pairs(table.depth, -40, 40) == first
+        assert shallow.engine.pairs(*sub) == table.engine.memo[sub]
+        assert opened == [(table.depth, -40, 40), sub]
+
+    def test_a_query_whose_sums_pass_the_cap_stops(self, monkeypatch):
+        *_, table = bracket_tables(self.spec, self.f)
+        assert len(table.engine.pairs(table.depth, -40, 40)) > 4
+        monkeypatch.setattr(correlation, "MEMO_CAP", 4)
+        with pytest.raises(MemoryError, match="pair counts held over the cap 4$"):
+            table.engine.pairs(table.depth, -40, 40)
+
+    def test_the_cap_itself_is_room_enough(self, monkeypatch):
+        """Counts up to the cap fit; one more empties the memo, and one
+        more than the sums under way leave room for stops the pass."""
+        monkeypatch.setattr(correlation, "MEMO_CAP", 10)
+        engine = [*bracket_tables(self.spec, self.f)][-1].engine
+        engine.memo[(1, 0, 0)], engine.held, engine.working = [(0, 1)], 2, 6
+        engine._make_room(2)
+        assert engine.memo and engine.held == 2
+        engine._make_room(3)
+        assert not engine.memo and engine.held == 0
+        engine.memo[(1, 0, 0)], engine.held = [], 1
+        engine._make_room(4)
+        assert not engine.memo and engine.held == 0
+        with pytest.raises(MemoryError, match="over the cap 10$"):
+            engine._make_room(5)
+
+    def test_a_window_that_read_many_counts_halves_the_next(self, monkeypatch):
+        """The walk doubles the width after a window that read fewer than
+        ``MEMO_CAP / 256`` pair counts and halves it after one that read
+        more; past the envelope end at lag 8 it starts again from 1."""
+        monkeypatch.setattr(correlation, "MEMO_CAP", 8 << 8)
+        *_, table = bracket_tables(self.spec, self.f)
+        assert table.envelope_from == 9
+        windows, counts = [], table._counts
+
+        def watched_counts(lo, hi):
+            got = counts(lo, hi)
+            windows.append((lo, hi, len(got)))
+            return got
+
+        monkeypatch.setattr(table, "_counts", watched_counts)
+        assert len([*table.nonzero(range(193))]) == 193
+        assert windows[0][0] == 0 and (8, 9) in [(w[1], v[0]) for w, v in zip(windows, windows[1:])]
+        assert any(read >= 8 for _, _, read in windows[:-1])
+        for (lo, hi, read), (after_lo, after_hi, _) in zip(windows, windows[1:]):
+            width = hi - lo + 1
+            width = 1 if hi == 8 else max(width // 2, 1) if read >= 8 else 2 * width
+            assert after_hi == min(after_lo + width - 1, 8 if after_lo <= 8 else 192)
+
+    def test_a_tower_deeper_than_the_recursion_limit(self):
+        """Binary cuts with no spacers put an occurrence in every cell, so
+        ``(f, T^n f)`` is ``[1 - n / height, 1]`` for the indicator of the
+        whole base; lag 1 branches at every depth."""
+        depth = sys.getrecursionlimit() + 100
+        spec = RankOneSpec(stages=(StageSpec(2, (0, 0)),) * depth)
+        f = LevelFunction.indicator(1)
+        seq = correlation_sequence(spec, f, range(4))
+        assert seq.entries == {n: (1 - Fraction(n, 2 ** depth), Fraction(1)) for n in range(4)}
+
+
 class TestBandCoverage:
-    """A difference outside the counted bands was never counted, so reading
-    it raises rather than answer zero."""
+    """Differences and lag runs just outside the lag bands that a pass
+    limited to declared lags would count read their exact brute-force
+    counts and brackets: a pair count is exact at every difference, so no
+    lag range needs declaring before the pass."""
 
     # depth-3 tower of height 10; f's levels 0 and 2 give shifts -2, 0, 2
     spec = RankOneSpec(stages=(StageSpec(2, (1, 0)), StageSpec(2, (4, 0))))
     f = LevelFunction.from_dict(2, {0: Fraction(1), 2: Fraction(-1)})
 
     def test_pair_count_just_outside_a_band(self):
-        table = [*bracket_tables(self.spec, self.f, [(0, 2), (20, 22)])][-1]
-        assert table.bands == [(-2, 4), (18, 24)]
-        for m in (-2, 4, 18, 24):
-            table.pair_count(m)
-        for m in (-3, 5, 17, 25):
-            with pytest.raises(CoverageError):
-                table.pair_count(m)
+        """Lags ``[(0, 2), (20, 22)]`` with those shifts span the bands
+        ``[(-2, 4), (18, 24)]``; the differences at both ends of each band,
+        one step outside them and at the pairs read their counts."""
+        table = [*bracket_tables(self.spec, self.f)][-1]
+        occ = base_positions(self.spec, 2)
+        assert occ == [0, 7]
+        expected = Counter(b - a for a in occ for b in occ)
+        for m in (-2, 4, 18, 24, -3, 5, 17, 25, -7, 0, 7, -8, 8):
+            assert table.pair_count(m) == expected[m]
 
     def test_first_nonzero_just_outside_a_band(self):
-        table = [*bracket_tables(self.spec, self.f, [(5, 8)])][-1]
-        assert table.bands == [(3, 10)]
-        [*table.nonzero(range(5, 9))]
-        for lo, hi in ((4, 8), (5, 9)):
-            with pytest.raises(CoverageError):
-                [*table.nonzero(range(lo, hi + 1))]
+        """Lags ``[(5, 8)]`` span the band ``[(3, 10)]``; the runs that
+        reach one lag past it at either end walk as the oracle brackets."""
+        table = [*bracket_tables(self.spec, self.f)][-1]
+        for lo, hi in ((5, 8), (4, 8), (5, 9)):
+            oracle = ((n, oracle_bracket(self.spec, self.f, self.f, n)) for n in range(lo, hi + 1))
+            assert [*table.nonzero(range(lo, hi + 1))] == [(n, b) for n, b in oracle if b != (0, 0)]
