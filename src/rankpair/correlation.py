@@ -8,7 +8,8 @@ C_d(m - (offs[j] - offs[i]))`` (the coefficient form of the generalised
 Riesz product of a rank-one map; Choksi & Nadkarni, *Canad. Math. Bull.*
 37, 1994), and ``C_d`` is zero off ``[-maxpos_f(d), maxpos_g(d)]``.  So a
 range query costs about what its nonzero output costs, whatever the
-horizon.  Each depth yields a bracket ``[lower, upper]``: ``lower`` counts
+horizon, and names the next pair past its range: a walk steps from pair
+to pair.  Each depth yields a bracket ``[lower, upper]``: ``lower`` counts
 the pairs inside the tower, the defect is bounded by the occurrences
 within reach of its top, and deepening the tower never widens a bracket.
 """
@@ -25,7 +26,8 @@ from .core import LevelFunction, RankOneSpec, ToleranceNotReached, record
 
 Interval = tuple[Fraction, Fraction]
 ZERO: Interval = (Fraction(0), Fraction(0))  # shared by every exactly-zero lag
-MEMO_CAP = 1 << 20  # pair counts an engine pass holds at once, memo ranges included
+MEMO_CAP = 1 << 20  # pair counts a range query holds at once, memo ranges included
+WINDOW = MEMO_CAP >> 8  # the widest window of lags a walk reads in one range query
 
 
 class CoverageError(ValueError):
@@ -54,8 +56,7 @@ class _Pass:
         self.deltas = {d: sorted(Counter(b - a for b in offs for a in offs).items() if d > d0
                                  else ((sign * o, 1) for o in offs))
                        for d, offs in enumerate(self.offsets[s - 1:], s + 1)}
-        self.memo: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
-        self.held = self.working = 0  # the memo's ranges and counts; the sums under way
+        self.memo, self.held = {}, 0  # the query under way's memo, and the counts it holds
 
     def _reach(self, s: int) -> tuple[list[int], list[int]]:
         """The largest position and the number of occurrences of the
@@ -66,56 +67,58 @@ class _Pass:
             count.append(count[-1] * len(offs))
         return maxpos, count
 
-    def _make_room(self, entries: int) -> None:
-        """Make room for ``entries`` more pair counts under :data:`MEMO_CAP`,
-        emptying the memo, a cache, first; the sums under way cannot be."""
-        if self.working + self.held + entries > MEMO_CAP:
-            self.memo.clear()
-            self.held = 0
-            if self.working + entries > MEMO_CAP:
-                raise MemoryError(f"correlation engine: pair counts held over the cap {MEMO_CAP}")
+    def _hold(self, entries: int) -> None:
+        """Count ``entries`` more pair counts held, which stops past :data:`MEMO_CAP`."""
+        self.held += entries
+        if self.held > MEMO_CAP:
+            raise MemoryError(f"correlation engine: pair counts held over the cap {MEMO_CAP}")
 
-    def pairs(self, d: int, lo: int, hi: int) -> list[tuple[int, int]]:
+    def pairs(self, d: int, lo: int, hi: int) -> tuple[list[tuple[int, int]], float]:
         """``(m, C_d(m))`` for each difference ``m`` in ``[lo, hi]`` with a
-        pair at depth ``d``, in order of ``m``.  The sub-queries run off an
-        explicit stack, so any depth fits Python's recursion limit, and
-        are memoised, all depths in one memo."""
-        self.working = 0  # pair counts in the sums under way
-        stack = [(None, self._query(d, lo, hi))]
-        got = None
-        while True:
-            key, query = stack[-1]
-            try:
-                sub = query.send(got)
-            except StopIteration as done:
-                stack.pop()
-                got = done.value
-                if not stack:
-                    return got
-                self._make_room(1 + len(got))
-                self.memo[key] = got
-                self.held += 1 + len(got)
-                continue
-            got = self.memo.get(sub)
-            if got is None:
-                stack.append((sub, self._query(*sub)))
+        pair at depth ``d``, in order of ``m``, and the first difference
+        past ``hi`` with a pair, or ``inf``.  The sub-queries run off an
+        explicit stack, so any depth fits Python's recursion limit, and are
+        memoised in this query's own memo: no count outlives the query."""
+        stack, got = [(None, self._query(d, lo, hi))], None
+        try:
+            while stack:
+                key, query = stack[-1]
+                try:
+                    sub = query.send(got)
+                except StopIteration as done:
+                    stack.pop()
+                    got = done.value
+                    if stack:
+                        self.memo[key] = got
+                        self._hold(1 + len(got[0]))
+                    continue
+                got = self.memo.get(sub)
+                if got is None:
+                    stack.append((sub, self._query(*sub)))
+            return got
+        finally:
+            self.memo, self.held = {}, 0  # fresh for the next query
 
     def _query(self, d: int, lo: int, hi: int):
         """The query ``(d, lo, hi)`` of :meth:`pairs`: yields each sub-query,
-        is sent its result, and returns its own."""
-        factor = 1
+        is sent its result, and returns its own.  A support's start has a
+        pair (f's last occurrence, g's first), so the next pair past ``hi``
+        is that, or the first branch past ``hi``'s, or one a branch met."""
+        factor, after = 1, math.inf
         while True:
             low, high = self.support[d]
+            if hi < low or lo > high:  # wholly below the support, or above it
+                return [], (low if hi < low else after)
             lo, hi = max(lo, low), min(hi, high)
-            if lo > hi:
-                return []
             if d == self.s:
-                return [(0, factor)]  # the two levels' one pair, inside [lo, hi] after the clip
+                return [(0, factor)], after  # the two levels' one pair, inside [lo, hi] after the clip
             low, high = self.support[d - 1]
             # the differences D whose branch [lo - D, hi - D] meets the support
             deltas = self.deltas[d]
-            branches = deltas[bisect.bisect_left(deltas, (lo - high,)):
-                              bisect.bisect_left(deltas, (hi - low + 1,))]
+            end = bisect.bisect_left(deltas, (hi - low + 1,))
+            if end < len(deltas):
+                after = min(after, deltas[end][0] + low)
+            branches = deltas[bisect.bisect_left(deltas, (lo - high,)):end]
             if len(branches) != 1 or branches[0][0]:
                 break
             # the copy-to-itself pairs alone: the same range one depth up
@@ -123,14 +126,14 @@ class _Pass:
             d -= 1
         acc: dict[int, int] = {}
         for delta, mult in branches:
-            below = yield (d - 1, max(lo - delta, low), min(hi - delta, high))
-            self._make_room(len(below))
+            below, past = yield (d - 1, max(lo - delta, low), min(hi - delta, high))
             size = len(acc)
             for m, c in below:
                 acc[m + delta] = acc.get(m + delta, 0) + factor * mult * c
-            self.working += len(acc) - size
-        self.working -= len(acc)
-        return sorted(acc.items())
+            self._hold(len(acc) - size)
+            after = min(after, past + delta)
+        self.held -= len(acc)
+        return sorted(acc.items()), after
 
     def above(self, s: int, d: int, x: int) -> int:
         """The occurrences of the stage-``s`` base level at positions
@@ -185,9 +188,6 @@ class BracketTable:
         self.envelope_from = self.height + low - self.shifts[-1]
         self.envelope_to = high - self.height - self.shifts[0]
 
-    def pair_count(self, m: int) -> int:
-        return dict(self.engine.pairs(self.depth, m, m)).get(m, 0)
-
     def top_zone(self, m: int) -> int:
         """Occurrences that a difference-``m`` pair could still pick up at
         deeper stages: those within ``|m|`` of the tower top."""
@@ -195,11 +195,7 @@ class BracketTable:
         return self.engine.above(stage, self.depth, self.height - abs(m))
 
     def bracket(self, n: int) -> Interval:
-        return self._bracket(n, self._counts(n, n))
-
-    def _counts(self, lo: int, hi: int) -> dict[int, int]:
-        """The pair counts that the lags in ``[lo, hi]`` read."""
-        return dict(self.engine.pairs(self.depth, lo + self.shifts[0], hi + self.shifts[-1]))
+        return dict(self.nonzero([n])).get(n, ZERO)
 
     def _bracket(self, n: int, counts: dict[int, int]) -> Interval:
         envelope = n >= self.envelope_from or n <= self.envelope_to
@@ -223,13 +219,13 @@ class BracketTable:
         list or a ``range`` of any length) whose bracket is not exactly
         zero, in order, lazily.
 
-        Each window of lags, from the next lag of ``ns``, reads one range
-        query.  Outside the envelope only the differences with a pair, less
-        each shift, are visited; inside it every lag is, and is nonzero.
-        The width doubles, back to 1 past an envelope end, so stopping
-        early never pays for a wide window; a window that read ``MEMO_CAP
-        / 256`` pair counts or more halves it, so windows stay far below
-        the cap.
+        Each window of lags reads one range query; its width doubles from 1
+        up to :data:`WINDOW`, so stopping early never pays for a wide one.
+        Inside the envelope every lag is visited, and is nonzero.  Outside
+        it only the differences with a pair, less each shift, are, and the
+        next window starts at the first lag that a pair past this window
+        reaches (by the query's ``after``), or at the envelope if sooner:
+        a stretch with no pair costs one query.
         """
         if not ns or not self.terms:
             return
@@ -239,20 +235,23 @@ class BracketTable:
             end = (self.envelope_from - 1 if outside
                    else self.envelope_to if n <= self.envelope_to else last)
             hi = min(n + width - 1, end, last)
-            counts = self._counts(n, hi)
-            width = (1 if hi == end else 2 * width if len(counts) < MEMO_CAP >> 8
-                     else max(width // 2, 1))
+            found, after = self.engine.pairs(self.depth, n + self.shifts[0], hi + self.shifts[-1])
+            counts = dict(found)
+            width = min(2 * width, WINDOW)
             if outside:
-                near = sorted({m - s for m in counts for s in self.shifts if n <= m - s <= hi})
-                lags = [x for x in near if _next_lag(ns, x) == x]
+                reached = sorted({m - s for m in counts for s in self.shifts if m - s >= n})
+                i = bisect.bisect_right(reached, hi)
+                lags = [x for x in reached[:i] if _next_lag(ns, x) == x]
+                skip = min(*reached[i:i + 1], after - self.shifts[-1], self.envelope_from)
             else:  # n is a lag of ns
                 lags = (range(n, hi + 1, ns.step) if isinstance(ns, range)
                         else ns[bisect.bisect_left(ns, n):bisect.bisect_right(ns, hi)])
+                skip = hi + 1
             for lag in lags:
                 b = self._bracket(lag, counts)
                 if b is not ZERO:
                     yield lag, b
-            n = _next_lag(ns, hi + 1)
+            n = _next_lag(ns, skip)
 
 
 def bracket_tables(

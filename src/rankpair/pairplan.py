@@ -310,9 +310,9 @@ def check_certificate(spec: RankOneSpec, cert: ConstructionCertificate) -> None:
 
     A zero claim's first violation is the first lag that the deepest
     table's lazy walk (:meth:`BracketTable.nonzero`) yields over its
-    interval, so its cost follows the pairs that the walk's doubling
-    windows reach, not the interval's length, which may pass ``2**63``;
-    rigidity claims read single-lag brackets off the same table.
+    interval.  The walk steps from pair to pair, so a claim that holds
+    costs one range query, whatever the interval's length, which may pass
+    ``2**63``; rigidity claims read single-lag brackets off the same table.
     A polynomial claim also reads the table of the tower its stage is
     applied to (:func:`verify_polynomial_limit`).  Generic claims take
     their ``cuts`` from the stage applied at their time, and fail where

@@ -288,7 +288,7 @@ class TestPast2To63:
 
     @pytest.fixture(scope="class")
     def plan(self, tmp_path_factory):
-        out = tmp_path_factory.mktemp("h1e19")
+        out = tmp_path_factory.mktemp("plan")
         assert main(["--out-dir", str(out), "plan", "--horizon", str(self.HORIZON)]) == 0
         return out
 
@@ -314,6 +314,13 @@ class TestPast2To63:
             f"verify FAILED: S zero claim on [{lo}, {hi}] does not recompute: "
             f"verdict exact-zero -> violated, first_violation None -> {first}"
         ]
+
+
+class TestPast10To300(TestPast2To63):
+    """The same at ``10**300``, where S's plan has 167 stages and each
+    zero claim costs one range query."""
+
+    HORIZON = 10 ** 300
 
 
 def test_engine_memo_cap_is_one_line_and_exit_one(tmp_path, monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import math
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -349,9 +350,32 @@ class TestAgainstBruteForce:
             occ_f, occ_g = base_positions(cut, stage_f), base_positions(cut, stage_g)
             expected = Counter(b - a for a in occ_f for b in occ_g)
             for m in range(-table.height, table.height + 1):
-                assert table.pair_count(m) == expected[m]
+                assert dict(table.engine.pairs(table.depth, m, m)[0]).get(m, 0) == expected[m]
             depths.append(table.depth)
         assert depths == list(range(max(stage_f, stage_g), spec.max_depth + 1))
+
+    @given(spec_strategy(max_stages=4), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_range_queries_and_the_next_pair_past_them(self, spec, data):
+        """At every depth, a range query's counts are those of the base
+        positions the labels give, and ``after`` is the first difference
+        past the range with a pair, ``inf`` past the last one, for
+        indicators on any two stages and ranges below, across, inside and
+        above the support."""
+        stage_f = data.draw(st.integers(1, spec.max_depth))
+        stage_g = data.draw(st.integers(1, spec.max_depth))
+        f, g = LevelFunction.indicator(stage_f), LevelFunction.indicator(stage_g)
+        for table in bracket_tables(spec, f, g):
+            cut = RankOneSpec(stages=spec.stages[: table.depth - 1])
+            occ_f, occ_g = base_positions(cut, stage_f), base_positions(cut, stage_g)
+            expected = Counter(b - a for a in occ_f for b in occ_g)
+            low, high = min(expected), max(expected)
+            ends = st.integers(low - 3, high + 3) | st.sampled_from([low - 1, low, high, high + 1])
+            for _ in range(3):
+                lo, hi = sorted(data.draw(st.tuples(ends, ends)))
+                found = sorted((m, c) for m, c in expected.items() if lo <= m <= hi)
+                after = min((m for m in expected if m > hi), default=math.inf)
+                assert table.engine.pairs(table.depth, lo, hi) == (found, after)
 
     @given(cross_case(), st.lists(st.integers(-15, 15), min_size=1, max_size=6))
     @settings(max_examples=100, deadline=None)
@@ -396,106 +420,66 @@ class TestContainment:
 
 
 class TestMemoCap:
-    """``MEMO_CAP`` bounds the pair counts a pass holds at once, the memo's
-    ranges and counts and the sums of the queries under way: past it the
-    memo is emptied, and only a query whose own sums pass it stops."""
+    """``MEMO_CAP`` bounds the pair counts one range query holds at once,
+    its memo's ranges and counts and the sums under way; the query starts
+    both afresh and leaves nothing held when it returns."""
 
     spec = RankOneSpec(stages=(StageSpec(3, (0, 1, 2)),) * 4)
     f = LevelFunction.from_dict(1, {0: Fraction(1)})
 
-    def walk(self):
+    def test_a_query_counts_its_memo_and_sums_and_keeps_nothing(self, monkeypatch):
+        """After every merge and memo entry the count is the memo's ranges
+        and counts plus the sums of the queries under way, read off their
+        frames; once the query returns, the pass holds no count."""
         *_, table = bracket_tables(self.spec, self.f)
-        return [*table.nonzero(range(-40, 41))], table.engine
+        engine, live, checks = table.engine, [], []
+        query, hold = correlation._Pass._query, correlation._Pass._hold
 
-    def test_a_walk_that_stores_past_the_cap_empties_the_memo(self, monkeypatch):
-        """A walk whose memo stores several times the cap in all gives the
-        brackets of an uncapped walk, never holding more than the cap: its
-        count of the memo is the memo's ranges and pair counts, and the
-        sums under way are all released when a query returns."""
-        expected, engine = self.walk()
-        assert len(expected) > 1 and engine.held > 3 * 40
-        peak = 0
-        make_room = correlation._Pass._make_room
+        def watched_query(engine, *q):
+            live.append(query(engine, *q))
+            return live[-1]
 
-        def watched_make_room(engine, entries):
-            nonlocal peak
-            held = len(engine.memo) + sum(map(len, engine.memo.values()))
-            assert engine.held == held
-            peak = max(peak, engine.working + held)
-            make_room(engine, entries)
-            peak = max(peak, engine.working + engine.held + entries)
-
-        monkeypatch.setattr(correlation._Pass, "_make_room", watched_make_room)
-        monkeypatch.setattr(correlation, "MEMO_CAP", 40)
-        walked, engine = self.walk()
-        assert walked == expected
-        assert 0 < peak <= 40 and engine.working == 0
-
-    def test_one_memo_serves_every_query_of_a_pass(self, monkeypatch):
-        """A range that one query counted is read back by the next query,
-        at any depth of the pass, not counted again."""
-        *_, shallow, table = bracket_tables(self.spec, self.f)
-        opened = []
-        query = correlation._Pass._query
-
-        def watched_query(engine, d, lo, hi):
-            opened.append((d, lo, hi))
-            return query(engine, d, lo, hi)
+        def watched_hold(engine, entries):
+            hold(engine, entries)
+            memo = len(engine.memo) + sum(len(found) for found, _ in engine.memo.values())
+            sums = sum(len(g.gi_frame.f_locals.get("acc", ())) for g in live if g.gi_frame)
+            checks.append(engine.held == memo + sums)
 
         monkeypatch.setattr(correlation._Pass, "_query", watched_query)
-        first = table.engine.pairs(table.depth, -40, 40)
-        assert len(opened) > 2 and shallow.engine is table.engine
-        sub = opened[1]
-        del opened[:]
-        assert table.engine.pairs(table.depth, -40, 40) == first
-        assert shallow.engine.pairs(*sub) == table.engine.memo[sub]
-        assert opened == [(table.depth, -40, 40), sub]
+        monkeypatch.setattr(correlation._Pass, "_hold", watched_hold)
+        found, after = engine.pairs(table.depth, -40, 40)
+        assert len(found) == 81 and after == 41
+        assert len(checks) > 10 and all(checks)
+        assert engine.memo == {} and engine.held == 0
+
+    def test_a_query_at_the_cap_passes_and_one_count_more_raises(self, monkeypatch):
+        """A cap equal to the most the query ever held lets it through
+        with the same answer; one less stops it, and it keeps nothing."""
+        *_, table = bracket_tables(self.spec, self.f)
+        engine, peak = table.engine, 0
+        hold = correlation._Pass._hold
+
+        def watched_hold(engine, entries):
+            nonlocal peak
+            hold(engine, entries)
+            peak = max(peak, engine.held)
+
+        monkeypatch.setattr(correlation._Pass, "_hold", watched_hold)
+        expected = engine.pairs(table.depth, -40, 40)
+        assert peak > 20
+        monkeypatch.setattr(correlation, "MEMO_CAP", peak)
+        assert engine.pairs(table.depth, -40, 40) == expected
+        monkeypatch.setattr(correlation, "MEMO_CAP", peak - 1)
+        with pytest.raises(MemoryError, match=f"pair counts held over the cap {peak - 1}$"):
+            engine.pairs(table.depth, -40, 40)
+        assert engine.memo == {} and engine.held == 0
 
     def test_a_query_whose_sums_pass_the_cap_stops(self, monkeypatch):
         *_, table = bracket_tables(self.spec, self.f)
-        assert len(table.engine.pairs(table.depth, -40, 40)) > 4
+        assert len(table.engine.pairs(table.depth, -40, 40)[0]) > 4
         monkeypatch.setattr(correlation, "MEMO_CAP", 4)
         with pytest.raises(MemoryError, match="pair counts held over the cap 4$"):
             table.engine.pairs(table.depth, -40, 40)
-
-    def test_the_cap_itself_is_room_enough(self, monkeypatch):
-        """Counts up to the cap fit; one more empties the memo, and one
-        more than the sums under way leave room for stops the pass."""
-        monkeypatch.setattr(correlation, "MEMO_CAP", 10)
-        engine = [*bracket_tables(self.spec, self.f)][-1].engine
-        engine.memo[(1, 0, 0)], engine.held, engine.working = [(0, 1)], 2, 6
-        engine._make_room(2)
-        assert engine.memo and engine.held == 2
-        engine._make_room(3)
-        assert not engine.memo and engine.held == 0
-        engine.memo[(1, 0, 0)], engine.held = [], 1
-        engine._make_room(4)
-        assert not engine.memo and engine.held == 0
-        with pytest.raises(MemoryError, match="over the cap 10$"):
-            engine._make_room(5)
-
-    def test_a_window_that_read_many_counts_halves_the_next(self, monkeypatch):
-        """The walk doubles the width after a window that read fewer than
-        ``MEMO_CAP / 256`` pair counts and halves it after one that read
-        more; past the envelope end at lag 8 it starts again from 1."""
-        monkeypatch.setattr(correlation, "MEMO_CAP", 8 << 8)
-        *_, table = bracket_tables(self.spec, self.f)
-        assert table.envelope_from == 9
-        windows, counts = [], table._counts
-
-        def watched_counts(lo, hi):
-            got = counts(lo, hi)
-            windows.append((lo, hi, len(got)))
-            return got
-
-        monkeypatch.setattr(table, "_counts", watched_counts)
-        assert len([*table.nonzero(range(193))]) == 193
-        assert windows[0][0] == 0 and (8, 9) in [(w[1], v[0]) for w, v in zip(windows, windows[1:])]
-        assert any(read >= 8 for _, _, read in windows[:-1])
-        for (lo, hi, read), (after_lo, after_hi, _) in zip(windows, windows[1:]):
-            width = hi - lo + 1
-            width = 1 if hi == 8 else max(width // 2, 1) if read >= 8 else 2 * width
-            assert after_hi == min(after_lo + width - 1, 8 if after_lo <= 8 else 192)
 
     def test_a_tower_deeper_than_the_recursion_limit(self):
         """Binary cuts with no spacers put an occurrence in every cell, so
@@ -506,6 +490,85 @@ class TestMemoCap:
         f = LevelFunction.indicator(1)
         seq = correlation_sequence(spec, f, range(4))
         assert seq.entries == {n: (1 - Fraction(n, 2 ** depth), Fraction(1)) for n in range(4)}
+
+
+class TestWindows:
+    """The walk's windows: each reads one range query, its width doubles
+    from 1 up to ``WINDOW``, and outside the envelope the next one starts
+    at the first lag that a pair reaches, never past the envelope."""
+
+    @staticmethod
+    def windows(table, monkeypatch):
+        """The lag windows ``[n, hi]`` that the table's walks read, each
+        past the one before, so a walk that stalls stops at once."""
+        seen, pairs = [], table.engine.pairs
+
+        def watched_pairs(d, lo, hi):
+            window = (lo - table.shifts[0], hi - table.shifts[-1])
+            assert not seen or window[0] > seen[-1][1], f"{window} after {seen[-1]}"
+            seen.append(window)
+            return pairs(d, lo, hi)
+
+        monkeypatch.setattr(table.engine, "pairs", watched_pairs)
+        return seen
+
+    def test_widths_double_up_to_the_window(self, monkeypatch):
+        """Every lag of ``[0, 192]`` is nonzero; the windows run 1, 2 and 4
+        lags, stop at the envelope end 8, and go on 8 at a time."""
+        monkeypatch.setattr(correlation, "WINDOW", 8)
+        *_, table = bracket_tables(TestMemoCap.spec, TestMemoCap.f)
+        assert table.envelope_from == 9
+        seen = self.windows(table, monkeypatch)
+        assert len([*table.nonzero(range(193))]) == 193
+        assert seen == [(0, 0), (1, 2), (3, 6), (7, 8), *((n, n + 7) for n in range(9, 193, 8))]
+
+    @given(cross_case(), st.integers(-15, 15), st.integers(0, 40), st.integers(1, 3),
+           st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_a_walk_resumes_at_the_first_lag_a_pair_reaches(self, case, lo, length, step, window):
+        """Past a window that starts outside the envelope, the next starts
+        at the first lag of the sequence at or past the first lag that a
+        pair reaches (some ``m - shift`` with a pair at ``m``) or the
+        envelope's start, whichever is first; past any other window, at
+        its next lag.  Widths double from 1 up to ``WINDOW``."""
+        spec, f, g = case
+        lags = range(lo, lo + length + 1, step)
+        table = [*bracket_tables(spec, f, g)][-1]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(correlation, "WINDOW", window)
+            seen = self.windows(table, monkeypatch)
+            list(table.nonzero(lags))
+        if not table.terms:
+            return
+        occ_f, occ_g = base_positions(spec, f.stage), base_positions(spec, g.stage)
+        reached = {b - a - s for a in occ_f for b in occ_g for s in table.shifts}
+
+        def resume(n, hi):
+            if table.envelope_to < n < table.envelope_from:
+                return min([x for x in reached if x > hi] + [table.envelope_from])
+            return hi + 1
+
+        assert seen[0][0] == lags[0]
+        for k, (n, hi) in enumerate(seen):
+            end = (table.envelope_from - 1 if table.envelope_to < n < table.envelope_from
+                   else table.envelope_to if n <= table.envelope_to else lags[-1])
+            assert hi == min(n + min(2 ** k, window) - 1, end, lags[-1])
+            rest = [x for x in lags if x >= resume(n, hi)]
+            assert [w[0] for w in seen[k + 1:k + 2]] == rest[:1]
+
+    def test_a_skip_stops_at_the_envelope(self):
+        """f on stage 4 of a 3-stage spec has its one pair at difference 0,
+        so no pair lies past lag 0; lags 8 and 9 are inside the envelope,
+        nonzero, and a walk that skipped past it would drop them."""
+        spec = RankOneSpec(stages=(StageSpec(2, (0, 0)),) * 3)
+        f = LevelFunction.indicator(4)
+        *_, table = bracket_tables(spec, f)
+        assert (table.height, table.envelope_from) == (8, 8)
+        assert table.engine.pairs(table.depth, 0, 0) == ([(0, 1)], math.inf)
+        oracle = ((n, oracle_bracket(spec, f, f, n)) for n in range(10))
+        expected = [(n, b) for n, b in oracle if b != (0, 0)]
+        assert [n for n, _ in expected] == [0, 8, 9]
+        assert [*table.nonzero(range(10))] == expected
 
 
 class TestBandCoverage:
@@ -527,7 +590,7 @@ class TestBandCoverage:
         assert occ == [0, 7]
         expected = Counter(b - a for a in occ for b in occ)
         for m in (-2, 4, 18, 24, -3, 5, 17, 25, -7, 0, 7, -8, 8):
-            assert table.pair_count(m) == expected[m]
+            assert dict(table.engine.pairs(table.depth, m, m)[0]).get(m, 0) == expected[m]
 
     def test_first_nonzero_just_outside_a_band(self):
         """Lags ``[(5, 8)]`` span the band ``[(3, 10)]``; the runs that

@@ -19,9 +19,10 @@ from rankpair import (
     plan_pair,
     verify_polynomial_limit,
 )
-from rankpair import pairplan
+from rankpair import correlation, pairplan
 from rankpair import serialize as ser
 from rankpair.core import occurrence_set
+from rankpair.correlation import BracketTable
 from rankpair.pairplan import (
     ConstructionCertificate,
     UnsupportedClaim,
@@ -162,6 +163,29 @@ class TestCheckCertificate:
             fresh = ser.certificate_from_dict(claimed)
             check_certificate(spec, fresh)
             assert fresh.ok and ser.certificate_to_dict(fresh) == claimed
+
+    def test_a_zero_claim_that_holds_costs_one_range_query(self, monkeypatch):
+        """On S's plan at H = 10**300 (84 zero claims over 167 stages) each
+        zero claim's walk reads one range query: its ``after`` lies past
+        the claim, so the walk ends there, whatever the claim's length."""
+        result = plan_pair(generate_schedule(8, 10 ** 300))
+        spec, cert = result.spec_s, result.cert_s
+        walks, nonzero, pairs = [], BracketTable.nonzero, correlation._Pass.pairs
+
+        def watched_nonzero(table, ns):
+            walks.append((ns, []))
+            return nonzero(table, ns)
+
+        def watched_pairs(engine, d, lo, hi):
+            walks[-1][1].append((lo, hi))
+            return pairs(engine, d, lo, hi)
+
+        monkeypatch.setattr(BracketTable, "nonzero", watched_nonzero)
+        monkeypatch.setattr(correlation._Pass, "pairs", watched_pairs)
+        check_certificate(spec, cert)
+        assert len(cert.zero_intervals) == 84 and cert.ok
+        claims = [queries for ns, queries in walks if isinstance(ns, range)]
+        assert len(claims) == 84 and all(len(queries) == 1 for queries in claims)
 
 
 class TestZeroThreshold:
