@@ -462,7 +462,8 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ToleranceNotReached, PlanError, EscapeCapError, MemoryError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        # Python raises running out of memory with an empty message
+        print(f"{type(exc).__name__}: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
 
 

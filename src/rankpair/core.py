@@ -225,7 +225,10 @@ def merge_intervals(intervals) -> list[tuple[int, int]]:
 
 
 def occurrence_set(spec: RankOneSpec, level_stage: int, depth: int) -> tuple[int, ...]:
-    """Exact sorted positions of the stage-``level_stage`` base level at ``depth``.
+    """Exact positions of the stage-``level_stage`` base level at ``depth``,
+    in ascending order: each stage's copy ``i + 1`` starts at least the
+    stage's tower height past copy ``i``, and every position lies below
+    that height.
 
     Materialises the full position list (its length is the product of the
     intervening cut counts); use the correlation module for deep towers.
@@ -236,12 +239,10 @@ def occurrence_set(spec: RankOneSpec, level_stage: int, depth: int) -> tuple[int
             f"got level_stage={level_stage}, depth={depth}"
         )
     positions = [0]
-    h = spec.heights()[level_stage - 1]
-    for st in spec.stages[level_stage - 1 : depth - 1]:
-        offs = st.offsets(h)
-        positions = [off + p for off in offs for p in positions]
-        h = st.cuts * h + sum(st.spacers)
-    return tuple(sorted(positions))
+    stages = spec.stages[level_stage - 1 : depth - 1]
+    for st, h in zip(stages, spec.heights()[level_stage - 1:]):
+        positions = [off + p for off in st.offsets(h) for p in positions]
+    return tuple(positions)
 
 
 class EscapeCapError(RuntimeError):

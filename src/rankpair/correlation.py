@@ -44,17 +44,16 @@ class _Pass:
         self.f_stage, self.g_stage = f_stage, g_stage
         self.reach = {s: self._reach(s) for s in (f_stage, g_stage)}
         self.s = s = min(f_stage, g_stage)
-        d0 = max(f_stage, g_stage)
         # depth -> the differences that can have a pair, (-maxpos_f, maxpos_g);
         # until its stage, a level is the one position 0
         fmax, gmax = self.reach[f_stage][0], self.reach[g_stage][0]
         self.support = {d: (-fmax[max(d - f_stage, 0)], gmax[max(d - g_stage, 0)])
                         for d in range(s, spec.max_depth + 1)}
-        # depth -> (D, how many pairs of columns give D) of the stage that
-        # built it; up to d0 only the shallower level's copies move its pairs
-        sign = -1 if f_stage < g_stage else 1
-        self.deltas = {d: sorted(Counter(b - a for b in offs for a in offs).items() if d > d0
-                                 else ((sign * o, 1) for o in offs))
+        # depth -> (D, how many pairs of copies give D) of the stage that
+        # built it: a level has a copy at each offset once its stage is
+        # below the depth, and the one copy at 0 until then
+        self.deltas = {d: sorted(Counter(b - a for b in (offs if d > g_stage else [0])
+                                         for a in (offs if d > f_stage else [0])).items())
                        for d, offs in enumerate(self.offsets[s - 1:], s + 1)}
         self.memo, self.held = {}, 0  # the query under way's memo, and the counts it holds
 
@@ -279,12 +278,15 @@ class CorrelationSequence:
     subject: str = ""
 
     def entry(self, n: int) -> Interval:
-        if n not in self.entries:
-            raise CoverageError(f"n={n} not covered by sequence '{self.subject}'")
+        self.require(n, n)
         return self.entries[n]
 
-    def covers(self, lo: int, hi: int) -> bool:
-        return all(n in self.entries for n in range(lo, hi + 1))
+    def require(self, lo: int, hi: int) -> None:
+        """Raise :class:`CoverageError`, naming the first missing lag, unless
+        the table holds every lag of ``[lo, hi]``."""
+        if not all(map(self.entries.__contains__, range(lo, hi + 1))):
+            n = next(n for n in range(lo, hi + 1) if n not in self.entries)
+            raise CoverageError(f"n={n} not covered by sequence '{self.subject}'")
 
     def midpoint(self, n: int) -> Fraction:
         a, b = self.entry(n)
@@ -310,10 +312,8 @@ def correlation_sequence(
     brackets are nested, and only the lags it does not certify to be zero
     are visited (:meth:`BracketTable.nonzero`).  A ``tolerance`` that some
     bracket there exceeds raises :class:`ToleranceNotReached`, carrying the
-    widest; one first met at a shallower depth still yields the deepest
-    brackets, never wider.
+    widest.
     """
-    g = g or f
     ns = sorted(set(n_values))
     *_, table = bracket_tables(spec, f, g)
     nonzero = dict(table.nonzero(ns))
@@ -361,8 +361,7 @@ def summability_report(
 ) -> SummabilityReport:
     """Exact interval bounds for the absolute and squared sums over a lag range."""
     lo, hi = interval
-    if not seq.covers(lo, hi):
-        raise CoverageError(f"interval [{lo}, {hi}] not covered")
+    seq.require(lo, hi)
     # a lag outside the support is certified zero and adds nothing
     support = [n for n in seq.support() if lo <= n <= hi]
     l1 = l2 = ZERO

@@ -39,12 +39,18 @@ class PolynomialSpec:
 
     coefficients: tuple[tuple[int, Fraction], ...]
 
+    def __post_init__(self):
+        # a power is a spacer count, which cannot be negative
+        if any(z < 0 for z, _ in self.coefficients):
+            raise ValueError("polynomial powers must be non-negative")
+        if any(a < 0 for _, a in self.coefficients):
+            raise ValueError("polynomial coefficients must be non-negative")
+        if self.mass > 1:
+            raise ValueError(f"polynomial mass {self.mass} exceeds 1")
+
     @classmethod
     def from_dict(cls, coeffs: dict[int, Fraction]) -> "PolynomialSpec":
-        items = tuple(sorted((z, Fraction(a)) for z, a in coeffs.items() if a != 0))
-        poly = cls(items)
-        poly.check()
-        return poly
+        return cls(tuple(sorted((z, Fraction(a)) for z, a in coeffs.items() if a != 0)))
 
     @classmethod
     def delta(cls, z: int = 0) -> "PolynomialSpec":
@@ -53,15 +59,6 @@ class PolynomialSpec:
     @property
     def mass(self) -> Fraction:
         return sum((a for _, a in self.coefficients), Fraction(0))
-
-    def check(self) -> None:
-        # a power is a spacer count, which cannot be negative
-        if any(z < 0 for z, _ in self.coefficients):
-            raise ValueError("polynomial powers must be non-negative")
-        if any(a < 0 for _, a in self.coefficients):
-            raise ValueError("polynomial coefficients must be non-negative")
-        if self.mass > 1:
-            raise ValueError(f"polynomial mass {self.mass} exceeds 1")
 
     def is_rigidity(self) -> bool:
         return self.coefficients == ((0, Fraction(1)),)
@@ -123,11 +120,18 @@ def design_generic_stage(
     every difference the pre-stage tower can realise, so they contribute
     exactly zero to the pre-stage correlations the stage is meant to copy.
     Spacers are laid out in ascending value order, escape columns last.
+    The last copy starts at least ``(cuts - 1) * current_height`` up, so a
+    stage that reach cannot fit is refused before its spacers are built.
     """
-    poly.check()
     lo, hi = budget
     if lo < 1 or hi < lo:
         raise ValueError(f"bad budget interval [{lo}, {hi}]")
+    least_reach = (cuts - 1) * current_height + max_position
+    if least_reach > hi:
+        raise PlanError(
+            f"generic stage with {cuts} cuts reaches at least {least_reach}, "
+            f"past budget [{lo}, {hi}] at height {current_height}"
+        )
     counts = apportion(poly, cuts)
     escape = cuts - sum(counts.values())
     spacers = []

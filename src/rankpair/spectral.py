@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import record
-from .correlation import CorrelationSequence, CoverageError
+from .correlation import ZERO, CorrelationSequence
 
 
 @record
@@ -55,9 +55,8 @@ def fejer_density(seq: CorrelationSequence, order: int, grid: int) -> DensityEst
     """Non-negative kernel estimate of the spectral density from lags < order."""
     if order < 1:
         raise ValueError("order must be positive")
-    if not seq.covers(0, order - 1):
-        raise CoverageError(f"sequence must cover [0, {order - 1}]")
-    support = (n for n in seq.support() if 0 < n < order)
+    seq.require(0, order - 1)
+    support = (n for n in range(1, order) if seq.entries[n] != ZERO)
     return _cosine_density(seq, ((n, 1.0 - n / order) for n in support), grid)
 
 
@@ -109,7 +108,7 @@ def chaos_exp_coefficients(seq: CorrelationSequence, chaos_cap: int) -> ChaosCoe
     """
     if chaos_cap < 1:
         raise ValueError("chaos_cap must be at least 1")
-    if 0 not in seq.entries or seq.entry(0) != (Fraction(1), Fraction(1)):
+    if seq.entries.get(0) != (Fraction(1), Fraction(1)):
         raise ValueError("input must be normalized: rho(0) must be exactly 1")
     entries = {}
     tails = {}

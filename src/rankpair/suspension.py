@@ -32,7 +32,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .core import EscapeCapError, LevelFunction, RankOneSpec, occurrence_set, record
-from .correlation import CorrelationSequence, CoverageError
+from .correlation import CorrelationSequence
 
 _PSD_SLACK = 1e-9
 _ESCAPE_CAP = 0.5   # largest expected escaping fraction a Poisson push accepts
@@ -205,8 +205,6 @@ def gaussian_sample(
     """
     if length < 1:
         raise ValueError(f"length must be at least 1, got {length}")
-    if not cov.covers(0, length - 1):
-        raise CoverageError(f"covariance must cover lags [0, {length - 1}]")
     r = np.array([float(cov.midpoint(n)) for n in range(length)])
     slack = _PSD_SLACK * max(r[0], 1.0)
     # the embedding's eigenvalues at frequencies 0 .. m/2; the others mirror them
@@ -290,14 +288,13 @@ class PoissonPush:
 def _support(spec: RankOneSpec, f: LevelFunction, depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Sorted levels of the cells of ``supp f`` in the depth-``depth`` tower,
     and the value of ``f`` on each.  Occurrences of the stage-``f.stage``
-    tower lie at least its height apart and every level lies below it, so
-    the cells are distinct."""
+    tower ascend at least its height apart and every level lies below it,
+    so the cells of one occurrence, in level order, all lie below those of
+    the next: occurrence by occurrence they ascend, and are distinct."""
     occ = np.array(occurrence_set(spec, f.stage, depth), dtype=np.int64)
-    levels, coeffs = zip(*f.coefficients)
+    levels, coeffs = zip(*sorted(f.coefficients))
     cells = np.add.outer(occ, np.array(levels, dtype=np.int64)).ravel()
-    values = np.tile([float(c) for c in coeffs], occ.size)
-    order = np.argsort(cells)
-    return cells[order], values[order]
+    return cells, np.tile([float(c) for c in coeffs], occ.size)
 
 
 def _values_at(support: np.ndarray, weights: np.ndarray, x: np.ndarray) -> np.ndarray:

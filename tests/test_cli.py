@@ -169,6 +169,7 @@ OVERSIZED = {  # a spec whose depth-4 tower puts 10^9 occurrences of the stage-1
 EMPTY_TABLE = "# subject\tf\n# norm_sq\t1/1\nn\tlower\tupper\n"
 # a lag-0 bracket past the largest double: every float conversion of it overflows
 HUGE_TABLE = EMPTY_TABLE + f"0\t{10 ** 400}/1\t{10 ** 400}/1\n1\t0/1\t0/1\n"
+GAPPY_TABLE = EMPTY_TABLE + "0\t1/1\t1/1\n2\t0/1\t0/1\n"  # lag 1 missing
 OVERFLOW = "input error: integer division result too large for a float"
 
 
@@ -226,6 +227,8 @@ GAUSSIAN_MATRIX_CAP = ["simulate", "--kind", "gaussian", "--table", GOLDEN_TABLE
     (["spectrum", "--table", "huge.tsv", "--exact"], OVERFLOW),
     (["spectrum", "--table", "huge.tsv", "--order", "2"], OVERFLOW),
     (["simulate", "--kind", "gaussian", "--table", "huge.tsv", "--lag-max", "0"], OVERFLOW),
+    (["spectrum", "--table", "gappy.tsv", "--order", "3"],
+     "input error: n=1 not covered by sequence 'f'"),
 ], ids=["tolerance", "gaussian-no-table", "poisson-no-spec", "intensity-0",
         "escape-cap", "generic-cuts-1", "negative-power",
         "spacers-str", "base-height-str", "cuts-float", "top-level-array", "indices-int",
@@ -235,7 +238,7 @@ GAUSSIAN_MATRIX_CAP = ["simulate", "--kind", "gaussian", "--table", GOLDEN_TABLE
         "schedule-zero-denominator", "plan-zero-denominator", "lemma3-zero-denominator",
         "gaussian-lag-max-minus-1", "spectrum-grid-0", "spectrum-empty-table",
         "n-min-above-n-max", "lag-cap", "spectrum-exact-overflow",
-        "spectrum-order-2-overflow", "gaussian-overflow"])
+        "spectrum-order-2-overflow", "gaussian-overflow", "spectrum-order-3-gap"])
 def test_failure_is_one_line_and_exit_one(tmp_path, monkeypatch, capsys, argv, fragment):
     monkeypatch.chdir(tmp_path)
     write_indicator(tmp_path)
@@ -244,6 +247,7 @@ def test_failure_is_one_line_and_exit_one(tmp_path, monkeypatch, capsys, argv, f
     ser.write_json(tmp_path / "w.json", WalshPolynomial.from_terms([([1], 1)]))
     (tmp_path / "empty.tsv").write_text(EMPTY_TABLE)
     (tmp_path / "huge.tsv").write_text(HUGE_TABLE)
+    (tmp_path / "gappy.tsv").write_text(GAPPY_TABLE)
     if argv is LAG_CAP:
         assert main(["--out-dir", "h1e9", "plan", "--horizon", str(10 ** 9)]) == 0
     assert main(["--out-dir", str(tmp_path), *argv]) == 1
@@ -335,6 +339,18 @@ def test_engine_memo_cap_is_one_line_and_exit_one(tmp_path, monkeypatch, capsys)
                  "--function", str(f), "--n-max", "10"]) == 1
     assert capsys.readouterr().err.splitlines() == [
         "MemoryError: correlation engine: pair counts held over the cap 4"]
+    assert not list(tmp_path.glob("*_manifest.json"))
+
+
+def test_out_of_memory_is_named(tmp_path, monkeypatch, capsys):
+    """Python raises running out of memory with an empty message; the line
+    still says what happened."""
+    def plan_pair(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "plan_pair", plan_pair)
+    assert main(["--out-dir", str(tmp_path), "plan", "--horizon", "100"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["MemoryError: out of memory"]
     assert not list(tmp_path.glob("*_manifest.json"))
 
 

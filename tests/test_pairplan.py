@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -47,7 +48,11 @@ class TestPolynomialSpec:
 
     def test_check_rejects_bad_mass(self):
         with pytest.raises(ValueError):
-            PolynomialSpec.from_dict({0: Fraction(3, 2)}).check()
+            PolynomialSpec.from_dict({0: Fraction(3, 2)})
+
+    def test_a_spec_built_directly_is_checked(self):
+        with pytest.raises(ValueError, match="powers must be non-negative"):
+            PolynomialSpec(((-1, Fraction(1, 2)),))
 
 
 class TestApportion:
@@ -100,6 +105,19 @@ class TestGenericStage:
         p = PolynomialSpec.delta(0)
         with pytest.raises(PlanError):
             design_generic_stage(10, (7, 25), p, 4, max_position=3)
+
+    def test_a_stage_past_its_budget_is_refused_before_it_is_built(self):
+        """A million cuts at height 10 put the last copy near 10**7, far past
+        the budget's end 25: the stage is refused before its spacer list is
+        built."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(PlanError):
+                design_generic_stage(10, (7, 25), PolynomialSpec.delta(0), 10 ** 6, max_position=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestPlanPair:

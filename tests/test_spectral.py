@@ -7,8 +7,11 @@ from hypothesis import given, strategies as st
 
 from rankpair import (
     CorrelationSequence,
+    CoverageError,
+    SimulationConfig,
     chaos_exp_coefficients,
     fejer_density,
+    gaussian_sample,
     summability_report,
     trig_polynomial_density,
 )
@@ -62,8 +65,21 @@ class TestDensities:
         assert est.min_value() >= -1e-9
 
     def test_fejer_requires_coverage(self):
-        with pytest.raises(Exception):
+        with pytest.raises(CoverageError, match="n=1 not covered"):
             fejer_density(seq({0: 1}), order=4, grid=64)
+
+
+@pytest.mark.parametrize("read", [
+    lambda s: s.entry(1),
+    lambda s: summability_report(s, (0, 2)),
+    lambda s: fejer_density(s, 3, 8),
+    lambda s: gaussian_sample(s, 3, SimulationConfig(sample_count=4)),
+], ids=["entry", "summability", "fejer", "gaussian"])
+def test_every_reader_names_the_first_missing_lag(read):
+    table = CorrelationSequence({0: (Fraction(1), Fraction(1)), 2: (Fraction(0), Fraction(0))},
+                                Fraction(1), "f")
+    with pytest.raises(CoverageError, match=r"^n=1 not covered by sequence 'f'$"):
+        read(table)
 
 
 @st.composite

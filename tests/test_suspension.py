@@ -6,7 +6,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rankpair import (
     CorrelationSequence,
@@ -26,6 +26,8 @@ from rankpair.core import occurrence_set
 from rankpair.serialize import correlation_table_from_tsv
 from rankpair import suspension
 from rankpair.suspension import CovarianceEstimate, _toeplitz_cholesky
+
+from test_core import spec_strategy
 
 
 def toeplitz(r):
@@ -159,6 +161,8 @@ class TestGaussian:
 
     @given(st.integers(1, 60), st.floats(0.25, 2),
            st.dictionaries(st.integers(1, 59), st.floats(-1, 1), max_size=5))
+    @example(5, 0.75, {1: 1e-9, 3: 0.75})
+    @example(5, 0.25, {1: 1e-9, 3: 0.75})
     @settings(max_examples=300, deadline=None)
     def test_schur_factor_matches_cholesky(self, length, r0, lags):
         r = np.zeros(length)
@@ -170,7 +174,13 @@ class TestGaussian:
         slack = 1e-9 * max(r0, 1.0)
         jittered = _toeplitz_cholesky(np.concatenate(([r0 + slack], r[1:])))
         order = jittered if isinstance(jittered, int) else None
-        assert order == first_failing_order(toep, slack)
+        expected = first_failing_order(toep, slack)
+        if order != expected:
+            # the verdicts may split only on a leading block singular up to
+            # rounding, where either one is right
+            k = min(o for o in (order, expected) if o is not None)
+            grazing = np.linalg.eigvalsh(toep[:k, :k] + slack * np.eye(k)).min()
+            assert abs(grazing) <= 64 * np.finfo(float).eps * k * np.abs(r).max()
         smallest = np.linalg.eigvalsh(toep).min()
         if smallest > 1e-6:  # positive definite beyond any rounding
             factor = _toeplitz_cholesky(r)
@@ -366,6 +376,24 @@ class TestPoisson:
             ]
             region = {x for x in range(h) if x in supp or x + steps in supp}
             assert pairs.region.tolist() == sorted(region), steps
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_support_cells_ascend_each_with_its_weight(self, data):
+        """Multi-level functions on random specs, their levels in any order:
+        the cells of ``supp f`` strictly ascend, each with its own weight."""
+        spec = data.draw(spec_strategy())
+        stage = data.draw(st.integers(1, spec.max_depth))
+        depth = data.draw(st.integers(stage, spec.max_depth))
+        weight = st.integers(-3, 3).filter(bool).map(Fraction)
+        coeffs = data.draw(st.dictionaries(st.integers(0, spec.heights()[stage - 1] - 1), weight,
+                                           min_size=1))
+        f = LevelFunction(stage, tuple(data.draw(st.permutations(list(coeffs.items())))))
+        cells, weights = suspension._support(spec, f, depth)
+        assert np.all(np.diff(cells) > 0)
+        assert list(zip(cells.tolist(), weights.tolist())) == sorted(
+            (p + level, float(c)) for p in occurrence_set(spec, stage, depth)
+            for level, c in coeffs.items())
 
     def test_point_count_follows_region_measure(self, spec):
         f = LevelFunction.indicator(1)
