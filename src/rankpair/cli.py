@@ -241,6 +241,7 @@ def cmd_simulate(args, out: _Output) -> int:
                   for lag in range(args.lag_max + 1)}
         out.stats.update({"length": length, "repaired": sample.repaired,
                           "sampler": sample.sampler, "embedding_min": sample.embedding_min,
+                          "embedding_size": sample.embedding_size,
                           "blocks": sample.blocks, "workers": sample.workers})
         payload = {
             "kind": "gaussian",

@@ -290,7 +290,7 @@ class CorrelationSequence:
 
     def midpoint(self, n: int) -> Fraction:
         a, b = self.entry(n)
-        return (a + b) / 2
+        return a if a == b else (a + b) / 2
 
     def support(self) -> list[int]:
         """Indices whose value is not certified to be zero."""

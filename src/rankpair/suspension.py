@@ -127,6 +127,7 @@ class GaussianSample:
     repaired: bool
     sampler: str               # "circulant" or "schur"
     embedding_min: float       # smallest eigenvalue of the circulant embedding
+    embedding_size: int        # order of the circulant, or of the Schur factor
     lagged: np.ndarray         # sum over paths and t of x[t] * x[t + k], per lag k
     blocks: int                # blocks of _BLOCK_ROWS paths
     workers: int               # threads that drew the blocks and their lagged sums
@@ -180,23 +181,72 @@ def _toeplitz_cholesky(r: np.ndarray) -> np.ndarray | int:
     return upper.T
 
 
+def _smooth_size(n: int) -> int:
+    """The least ``2**a * 3**b * 5**c`` that is at least ``n``."""
+    best = 1 << (n - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            # the least power of two times odd that is at least n
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
+def _embedding(r: np.ndarray, slack: float) -> tuple[np.ndarray, np.ndarray]:
+    """The first row and the eigenvalues of the circulant embedding that
+    :func:`gaussian_sample` picks for ``r``: the first of its candidate
+    sizes whose eigenvalues clear ``-slack``, else the minimal one."""
+    length = r.size
+    nonzero = np.flatnonzero(r)
+    q = int(nonzero[-1]) if nonzero.size else 0
+    minimal = max(2 * length - 2, 1)
+    short = _smooth_size(length + q)
+    for m in ((short, minimal) if short < minimal else (minimal,)):
+        row = np.zeros(m)  # (r_0 .. r_q, zeros, r_q .. r_1)
+        row[: q + 1] = r[: q + 1]
+        row[m - q :] = r[q:0:-1]
+        # one real FFT gives the eigenvalues at frequencies 0 .. m/2; the
+        # others mirror them
+        half = np.fft.rfft(row).real
+        lam = np.concatenate((half, half[(m - 1) // 2 : 0 : -1]))
+        if lam.min() >= -slack:
+            break
+    return row, lam
+
+
+_PANEL = 256  # columns of the Schur factor's transpose multiplied at once
+
+
 def gaussian_sample(
     cov: CorrelationSequence, length: int, config: SimulationConfig
 ) -> GaussianSample:
     """Stationary zero-mean Gaussian paths with the given covariance.
 
-    The fast path embeds the covariance in the minimal circulant, with
-    first row ``(r_0 .. r_{L-1}, r_{L-2} .. r_1)``, whose eigenvalues are one
-    real FFT of that row (Davies & Harte 1987; Dietrich & Newsam 1997).  If
-    none is below ``-1e-9 * max(r_0, 1)``, negative ones are clipped to zero
-    and the paths are FFTs of scaled complex noise; the Toeplitz matrix is
-    the embedding's leading block, so it is PSD as well and is never built.
-    Otherwise the Schur algorithm factors the Toeplitz matrix, once more
+    The fast path embeds the covariance in a circulant whose eigenvalues
+    are one real FFT of its first row (Davies & Harte 1987; Dietrich &
+    Newsam 1997).  With ``q`` the last lag below ``L`` whose midpoint is
+    not zero, any size ``m >= L + q`` with first row ``(r_0 .. r_q, zeros,
+    r_q .. r_1)`` has the Toeplitz matrix of ``r`` as its leading block, as
+    does the minimal size ``2L - 2`` with row ``(r_0 .. r_{L-1}, r_{L-2} ..
+    r_1)`` (Wood & Chan 1994).  Two sizes are tried in order: the least
+    ``2**a 3**b 5**c`` at least ``L + q``, then ``2L - 2`` (the only one
+    when ``q >= L - 2``, whose draws are then those of the minimal
+    embedding).  The first with no eigenvalue below ``-1e-9 * max(r_0, 1)``
+    is used: negative ones are clipped to zero and the paths are FFTs of
+    scaled complex noise; the Toeplitz matrix is the embedding's leading
+    block, so it is PSD as well and is never built.  If neither clears the
+    slack, the Schur algorithm factors the Toeplitz matrix, once more
     with that slack added to ``r_0`` if it is not positive definite
     (truncating a genuine covariance can graze zero; the sample is then
     repaired); if that fails too, the error names the first offending
-    leading principal minor.  The largest array the chosen sampler holds
-    is capped at ``2**24`` entries before any of its arrays is allocated.
+    leading principal minor.  A Schur sample reports the ``embedding_min``
+    of the size ``2L - 2``, and its paths are normals times the factor's
+    transpose, taken in panels of columns that read only the factor's
+    nonzero rows.  The largest array the chosen sampler holds is capped at
+    ``2**24`` entries before any of its arrays is allocated.
 
     Paths come in blocks of 128, and one loop serves both samplers: it
     draws a block's paths from the block's own stream, sums their lagged
@@ -207,8 +257,7 @@ def gaussian_sample(
         raise ValueError(f"length must be at least 1, got {length}")
     r = np.array([float(cov.midpoint(n)) for n in range(length)])
     slack = _PSD_SLACK * max(r[0], 1.0)
-    # the embedding's eigenvalues at frequencies 0 .. m/2; the others mirror them
-    lam = np.fft.rfft(np.concatenate((r, r[-2:0:-1]))).real
+    row, lam = _embedding(r, slack)
     embedding_min = float(lam.min())
     circulant = embedding_min >= -slack
     nfft = _nfft(length)
@@ -224,7 +273,7 @@ def gaussian_sample(
             f"entries, over the cap {_GAUSSIAN_CAP}"
         )
     if circulant:
-        eig = np.clip(np.concatenate((lam, lam[-2:0:-1])), 0.0, None)
+        eig = np.clip(lam, 0.0, None)
         scale = np.sqrt(eig / eig.size)
         repaired = embedding_min < 0
         draw = functools.partial(_circulant_rows, scale, config.seed)
@@ -235,10 +284,15 @@ def gaussian_sample(
             factor = _toeplitz_cholesky(np.concatenate(([r[0] + slack], r[1:])))
             if isinstance(factor, int):
                 raise PSDError(f"covariance not PSD: first offending leading minor of order {factor}")
+        upper = factor.T
 
         def draw(b, rows):
             z = _stream(config.seed, 0, block=b).standard_normal(rows.shape)
-            np.matmul(z, factor.T, out=rows)
+            # columns j0 .. j1 of the paths read only rows below j1 of the
+            # upper triangular factor, the others being zero
+            for j0 in range(0, length, _PANEL):
+                j1 = min(j0 + _PANEL, length)
+                np.matmul(z[:, :j1], upper[:j1, j0:j1], out=rows[:, j0:j1])
 
     blocks = -(-config.sample_count // _BLOCK_ROWS)
     paths = np.empty((config.sample_count, length))
@@ -255,8 +309,9 @@ def gaussian_sample(
     lagged = np.fft.irfft(power.sum(axis=0), n=nfft)[:length]
     return GaussianSample(paths=paths, repaired=repaired,
                           sampler="circulant" if circulant else "schur",
-                          embedding_min=embedding_min, lagged=lagged,
-                          blocks=blocks, workers=workers)
+                          embedding_min=embedding_min,
+                          embedding_size=row.size if circulant else length,
+                          lagged=lagged, blocks=blocks, workers=workers)
 
 
 @record

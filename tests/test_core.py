@@ -172,8 +172,8 @@ class TestRecords:
             norm_sq=Fraction(1))
         text = repr(gaussian_sample(white, 2, SimulationConfig(sample_count=4)))
         names = [f.name for f in GaussianSample.__record_fields__]
-        assert names == ["paths", "repaired", "sampler", "embedding_min", "lagged",
-                         "blocks", "workers"]
+        assert names == ["paths", "repaired", "sampler", "embedding_min", "embedding_size",
+                         "lagged", "blocks", "workers"]
         assert text.startswith("GaussianSample(paths=")
         places = [text.index(f"{name}=") for name in names]
         assert places == sorted(places)

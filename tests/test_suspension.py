@@ -59,6 +59,29 @@ def first_failing_order(toep, slack):
     return minor
 
 
+def assert_recovers(sample, seq):
+    """Every lag up to (length - 1) / 2 lies within 5.5 standard errors of a
+    Bartlett-type bound on the estimator's variance."""
+    paths, length = sample.paths.shape
+    r = np.array([float(seq.midpoint(n)) for n in range(length)])
+    padded = np.concatenate((np.zeros(length), r[:0:-1], r, np.zeros(length)))
+    j = np.arange(-length + 1, length) + 2 * length - 1  # lag 0 sits at 2 * length - 1
+    for k in range(length // 2 + 1):
+        var = (padded[j] ** 2 + np.abs(padded[j + k] * padded[j - k])).sum()
+        stderr = np.sqrt(var / (paths * (length - k)))
+        assert abs(sample.sample_covariance(k) - r[k]) <= 5.5 * stderr, k
+
+
+def assert_schur_paths(sample, seq, seed):
+    """The paths of one block are the stream's normals times the transposed
+    Cholesky factor; the Schur recursion rounds differently from LAPACK's."""
+    paths, length = sample.paths.shape
+    toep = toeplitz([float(seq.midpoint(n)) for n in range(length)])
+    z = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, 0]))
+    expected = z.standard_normal((paths, length)) @ np.linalg.cholesky(toep).T
+    np.testing.assert_allclose(sample.paths, expected, rtol=0, atol=1e-12)
+
+
 def golden_table():
     table = Path(__file__).parent / "golden" / "default" / "correlations.tsv"
     return correlation_table_from_tsv(table.read_text())
@@ -119,10 +142,12 @@ class TestGaussian:
             sample.sample_covariance(5)
 
     def test_embeddable_sequence_takes_the_circulant_path(self):
-        # the embedding (1, 1/4, 0, 0, 0, 0, 0, 1/4) has eigenvalues 1 + cos(2 pi k / 8) / 2
+        # the last nonzero lag is 1, so the embedding has size 5 + 1 = 6, not
+        # 2 * 5 - 2 = 8: (1, 1/4, 0, 0, 0, 1/4), with eigenvalues 1 + cos(2 pi k / 6) / 2
         s = exact_seq({0: 1, 1: Fraction(1, 4), 2: 0, 3: 0, 4: 0})
         sample = gaussian_sample(s, 5, SimulationConfig(sample_count=10, seed=0))
         assert sample.sampler == "circulant" and not sample.repaired
+        assert sample.embedding_size == 6
         assert sample.embedding_min == pytest.approx(0.5, abs=1e-15)
         assert sample.paths.shape == (10, 5)
 
@@ -131,12 +156,18 @@ class TestGaussian:
         cfg = SimulationConfig(sample_count=50, seed=11)
         sample = gaussian_sample(seq, 41, cfg)
         assert sample.sampler == "schur" and sample.embedding_min < -0.75
-        assert not sample.repaired
-        toep = toeplitz([float(seq.midpoint(n)) for n in range(41)])
-        z = np.random.Generator(np.random.Philox(key=11, counter=[0, 0, 0, 0]))
-        expected = z.standard_normal((50, 41)) @ np.linalg.cholesky(toep).T
-        # the Schur recursion rounds differently from LAPACK's Cholesky
-        np.testing.assert_allclose(sample.paths, expected, rtol=0, atol=1e-12)
+        assert not sample.repaired and sample.embedding_size == 41
+        assert_schur_paths(sample, seq, seed=11)
+
+    def test_schur_panels_match_cholesky(self):
+        # L = 600 spans three column panels of the factor; the size-1198
+        # embedding has eigenvalue -0.26 while the Toeplitz matrix's least is 0.30
+        seq = exact_seq({**dict.fromkeys(range(600), 0), 0: 1, 70: Fraction(-1, 8),
+                         122: Fraction(-1, 5), 449: Fraction(7, 25), 587: Fraction(1, 40)})
+        sample = gaussian_sample(seq, 600, SimulationConfig(sample_count=50, seed=11))
+        assert sample.sampler == "schur" and sample.embedding_min < -0.25
+        assert not sample.repaired and sample.embedding_size == 600
+        assert_schur_paths(sample, seq, seed=11)
 
     @pytest.mark.parametrize("offset, repaired", [(0.5, True), (2.0, False)])
     def test_repair_boundary(self, offset, repaired):
@@ -199,19 +230,75 @@ class TestGaussian:
         assert np.array_equal(a.paths, gaussian_sample(s, 5, cfg).paths)
 
     def test_circulant_paths_recover_the_covariance(self):
-        # r(n) = (4/5)^n; every lag up to (length - 1) / 2 lies within 5.5
-        # standard errors of a Bartlett-type bound on the estimator's variance
-        length, paths = 257, 4000
-        s = exact_seq({n: Fraction(4, 5) ** n for n in range(length)})
-        sample = gaussian_sample(s, length, SimulationConfig(sample_count=paths, seed=2))
+        # r(n) = (4/5)^n, nonzero at every lag: the minimal size 2 * 257 - 2
+        s = exact_seq({n: Fraction(4, 5) ** n for n in range(257)})
+        sample = gaussian_sample(s, 257, SimulationConfig(sample_count=4000, seed=2))
         assert sample.sampler == "circulant" and not sample.repaired
-        r = np.array([float(s.midpoint(n)) for n in range(length)])
-        padded = np.concatenate((np.zeros(length), r[:0:-1], r, np.zeros(length)))
-        j = np.arange(-length + 1, length) + 2 * length - 1  # lag 0 sits at 2 * length - 1
-        for k in range(length // 2 + 1):
-            var = (padded[j] ** 2 + np.abs(padded[j + k] * padded[j - k])).sum()
-            stderr = np.sqrt(var / (paths * (length - k)))
-            assert abs(sample.sample_covariance(k) - r[k]) <= 5.5 * stderr, k
+        assert sample.embedding_size == 512
+        assert_recovers(sample, s)
+
+    def test_support_sized_embedding_recovers_the_covariance(self):
+        # the triangle r(n) = 1 - n / 112, whose spectrum is a Fejer kernel,
+        # is zero past lag 111: 257 + 111 = 368 rounds up to the odd 5-smooth
+        # size 375 = 3 * 5^3
+        s = exact_seq({n: max(1 - Fraction(n, 112), 0) for n in range(257)})
+        sample = gaussian_sample(s, 257, SimulationConfig(sample_count=4000, seed=2))
+        assert sample.sampler == "circulant" and not sample.repaired
+        assert sample.embedding_size == 375
+        assert_recovers(sample, s)
+
+    @given(st.integers(1, 60), st.floats(0.25, 2),
+           st.dictionaries(st.integers(1, 59), st.floats(-1, 1), max_size=5))
+    # the size-48 embedding of this table is not PSD, the size-54 one is
+    @example(28, 1.0, {18: 0.56})
+    @settings(max_examples=200, deadline=None)
+    def test_support_sized_embedding(self, length, r0, lags):
+        r = np.zeros(length)
+        r[0] = r0
+        for lag, value in lags.items():
+            if lag < length:
+                r[lag] = value
+        slack = 1e-9 * max(r0, 1.0)
+        row, lam = suspension._embedding(r, slack)
+        # the leading L x L block of the symmetric circulant is the Toeplitz matrix of r
+        assert np.array_equal(row[:length], r)
+        assert np.array_equal(row[1:], row[:0:-1])
+        minimal = np.concatenate((r, r[-2:0:-1]))
+        if np.fft.rfft(minimal).real.min() >= -slack:
+            # no table that the minimal embedding takes moves to the Schur path
+            sample = gaussian_sample(exact_seq(dict(enumerate(r))), length,
+                                     SimulationConfig(sample_count=3, seed=1))
+            assert sample.sampler == "circulant"
+            assert sample.embedding_size == row.size <= minimal.size
+
+    @given(st.integers(3, 60), st.sampled_from([1, 2]), st.floats(0.25, 2),
+           st.dictionaries(st.integers(1, 59), st.floats(-1, 1), max_size=4),
+           st.floats(-1, 1).filter(bool))
+    @settings(max_examples=100, deadline=None)
+    def test_full_support_keeps_the_minimal_embedding(self, length, back, r0, lags, last):
+        # a nonzero at lag L - 1 or L - 2 leaves 2L - 2 the only size, so the
+        # paths are those of the minimal embedding to the bit; the lags are
+        # scaled to sum below r0 / 2, which keeps that embedding PSD
+        lags = {**lags, length - back: last}
+        r = np.zeros(length)
+        r[0] = r0
+        for lag, value in lags.items():
+            if lag < length:
+                r[lag] = value * r0 / (2 * len(lags))
+        count, seed = 130, 5
+        sample = gaussian_sample(exact_seq(dict(enumerate(r))), length,
+                                 SimulationConfig(sample_count=count, seed=seed))
+        assert sample.sampler == "circulant" and sample.embedding_size == 2 * length - 2
+        row = np.concatenate((r, r[-2:0:-1]))
+        half = np.fft.rfft(row).real
+        scale = np.sqrt(np.clip(np.concatenate((half, half[-2:0:-1])), 0.0, None) / row.size)
+        expected = []
+        for b, rows in ((0, 128), (1, 2)):
+            gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, b, 0]))
+            z = gen.standard_normal((rows // 2, row.size, 2)).view(np.complex128)[..., 0]
+            y = np.fft.fft(z * scale, axis=1)[:, :length]
+            expected += [y.real, y.imag]
+        assert np.array_equal(sample.paths, np.concatenate(expected))
 
     def test_non_psd_rejected(self):
         # the second sequence's leading blocks are the identity up to order
@@ -253,15 +340,17 @@ class TestGaussianBlocks:
             [two.sample_covariance(k) for k in range(length)]
 
     def test_block_streams(self):
-        # white noise: every eigenvalue of the size-8 embedding is 1, so block
-        # b's rows are the real, then the imaginary parts of fft(z / sqrt(8))
-        # with z drawn from the Philox stream at counter [0, 0, b, 0]
+        # white noise has no nonzero lag past 0, so it embeds in size 5, not
+        # 2 * 5 - 2 = 8: every eigenvalue is 1, and block b's rows are the
+        # real, then the imaginary parts of fft(z / sqrt(5)) with z drawn
+        # from the Philox stream at counter [0, 0, b, 0]
         white = exact_seq({0: 1, 1: 0, 2: 0, 3: 0, 4: 0})
         sample = gaussian_sample(white, 5, SimulationConfig(sample_count=200, seed=9))
+        assert sample.embedding_size == 5
         for b, rows in ((0, 128), (1, 72)):
             gen = np.random.Generator(np.random.Philox(key=9, counter=[0, 0, b, 0]))
-            z = gen.standard_normal((rows // 2, 8, 2)).view(np.complex128)[..., 0]
-            y = np.fft.fft(z * np.sqrt(1 / 8), axis=1)[:, :5]
+            z = gen.standard_normal((rows // 2, 5, 2)).view(np.complex128)[..., 0]
+            y = np.fft.fft(z * np.sqrt(1 / 5), axis=1)[:, :5]
             block = sample.paths[128 * b : 128 * b + rows]
             np.testing.assert_allclose(block, np.concatenate((y.real, y.imag)), rtol=0, atol=1e-15)
         # the Schur sampler follows the same rule: block b's rows are the
